@@ -9,6 +9,9 @@ Three realizations share one element-arithmetic surface (a "ring handle"):
 structure rings, quotient rings, and subrings.  Deciders elsewhere in the
 package only use that surface, so they never care how a ring was produced.
 All realizations are immutable after construction; caches are write-once.
+
+Deciders read dense index tables (Tables) up to max_table elements; above
+it, structure rings over one prime p are worked on as F_p algebras.
 """
 
 import itertools
@@ -62,6 +65,7 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+_CHUNK_BYTES = 1 << 20   # working set of one batched F_p linear-algebra step
 
 
 @dataclass(frozen=True)
@@ -350,6 +354,11 @@ class StructureRing(Ring):
     def right_mul_matrix(self, a):
         """M with (x*a) = x @ M for row vectors x."""
         return np.tensordot(np.array(a, dtype=np.int64), self.tensor, axes=(0, 1))
+
+    def mul_matrices(self, rows):
+        """Left and right multiplication matrices of each row, (n, k, k) each."""
+        return (np.einsum("ni,ijm->njm", rows, self.tensor),
+                np.einsum("nj,ijm->nim", rows, self.tensor))
 
     def describe(self):
         label = self.name or "structure ring"
@@ -716,6 +725,9 @@ class UnitReport:
     units: tuple
     inverses: dict
     regulars: tuple
+    # per element of ring.elements(): x -> a*x (l_full), x -> x*a bijective
+    l_full: np.ndarray = field(repr=False)
+    r_full: np.ndarray = field(repr=False)
 
     @property
     def regulars_equal_units(self):
@@ -726,31 +738,29 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     """Classify elements into units (inverse recorded) and regulars.
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
-    it is a unit; the report exposes that comparison.
+    it is a unit; the report exposes that comparison.  Above max_table only
+    structure rings over one prime modulus are decided (_units_by_rank).
     """
     cached = getattr(ring, "_units", None)
     if cached is not None:
         return cached
     t = ring.tables(limits)
     if t is not None:
-        n = len(t.elems)
         hit = t.mul == t.one
         two_sided = hit & hit.T
-        units = []
-        inverses = {}
-        for i in np.nonzero(two_sided.any(axis=1))[0]:
-            j = int(np.nonzero(two_sided[i])[0][0])
-            units.append(t.elems[i])
-            inverses[t.elems[i]] = t.elems[j]
-        ar = np.arange(n, dtype=np.int32)
-        rows = (np.sort(t.mul, axis=1) == ar).all(axis=1)
-        cols = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
-        regulars = [t.elems[i] for i in np.nonzero(rows & cols)[0]]
+        unit = np.nonzero(two_sided.any(axis=1))[0]
+        inverses = {t.elems[i]: t.elems[two_sided[i].argmax()] for i in unit}
+        ar = np.arange(len(t.elems), dtype=np.int32)
+        l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
+        r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
     elif isinstance(ring, StructureRing):
-        units, inverses, regulars = _units_by_rank(ring, limits)
+        unit, inverses, l_full, r_full = _units_by_rank(ring, limits)
     else:
         raise LimitError("max_table", limits.max_table, ring.size)
-    rep = UnitReport(tuple(units), inverses, tuple(regulars))
+    elems = ring.elements(limits)
+    rep = UnitReport(tuple(elems[i] for i in unit), inverses,
+                     tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
+                     l_full, r_full)
     if not rep.regulars_equal_units:
         raise RingError("internal: regulars differ from units in a finite ring")
     ring._units = rep
@@ -758,64 +768,67 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
 
 def _units_by_rank(ring, limits):
-    """Unit/regular scan via modular linear algebra, equal prime moduli only."""
-    mods = set(ring.shape.moduli)
-    if len(mods) != 1:
-        raise LimitError("max_table", limits.max_table, ring.size)
-    p = mods.pop()
-    if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)) or p < 2:
-        raise LimitError("max_table", limits.max_table, ring.size)
-    units = []
-    inverses = {}
-    regulars = []
-    one = np.array(ring.one, dtype=np.int64)
-    for a in ring.elements(limits):
-        L = ring.left_mul_matrix(a) % p    # x @ L = a*x
-        R = ring.right_mul_matrix(a) % p   # x @ R = x*a
-        y, r_full = _solve_mod_p(R.T, one, p)  # y*a = 1
-        z, l_full = _solve_mod_p(L.T, one, p)  # a*z = 1
-        if y is not None and z is not None:
-            units.append(a)
-            inverses[a] = tuple(int(v) for v in z)
-        if r_full and l_full:
-            regulars.append(a)
-    return units, inverses, regulars
+    """Solve a*z = 1 and y*a = 1 mod p for every element a, in chunks.
 
-
-def _solve_mod_p(A, b, p):
-    """Solve A x = b over Z_p (A square).
-
-    Returns (solution or None, whether A is nonsingular).
+    Returns the indices of the units (both solved, solutions checked),
+    their inverses, and whether L_a and R_a have full rank, per element.
+    Equal prime moduli only.
     """
-    k = A.shape[0]
-    M = np.concatenate([A % p, (b % p).reshape(-1, 1)], axis=1).astype(np.int64)
-    row = 0
-    pivots = []
+    mods = set(ring.shape.moduli)
+    p = mods.pop()
+    if mods or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise LimitError("max_table", limits.max_table, ring.size)
+    elems, X = ring.elements(limits), ring.elements_array(limits)
+    n, k = X.shape
+    one = np.array(ring.one, dtype=np.int64)
+    Z = np.zeros((n, k), dtype=np.int64)   # z with a*z = 1
+    solved = np.zeros((2, n), dtype=bool)  # a*z = 1, y*a = 1 solved
+    full = np.zeros((2, n), dtype=bool)    # L_a, R_a nonsingular
+    # the systems of a chunk and one temporary of the same size
+    chunk = max(1, _CHUNK_BYTES // (32 * k * (k + 1)))
+    for s in range(0, n, chunk):
+        LR = np.stack(ring.mul_matrices(X[s:s + chunk]))   # (2, m, k, k)
+        m = LR.shape[1]
+        # a*z = z @ L_a and y*a = y @ R_a: augmented [L_a^T | 1] and
+        # [R_a^T | 1], stored as (row, column, system)
+        M = np.empty((k, k + 1, 2 * m), dtype=np.int64)
+        M[:, :k] = LR.reshape(-1, k, k).transpose(2, 1, 0) % p
+        M[:, k] = one[:, None]
+        x, nonsingular = _eliminate_mod_p(M, p)
+        x = x.reshape(2, m, k)
+        Z[s:s + m] = x[0]
+        # a solution stands only if it checks out: z @ L_a = 1, y @ R_a = 1
+        check = np.einsum("snj,snjm->snm", x, LR) % p
+        solved[:, s:s + m] = (check == one).all(axis=2)
+        full[:, s:s + m] = nonsingular.reshape(2, m)
+    unit = np.nonzero(solved.all(axis=0))[0]
+    inverses = {elems[i]: tuple(Z[i].tolist()) for i in unit}
+    return unit, inverses, full[0], full[1]
+
+
+def _eliminate_mod_p(M, p):
+    """Gauss-Jordan elimination mod p, in place, on a batch of systems.
+
+    M is (k, k + 1, m): row, column, system, augmented, entries in [0, p).
+    Returns a candidate solution (m, k) per system, free variables at 0,
+    to be checked by the caller, and whether its matrix is nonsingular.
+    """
+    k, _, m = M.shape
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    used = np.zeros((k, m), dtype=bool)      # rows holding a pivot
+    pivot = np.full((k, m), -1)              # pivot row of each column
+    systems = np.arange(m)
     for col in range(k):
-        sel = None
-        for r in range(row, k):
-            if M[r, col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        M[[row, sel]] = M[[sel, row]]
-        inv = pow(int(M[row, col]), -1, p)
-        M[row] = (M[row] * inv) % p
-        for r in range(k):
-            if r != row and M[r, col]:
-                M[r] = (M[r] - M[r, col] * M[row]) % p
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
-    nonsingular = row == k
-    x = np.zeros(k, dtype=np.int64)
-    for r in range(row, k):
-        if M[r, k] % p:
-            return None, nonsingular
-    for r, col in enumerate(pivots):
-        x[col] = M[r, k]
-    if ((A @ x) % p != b % p).any():
-        return None, nonsingular
-    return x % p, nonsingular
+        cand = (M[:, col] != 0) & ~used
+        has = cand.any(axis=0)
+        sel = cand.argmax(axis=0)
+        # a row that holds no pivot yet is zero left of col
+        row = M[sel, col:, systems].T * inv[M[sel, col, systems]] % p
+        # clears column col in every row, the pivot row too; it is put back
+        M[:, col:] -= np.where(has, M[:, col], 0)[:, None] * row
+        M[:, col:] %= p
+        M[sel[has], col:, systems[has]] = row[:, has].T
+        used[sel[has], systems[has]] = True
+        pivot[col, has] = sel[has]
+    x = np.where(pivot >= 0, M[pivot, k, systems], 0).T
+    return x, used.all(axis=0)

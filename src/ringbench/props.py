@@ -3,8 +3,9 @@
 Every decider returns a Verdict (or a small report dataclass) carrying a
 machine-checkable witness: a counterexample pair when the property fails,
 or a witness map when it holds and the ring is small enough to store one.
-Deciders prefer dense index tables and fall back to coefficient-array
-scans on structure rings above the table limit.
+Deciders prefer dense index tables.  Above the table limit, the center, CE,
+units and the Ore check run on structure rings over coefficient arrays and
+mod-p matrices; most other deciders skip on max_table.
 """
 
 import random
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, LimitError, StructureRing, SubRing, center,
-    units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, StructureRing, SubRing,
+    center, units_and_regulars,
 )
 from ringbench.ideals import (
     additive_closure, additive_gens, all_ideals, ideal_closure,
@@ -149,24 +150,16 @@ def zero_divisor_symmetry(ring, limits=DEFAULT_LIMITS):
     """Left zero-divisors coincide with right zero-divisors.
 
     Holds in every centrally essential ring; witness is an element whose
-    annihilators are nontrivial on one side only.
+    annihilators are nontrivial on one side only.  Read off the flags
+    l_full (a not a right zero-divisor) and r_full of units_and_regulars.
     """
-    t = ring.tables(limits)
-    if t is not None:
-        right_zd = (t.mul == t.zero).sum(axis=1) > 1   # some x != 0 with ax=0
-        left_zd = (t.mul == t.zero).sum(axis=0) > 1
-        mismatch = right_zd != left_zd
-        if mismatch.any():
-            a = int(np.nonzero(mismatch)[0][0])
-            return Verdict(False, witness=t.elems[a],
-                           detail="zero-divisor on one side only")
-        return Verdict(True)
     rep = units_and_regulars(ring, limits)
-    # in a finite ring, zero-divisors on either side = non-regular elements,
-    # and one-sided regularity already implies two-sided via counting; use
-    # the regular set as the (two-sided) non-zero-divisors
-    return Verdict(len(rep.regulars) == len(rep.units),
-                   detail="regular elements are exactly the units")
+    mismatch = rep.l_full != rep.r_full
+    if mismatch.any():
+        a = int(np.nonzero(mismatch)[0][0])
+        return Verdict(False, witness=ring.elements(limits)[a],
+                       detail="zero-divisor on one side only")
+    return Verdict(True)
 
 
 # -- completely centrally essential -----------------------------------------------
@@ -504,44 +497,38 @@ class OreReport:
         return (self.ring.mul(a, binv), self.ring.one)
 
 
-def ore_check(ring, limits=DEFAULT_LIMITS, sample=64, seed=0):
+def ore_check(ring, limits=DEFAULT_LIMITS):
     """Verify both Ore conditions against every regular element.
 
     In a finite ring regular elements are units, so common multiples exist
     by construction; this verifies the witness equations a*b1 = b*a1 and
-    b1*a = a1*b on explicit products (all pairs when tables exist, a seeded
-    sample otherwise) rather than assuming them.
+    b1*a = a1*b (b1 = 1) on every element rather than assuming them.  Above
+    max_table the maps x -> b*(b^-1*x) and x -> (x*b^-1)*b are additive, so
+    L_{b^-1} L_b = I and R_{b^-1} R_b = I mod p is that same check.
     """
     rep = units_and_regulars(ring, limits)
     t = ring.tables(limits)
     right = left = True
     if t is not None:
-        n = len(t.elems)
-        ar = np.arange(n)
+        ar = np.arange(len(t.elems))
         for b in rep.regulars:
             bi = t.index[b]
             vi = t.index[rep.inverses[b]]
             # right: a * 1 == b * (b^-1 a); left: 1 * a == (a b^-1) * b
             right &= bool((t.mul[bi, t.mul[vi, ar]] == ar).all())
             left &= bool((t.mul[t.mul[ar, vi], bi] == ar).all())
-    elif isinstance(ring, StructureRing):
-        mods = np.array(ring.shape.moduli, dtype=np.int64)
-        arr = ring.elements_array(limits)
-        for b in rep.regulars:
-            binv = rep.inverses[b]
-            lb, lv = ring.left_mul_matrix(b), ring.left_mul_matrix(binv)
-            rb, rv = ring.right_mul_matrix(b), ring.right_mul_matrix(binv)
-            right &= bool(((((arr @ lv) % mods) @ lb) % mods == arr).all())
-            left &= bool(((((arr @ rv) % mods) @ rb) % mods == arr).all())
     else:
-        rng = random.Random(seed)
-        elems = ring.elements(limits)
-        for b in rep.regulars:
-            binv = rep.inverses[b]
-            picks = [elems[rng.randrange(len(elems))] for _ in range(sample)]
-            for a in picks:
-                right &= ring.mul(b, ring.mul(binv, a)) == a
-                left &= ring.mul(ring.mul(a, binv), b) == a
+        # without tables, units_and_regulars passes only structure rings
+        # whose moduli are all one prime p
+        p, k = ring.shape.moduli[0], ring.shape.width
+        regs = np.array(rep.regulars, dtype=np.int64)
+        invs = np.array([rep.inverses[b] for b in rep.regulars], dtype=np.int64)
+        chunk = max(1, _CHUNK_BYTES // (32 * k * k))
+        for s in range(0, len(regs), chunk):
+            lb, rb = ring.mul_matrices(regs[s:s + chunk])
+            lv, rv = ring.mul_matrices(invs[s:s + chunk])
+            right &= bool((lv @ lb % p == np.eye(k)).all())
+            left &= bool((rv @ rb % p == np.eye(k)).all())
     return OreReport(right, left, len(rep.regulars), ring=ring,
                      _inverses=dict(rep.inverses))
 

@@ -11,6 +11,8 @@ from ringbench.core import (
     StructureRing, SubRing, center, elem_arith, enumerate_elements, make_ring,
     units_and_regulars, validate_ring,
 )
+from ringbench.construct import catalog
+from ringbench.props import full_report, ore_check
 
 
 def make_zn(n):
@@ -358,11 +360,62 @@ def test_units_rank_path_matches_table_path():
     rep_table = units_and_regulars(r1)
     r2 = make_mat(2, 3)
     from ringbench.core import _units_by_rank
-    units, inverses, regulars = _units_by_rank(r2, Limits())
-    assert set(units) == set(rep_table.units)
-    assert set(regulars) == set(rep_table.regulars)
+    unit, inverses, l_full, r_full = _units_by_rank(r2, Limits())
+    elems = r2.elements()
+    units = {elems[i] for i in unit}
+    regulars = {elems[i] for i in np.nonzero(l_full & r_full)[0]}
+    assert units == set(rep_table.units)
+    assert regulars == set(rep_table.regulars)
     for u, v in inverses.items():
         assert r2.mul(u, v) == r2.one and r2.mul(v, u) == r2.one
+
+
+RANK_PATH_RINGS = ("ex52", "z2q8", "z2d4", "m2z2", "t2z2", "ext2(3)",
+                   "ext2(5)")
+
+
+@pytest.mark.parametrize("name", RANK_PATH_RINGS)
+def test_rank_path_matches_table_path_on_catalog(name):
+    no_tables = Limits(max_table=1)
+    table_ring, rank_ring = catalog(name), catalog(name)
+    assert table_ring.tables() is not None
+    assert rank_ring.tables(no_tables) is None
+    a = units_and_regulars(table_ring)
+    b = units_and_regulars(rank_ring, no_tables)
+    assert a.units == b.units
+    assert a.inverses == b.inverses
+    assert a.regulars == b.regulars
+    assert (a.l_full == b.l_full).all() and (a.r_full == b.r_full).all()
+    oa, ob = ore_check(table_ring), ore_check(rank_ring, no_tables)
+    assert (oa.right_holds, oa.left_holds) == (ob.right_holds, ob.left_holds)
+    assert oa.regular_count == ob.regular_count
+
+
+def test_rank_path_ore_check_catches_a_wrong_inverse():
+    no_tables = Limits(max_table=1)
+    r = catalog("z2q8")
+    rep = units_and_regulars(r, no_tables)
+    assert ore_check(r, no_tables)
+    b = next(u for u in rep.units if rep.inverses[u] != u)
+    rep.inverses[b] = b  # b*b != 1 here, so b is not its own inverse
+    assert r.mul(b, b) != r.one
+    bad = ore_check(r, no_tables)
+    assert not bad.right_holds and not bad.left_holds  # b*b*x != x at x = 1
+
+
+def test_rank_path_limits_still_skip():
+    lines = full_report(catalog("z3q8"), Limits(max_elements=4096)).lines()
+    for key in ("units", "ore_right", "ore_left"):
+        assert "%s=skipped;limit=max_elements" % key in lines
+    # Z_4 coefficients are not a prime field: no rank path
+    r = make_mat(2, 4)
+    no_tables = Limits(max_table=1)
+    with pytest.raises(LimitError) as err:
+        units_and_regulars(r, no_tables)
+    assert err.value.limit == "max_table"
+    lines = full_report(make_mat(2, 4), no_tables).lines()
+    for key in ("units", "ore_right", "ore_left"):
+        assert "%s=skipped;limit=max_table" % key in lines
 
 
 def test_units_of_product_ring():

@@ -384,6 +384,20 @@ def test_zero_divisor_symmetry():
         assert zero_divisor_symmetry(catalog(name)).holds
 
 
+def test_zero_divisor_symmetry_rank_path_agrees():
+    for name in ("ex52", "z2q8", "ext2(5)"):
+        a = zero_divisor_symmetry(catalog(name))
+        b = zero_divisor_symmetry(catalog(name), NO_TABLES)
+        assert (a.holds, a.witness) == (b.holds, b.witness) == (True, None)
+    z3q8 = catalog("z3q8")
+    assert zero_divisor_symmetry(z3q8).holds
+    # the verdict reads the per-element flags: flip one and it must fail
+    rep = units_and_regulars(z3q8)
+    rep.l_full[5] = not rep.l_full[5]
+    v = zero_divisor_symmetry(z3q8)
+    assert not v.holds and v.witness == z3q8.elements()[5]
+
+
 # -- aggregate report -------------------------------------------------------------
 
 def test_full_report_lines_are_frozen():
