@@ -8,7 +8,9 @@ tuples reduced mod the shape moduli, ordered lexicographically.
 Three realizations share one element-arithmetic surface (a "ring handle"):
 structure rings, quotient rings, and subrings.  Deciders elsewhere in the
 package only use that surface, so they never care how a ring was produced.
-All realizations are immutable after construction; caches are write-once.
+All realizations are immutable after construction; caches are write-once,
+and every cached call checks its limit gates before it reuses cached work,
+so a verdict or a skip never depends on earlier calls.
 
 Deciders read dense index tables (Tables) up to max_table elements; above
 it, structure rings over one prime p are worked on as F_p algebras.
@@ -243,10 +245,12 @@ class Ring:
 
     def tables(self, limits=DEFAULT_LIMITS):
         """Dense index tables (see Tables) or None above limits.max_table."""
-        cached = getattr(self, "_tables", False)
-        if cached is False:
-            cached = Tables.build(self, limits)
-            self._tables = cached
+        if self.size > limits.max_table:
+            return None
+        self.elements(limits)   # the max_elements gate of Tables.build
+        cached = getattr(self, "_tables", None)
+        if cached is None:
+            cached = self._tables = Tables.build(self, limits)
         return cached
 
     def format_element(self, elem):
@@ -319,18 +323,19 @@ class StructureRing(Ring):
         return self.shape.reduce(coeffs)
 
     def elements(self, limits=DEFAULT_LIMITS):
+        if self.size > limits.max_elements:
+            raise LimitError("max_elements", limits.max_elements, self.size)
         cached = getattr(self, "_elements", None)
         if cached is None:
-            if self.size > limits.max_elements:
-                raise LimitError("max_elements", limits.max_elements, self.size)
             cached = tuple(self.shape.iter_elements())
             self._elements = cached
         return cached
 
     def elements_array(self, limits=DEFAULT_LIMITS):
+        elems = self.elements(limits)
         cached = getattr(self, "_elements_array", None)
         if cached is None:
-            cached = np.array(self.elements(limits), dtype=np.int64)
+            cached = np.array(elems, dtype=np.int64)
             cached.setflags(write=False)
             self._elements_array = cached
         return cached
@@ -691,10 +696,12 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 
 def center(ring, limits=DEFAULT_LIMITS):
     """The center Z(R) as a SubRing (commutative, contains 0 and 1)."""
+    t = ring.tables(limits)
+    if t is None:
+        ring.elements(limits)   # the max_elements gate of the scans below
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
-    t = ring.tables(limits)
     if t is not None:
         mask = np.ones(len(t.elems), dtype=bool)
         for g in t.gen_idx:
@@ -741,10 +748,15 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     it is a unit; the report exposes that comparison.  Above max_table only
     structure rings over one prime modulus are decided (_units_by_rank).
     """
+    t = ring.tables(limits)
+    if t is None:
+        if not isinstance(ring, StructureRing):
+            raise LimitError("max_table", limits.max_table, ring.size)
+        _rank_prime(ring, limits)
+        ring.elements(limits)   # the max_elements gate of the rank path
     cached = getattr(ring, "_units", None)
     if cached is not None:
         return cached
-    t = ring.tables(limits)
     if t is not None:
         hit = t.mul == t.one
         two_sided = hit & hit.T
@@ -753,10 +765,8 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         ar = np.arange(len(t.elems), dtype=np.int32)
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
-    elif isinstance(ring, StructureRing):
-        unit, inverses, l_full, r_full = _units_by_rank(ring, limits)
     else:
-        raise LimitError("max_table", limits.max_table, ring.size)
+        unit, inverses, l_full, r_full = _units_by_rank(ring, limits)
     elems = ring.elements(limits)
     rep = UnitReport(tuple(elems[i] for i in unit), inverses,
                      tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
@@ -767,17 +777,22 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     return rep
 
 
+def _rank_prime(ring, limits):
+    """The one prime p of a structure ring's moduli; the rank path's gate."""
+    mods = set(ring.shape.moduli)
+    p = mods.pop()
+    if mods or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise LimitError("max_table", limits.max_table, ring.size)
+    return p
+
+
 def _units_by_rank(ring, limits):
     """Solve a*z = 1 and y*a = 1 mod p for every element a, in chunks.
 
     Returns the indices of the units (both solved, solutions checked),
     their inverses, and whether L_a and R_a have full rank, per element.
-    Equal prime moduli only.
     """
-    mods = set(ring.shape.moduli)
-    p = mods.pop()
-    if mods or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise LimitError("max_table", limits.max_table, ring.size)
+    p = _rank_prime(ring, limits)
     elems, X = ring.elements(limits), ring.elements_array(limits)
     n, k = X.shape
     one = np.array(ring.one, dtype=np.int64)

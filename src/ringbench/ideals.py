@@ -6,6 +6,11 @@ coefficient-array path, which is enough to build ideals like augmentation
 kernels in group algebras of a few thousand elements.  Results come back
 as Ideal values holding sorted element tuples, so every downstream
 consumer sees one deterministic order.
+
+Whole lattices (all_ideals) are enumerated only where a property quantifies
+over every ideal: complete central essentiality, the least ideal and the
+lattice command.  The radicals need none: J(R) is read off the units, and
+in a finite ring the prime radical equals J(R).
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +19,7 @@ import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, DomainError, LimitError, QuotientRing, StructureRing,
+    units_and_regulars,
 )
 
 SIDES = ("two", "left", "right")
@@ -97,12 +103,6 @@ def _ideal_mask(t, gidx, side):
             return mask
         mask[fresh] = True
         mask = _close_additive_mask(t, mask, fresh)
-
-def _join_mask(t, a_idx, b_idx):
-    """I + K = {i + k}; one gather, since both sides are subgroups."""
-    mask = np.zeros(len(t.elems), dtype=bool)
-    mask[t.add[np.ix_(a_idx, b_idx)].ravel()] = True
-    return mask
 
 def _mask_elems(t, mask):
     return tuple(t.elems[i] for i in np.nonzero(mask)[0])
@@ -252,48 +252,59 @@ def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
 
     Principal ideals seed the set; pairwise joins close it.  Complete
     because every ideal is the join of the principal ideals of its members.
+    Elements in one unit orbit (u*a*v for two-sided, u*a for left, a*v for
+    right ideals) generate the same ideal, so one closure per orbit seeds
+    it, under the orbit's first index.  Comparable pairs are not joined:
+    their join is the larger of the two, already known.
     """
     if side not in SIDES:
         raise DomainError("side must be one of %r" % (SIDES,))
     if ring.size > limits.max_lattice:
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
+    t = _tables_or_raise(ring, limits)
     cache = getattr(ring, "_all_ideals_cache", None)
     if cache is None:
         cache = ring._all_ideals_cache = {}
     if side in cache:
-        return cache[side]
-    t = _tables_or_raise(ring, limits)
+        return _check_ideal_count(cache[side], limits)
     n = len(t.elems)
+    units = np.array([t.index[u] for u in units_and_regulars(ring, limits).units])
 
     by_key = {}   # mask bytes -> (mask, principal gen indices, additive gens)
+    seen = np.zeros(n, dtype=bool)
     for i in range(n):
+        if seen[i]:
+            continue
+        orbit = np.array([i])
+        if side != "left":
+            orbit = t.mul[i, units]
+        if side != "right":
+            orbit = t.mul[np.ix_(units, orbit)]
+        seen[orbit.ravel()] = True
         mask = _ideal_mask(t, [i], side)
         key = mask.tobytes()
         if key not in by_key:
             addg = _additive_gens_idx(t, list(np.nonzero(mask)[0]))
             by_key[key] = (mask, (i,), addg)
+    _check_ideal_count(by_key, limits)
 
-    def join(a, b):
-        jm = by_key[a][0].copy()
-        return _close_additive_mask(t, jm, by_key[b][2])
-
-    worklist = sorted(by_key)
-    known = sorted(by_key)
+    worklist = known = sorted(by_key)
     while worklist:
+        masks = np.array([by_key[b][0] for b in known])
         fresh = []
         for a in worklist:
-            for b in known:
-                if a == b:
-                    continue
-                jm = join(a, b)
+            ma = by_key[a][0]
+            apart = (ma & ~masks).any(axis=1) & (masks & ~ma).any(axis=1)
+            for j in np.nonzero(apart)[0]:
+                b = known[j]
+                jm = _close_additive_mask(t, ma.copy(), by_key[b][2])
                 key = jm.tobytes()
                 if key not in by_key:
                     gens = tuple(sorted(set(by_key[a][1]) | set(by_key[b][1])))
                     addg = sorted(set(by_key[a][2]) | set(by_key[b][2]))
                     by_key[key] = (jm, gens, addg)
                     fresh.append(key)
-                    if len(by_key) > limits.max_ideals:
-                        raise LimitError("max_ideals", limits.max_ideals)
+                    _check_ideal_count(by_key, limits)
         known = sorted(by_key)
         worklist = sorted(fresh)
 
@@ -305,6 +316,12 @@ def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
     out.sort(key=lambda ideal: (ideal.size, ideal.elements))
     cache[side] = tuple(out)
     return cache[side]
+
+
+def _check_ideal_count(ideals, limits):
+    if len(ideals) > limits.max_ideals:
+        raise LimitError("max_ideals", limits.max_ideals)
+    return ideals
 
 
 @dataclass
@@ -427,12 +444,10 @@ def ideal_power(ring, ideal, n, limits=DEFAULT_LIMITS):
 
 def jacobson_radical(ring, limits=DEFAULT_LIMITS):
     """J(R) = {x : 1 - a*x is a unit for every a}, via dense tables."""
-    from ringbench.core import units_and_regulars
-
+    t = _tables_or_raise(ring, limits)
     cached = getattr(ring, "_jacobson_cache", None)
     if cached is not None:
         return cached
-    t = _tables_or_raise(ring, limits)
     rep = units_and_regulars(ring, limits)
     is_unit = np.zeros(len(t.elems), dtype=bool)
     is_unit[[t.index[u] for u in rep.units]] = True
@@ -447,27 +462,13 @@ def jacobson_radical(ring, limits=DEFAULT_LIMITS):
 
 
 def prime_radical(ring, limits=DEFAULT_LIMITS):
-    """Join of all nilpotent two-sided ideals (the lower nilradical)."""
-    cached = getattr(ring, "_prime_radical_cache", None)
-    if cached is not None:
-        return cached
-    t = _tables_or_raise(ring, limits)
-    ideals = all_ideals(ring, side="two", limits=limits)
-    acc = np.zeros(len(t.elems), dtype=bool)
-    acc[t.zero] = True
-    acc_gens = []
-    for ideal in ideals:
-        if nilpotency_index(ring, ideal, limits) is None:
-            continue
-        idx = [t.index[e] for e in ideal.elements]
-        if all(acc[i] for i in idx):
-            continue
-        acc = _join_mask(t, np.nonzero(acc)[0], np.array(sorted(idx)))
-        acc_gens.extend(ideal.gens)
-    elems = _mask_elems(t, acc)
-    ring._prime_radical_cache = Ideal(ring=ring, elements=elems,
-                                      gens=tuple(acc_gens), side="two")
-    return ring._prime_radical_cache
+    """P(R), the join of all nilpotent two-sided ideals: here J(R).
+
+    In a finite (Artinian) ring J(R) is nilpotent, so J <= P, and P <= J
+    always (Lam, A First Course in Noncommutative Rings, 4.19 and 10.30).
+    So no lattice is enumerated.
+    """
+    return jacobson_radical(ring, limits)
 
 
 def is_semiprime(ring, limits=DEFAULT_LIMITS):

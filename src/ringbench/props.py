@@ -5,7 +5,10 @@ machine-checkable witness: a counterexample pair when the property fails,
 or a witness map when it holds and the ring is small enough to store one.
 Deciders prefer dense index tables.  Above the table limit, the center, CE,
 units and the Ore check run on structure rings over coefficient arrays and
-mod-p matrices; most other deciders skip on max_table.
+mod-p matrices; most other deciders skip on max_table.  One-sided questions
+(invariant, strongly bounded, uniserial) are decided on the principal
+one-sided ideals, which are the rows and columns of the multiplication
+table; only complete central essentiality enumerates an ideal lattice.
 """
 
 import random
@@ -18,8 +21,8 @@ from ringbench.core import (
     center, units_and_regulars,
 )
 from ringbench.ideals import (
-    additive_closure, additive_gens, all_ideals, ideal_closure,
-    ideal_lattice, ideal_power, jacobson_radical, largest_inner_ideal,
+    Ideal, _mask_elems, _tables_or_raise, additive_closure, additive_gens,
+    all_ideals, ideal_closure, ideal_power, jacobson_radical,
     nilpotency_index, prime_radical, quotient,
 )
 
@@ -210,11 +213,18 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
 
 # -- one-sided ideal symmetry: invariant, strongly bounded --------------------------
 
+def _principal_members(t, side):
+    """(n, n) mask whose row a is aR (side "right", row a of t.mul) or Ra
+    ("left", column a)."""
+    n = len(t.elems)
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], t.mul if side == "right" else t.mul.T] = True
+    return member
+
+
 def is_invariant(ring, limits=DEFAULT_LIMITS):
     """All one-sided ideals two-sided, i.e. aR = Ra for every a."""
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
+    t = _tables_or_raise(ring, limits)
     rows = np.sort(t.mul, axis=1)
     cols = np.sort(t.mul.T, axis=1)
     agree = (rows == cols).all(axis=1)
@@ -229,22 +239,25 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
     """Every nonzero one-sided ideal contains a nonzero two-sided ideal.
 
     Checking principal one-sided ideals suffices: any nonzero one-sided
-    ideal contains a principal one.
+    ideal contains a principal one.  The largest two-sided ideal inside aR
+    is {x in aR : g*x in aR for every generator g} (see
+    ideals.largest_inner_ideal), found for every a at once; the witness is
+    the first a != 0 where it is zero, right ideals first.
     """
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
-    for side, table in (("right", t.mul), ("left", t.mul.T)):
-        for a in range(len(t.elems)):
-            if a == t.zero:
-                continue
-            elems = [t.elems[i] for i in np.unique(table[a])]
-            inner = largest_inner_ideal(ring, elems, side=side, limits=limits)
-            if len(inner) == 1:
-                return Verdict(False, witness=(side, t.elems[a]),
-                               detail="principal %s ideal of %s holds no "
-                                      "nonzero two-sided ideal"
-                                      % (side, ring.format_element(t.elems[a])))
+    t = _tables_or_raise(ring, limits)
+    for side in ("right", "left"):
+        member = _principal_members(t, side)
+        keep = member.copy()
+        for g in t.gen_idx:
+            keep &= member[:, t.mul[g] if side == "right" else t.mul[:, g]]
+        only_zero = keep.sum(axis=1) == 1
+        only_zero[t.zero] = False
+        if only_zero.any():
+            a = t.elems[int(np.argmax(only_zero))]
+            return Verdict(False, witness=(side, a),
+                           detail="principal %s ideal of %s holds no "
+                                  "nonzero two-sided ideal"
+                                  % (side, ring.format_element(a)))
     return Verdict(True)
 
 
@@ -252,9 +265,7 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
 
 def is_reversible(ring, limits=DEFAULT_LIMITS):
     """ab = 0 must force ba = 0; witness is the first ordered pair violating."""
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
+    t = _tables_or_raise(ring, limits)
     zero = t.mul == t.zero
     bad = zero & ~zero.T
     if not bad.any():
@@ -266,9 +277,7 @@ def is_reversible(ring, limits=DEFAULT_LIMITS):
 
 def is_semicommutative(ring, limits=DEFAULT_LIMITS):
     """ab = 0 must force aRb = 0; middles run over additive generators."""
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
+    t = _tables_or_raise(ring, limits)
     zero = t.mul == t.zero
     for g in t.gen_idx:
         # (a*g)*b for all pairs: rows re-indexed through a*g
@@ -299,11 +308,29 @@ def is_local(ring, limits=DEFAULT_LIMITS):
 
 
 def is_uniserial(ring, limits=DEFAULT_LIMITS):
-    """One-sided ideals form a chain (checked on both sides)."""
+    """One-sided ideals form a chain (checked on both sides).
+
+    Only principal ideals aR (row a of the table) and Ra (column a) are
+    compared, sorted by (size, elements) like a lattice; a chain of them is
+    every ideal, since each ideal is the join of its principal ones.  The
+    witness is the first consecutive incomparable pair, the same pair the
+    whole lattice gives: every ideal up to it is the join of a chain of
+    smaller principal ideals, that is the largest of them, so principal.
+    """
+    t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        lat = ideal_lattice(ring, side=side, limits=limits)
-        chain, pair = lat.is_chain()
-        if not chain:
+        masks, first = np.unique(_principal_members(t, side), axis=0,
+                                 return_index=True)
+        # elements ascend with indices, so within one size the mask with
+        # the larger first differing entry has the smaller elements
+        order = np.lexsort((-np.arange(len(masks)), masks.sum(axis=1)))
+        masks, first = masks[order], first[order]
+        apart = (masks[:-1] & ~masks[1:]).any(axis=1)
+        if apart.any():
+            k = int(np.argmax(apart))
+            pair = tuple(Ideal(ring=ring, elements=_mask_elems(t, masks[j]),
+                               gens=(t.elems[first[j]],), side=side)
+                         for j in (k, k + 1))
             return Verdict(False, witness=(side, pair),
                            detail="%s ideals of sizes %d and %d are "
                                   "incomparable" % (side, pair[0].size,
@@ -334,9 +361,7 @@ def lie_series(ring, flavor="bracket", limits=DEFAULT_LIMITS):
     """
     if flavor not in ("bracket", "ideal"):
         raise ValueError("flavor must be 'bracket' or 'ideal'")
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
+    t = _tables_or_raise(ring, limits)
     ring_gens = ring.gens()
     cur_gens = list(ring_gens)
     sizes = [ring.size]
@@ -457,16 +482,24 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
         if not acc < nxt:
             return CentralSeriesReport(False, tuple(sizes),
                                        reason="chain stalled")
-        # the new factor must be central: [nxt, R] inside acc
-        for x in sorted(nxt)[:64]:
-            for g in ring.gens():
-                c = ring.sub(ring.mul(x, g), ring.mul(g, x))
-                if c not in acc:
-                    return CentralSeriesReport(
-                        False, tuple(sizes),
-                        reason="factor is not central")
+        if not _brackets_inside(ring, nxt, acc, limits):
+            return CentralSeriesReport(False, tuple(sizes),
+                                       reason="factor is not central")
         acc = nxt
         sizes.append(len(acc))
+
+
+def _brackets_inside(ring, elems, acc, limits=DEFAULT_LIMITS):
+    """[x, g] in acc for all x in the additive group elems, g in R.
+
+    Exhaustive on additive generators of elems and of R, since the bracket
+    is bilinear and acc is an additive group.
+    """
+    for x in additive_gens(ring, elems, limits):
+        for g in ring.gens():
+            if ring.sub(ring.mul(x, g), ring.mul(g, x)) not in acc:
+                return False
+    return True
 
 
 # -- Ore conditions and the classical ring of fractions -----------------------------------
