@@ -752,8 +752,8 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     if t is None:
         if not isinstance(ring, StructureRing):
             raise LimitError("max_table", limits.max_table, ring.size)
-        _rank_prime(ring, limits)
-        ring.elements(limits)   # the max_elements gate of the rank path
+        p = _rank_prime(ring, limits)
+    elems = ring.elements(limits)   # the max_elements gate of the rank path
     cached = getattr(ring, "_units", None)
     if cached is not None:
         return cached
@@ -766,8 +766,7 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
     else:
-        unit, inverses, l_full, r_full = _units_by_rank(ring, limits)
-    elems = ring.elements(limits)
+        unit, inverses, l_full, r_full = _units_by_rank(ring, p, limits)
     rep = UnitReport(tuple(elems[i] for i in unit), inverses,
                      tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
                      l_full, r_full)
@@ -786,13 +785,13 @@ def _rank_prime(ring, limits):
     return p
 
 
-def _units_by_rank(ring, limits):
+def _units_by_rank(ring, p, limits):
     """Solve a*z = 1 and y*a = 1 mod p for every element a, in chunks.
 
-    Returns the indices of the units (both solved, solutions checked),
-    their inverses, and whether L_a and R_a have full rank, per element.
+    p is the ring's one prime modulus (_rank_prime).  Returns the indices
+    of the units (both solved, solutions checked), their inverses, and
+    whether L_a and R_a have full rank, per element.
     """
-    p = _rank_prime(ring, limits)
     elems, X = ring.elements(limits), ring.elements_array(limits)
     n, k = X.shape
     one = np.array(ring.one, dtype=np.int64)

@@ -475,21 +475,3 @@ def is_semiprime(ring, limits=DEFAULT_LIMITS):
     """No nonzero nilpotent ideal, i.e. the prime radical vanishes."""
     return prime_radical(ring, limits).is_zero()
 
-
-def largest_inner_ideal(ring, elems, side="right", limits=DEFAULT_LIMITS):
-    """Largest two-sided ideal inside a one-sided ideal.
-
-    For a right ideal I the set {x in I : R*x <= I} is already two-sided
-    and contains every two-sided ideal inside I; one filtering pass over
-    the additive generators of R therefore suffices (mirrored for left).
-    """
-    t = _tables_or_raise(ring, limits)
-    member = np.zeros(len(t.elems), dtype=bool)
-    member[[t.index[e] for e in elems]] = True
-    keep = member.copy()
-    for g in t.gen_idx:
-        if side == "right":
-            keep &= member[t.mul[g]]       # g*x stays inside
-        else:
-            keep &= member[t.mul[:, g]]    # x*g stays inside
-    return _mask_elems(t, keep)

@@ -240,9 +240,10 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
 
     Checking principal one-sided ideals suffices: any nonzero one-sided
     ideal contains a principal one.  The largest two-sided ideal inside aR
-    is {x in aR : g*x in aR for every generator g} (see
-    ideals.largest_inner_ideal), found for every a at once; the witness is
-    the first a != 0 where it is zero, right ideals first.
+    is {x in aR : g*x in aR for every generator g}: it is two-sided, and it
+    holds every two-sided ideal inside aR.  It is found for every a at
+    once; the witness is the first a != 0 where it is zero, right ideals
+    first (mirrored for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):

@@ -9,7 +9,7 @@ import numpy as np
 
 from ringbench.ideals import (
     Ideal, _additive_gens_idx, _close_additive_mask, _ideal_mask, _mask_elems,
-    largest_inner_ideal, nilpotency_index,
+    nilpotency_index,
 )
 
 
@@ -56,6 +56,25 @@ def uniserial(ring, lattices=None):
             if not prev.member <= cur.member:
                 return False, (side, (prev, cur))
     return True, None
+
+
+def largest_inner_ideal(ring, elems, side="right"):
+    """Largest two-sided ideal inside a one-sided ideal.
+
+    For a right ideal I the set {x in I : R*x <= I} is already two-sided
+    and contains every two-sided ideal inside I; one filtering pass over
+    the additive generators of R therefore suffices (mirrored for left).
+    """
+    t = ring.tables()
+    member = np.zeros(len(t.elems), dtype=bool)
+    member[[t.index[e] for e in elems]] = True
+    keep = member.copy()
+    for g in t.gen_idx:
+        if side == "right":
+            keep &= member[t.mul[g]]       # g*x stays inside
+        else:
+            keep &= member[t.mul[:, g]]    # x*g stays inside
+    return _mask_elems(t, keep)
 
 
 def strongly_bounded(ring):

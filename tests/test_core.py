@@ -360,7 +360,7 @@ def test_units_rank_path_matches_table_path():
     rep_table = units_and_regulars(r1)
     r2 = make_mat(2, 3)
     from ringbench.core import _units_by_rank
-    unit, inverses, l_full, r_full = _units_by_rank(r2, Limits())
+    unit, inverses, l_full, r_full = _units_by_rank(r2, 3, Limits())
     elems = r2.elements()
     units = {elems[i] for i in unit}
     regulars = {elems[i] for i in np.nonzero(l_full & r_full)[0]}

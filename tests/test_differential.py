@@ -11,9 +11,10 @@ from ringbench.construct import as_structure_ring, catalog, full_matrix_ring
 from ringbench.ideals import (
     all_ideals, ideal_lattice, jacobson_radical, prime_radical,
 )
+from ringbench import props
 from ringbench.props import (
-    _brackets_inside, full_report, is_strongly_bounded, is_uniserial,
-    sample_rings,
+    _brackets_inside, central_series_through_radical, full_report,
+    is_strongly_bounded, is_uniserial, sample_rings,
 )
 from tests import oracles
 from tests.test_core import full_matrix_tensor
@@ -174,3 +175,28 @@ def test_centrality_check_reaches_past_the_first_64_elements():
     assert not _brackets_inside(ring, elems, zero)
     matrices = frozenset(x for x in ring.elements() if x[4:] == (0,) * 6)
     assert _brackets_inside(ring, elems, matrices)
+
+
+def test_central_series_checks_past_the_first_64_elements(monkeypatch):
+    # T2(Z2) (basis e11, e12, e22) x (Z2 + V), V^2 = 0, dim V = 6.  The 64
+    # least elements of P = J(T2) x V lie in 0 x V, which is central; e12,
+    # the 65th, is not.
+    k = 10
+    c = np.zeros((k, k, k), dtype=np.int64)
+    for i, j, r in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        c[i, j, r] = 1
+    c[3, 3, 3] = 1
+    for v in range(4, k):
+        c[3, v, v] = c[v, 3, v] = 1
+    ring = make_ring([2] * k, c, (1, 0, 1, 1) + (0,) * 6)
+    top = prime_radical(ring).elements
+    assert len(top) == 128 and top[64] == (0, 1, 0, 0) + (0,) * 6
+    rep = central_series_through_radical(ring)
+    assert rep.reason == "central slice of the radical power is zero"
+    # The slice is central in the factor ring by construction, so only a
+    # wrong center() can reach the check: one that calls P central makes
+    # P the first term, and the check must find e12.
+    monkeypatch.setattr(props, "center", lambda ring, limits=None: ring)
+    rep = central_series_through_radical(ring)
+    assert (rep.ok, rep.sizes, rep.reason) == (
+        False, (1,), "factor is not central")

@@ -7,9 +7,10 @@ from ringbench.core import LimitError, Limits, SubRing, make_ring
 from ringbench.ideals import (
     Ideal, additive_closure, additive_gens, all_ideals, ideal_closure,
     ideal_lattice, ideal_power, ideal_product, is_semiprime,
-    jacobson_radical, largest_inner_ideal, nilpotency_index, prime_radical,
-    principal_ideal, quotient,
+    jacobson_radical, nilpotency_index, prime_radical, principal_ideal,
+    quotient,
 )
+from tests.oracles import largest_inner_ideal
 from tests.test_core import full_matrix_tensor, make_mat, make_zn, upper_triangular_subring
 
 
