@@ -15,7 +15,7 @@ import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, ConstructionError, DomainError, InputError, LimitError,
-    StructureRing, SubRing,
+    StructureRing,
 )
 from ringbench.groups import dihedral, quaternion8
 from ringbench.ideals import Ideal, ideal_closure, principal_ideal
@@ -407,7 +407,7 @@ def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
     constants, and revalidates.  Quotient and subring objects come out as
     plain coefficient rings suitable for serialization.
     """
-    if isinstance(ring, StructureRing) and not isinstance(ring, SubRing):
+    if isinstance(ring, StructureRing):
         return ring
     elems = sorted(ring.elements(limits))
     total = len(elems)
@@ -483,7 +483,7 @@ _CATALOG = {
 
 _EX51 = re.compile(r"^ex51\((\d+)\)$")
 _EXT2 = re.compile(r"^ext2\((\d+)\)$")
-_ZN = re.compile(r"^z(\d+)$")
+_ZN = re.compile(r"^z(?:(\d+)|\((\d+)\))$")
 
 
 def catalog_names():
@@ -505,6 +505,6 @@ def catalog(name, limits=DEFAULT_LIMITS):
         return _CATALOG[key](limits)
     m = _ZN.match(key)
     if m:
-        return integers_mod(int(m.group(1)))
+        return integers_mod(int(m.group(1) or m.group(2)))
     raise InputError("unknown ring %r; available: %s"
                      % (name, ", ".join(catalog_names())))

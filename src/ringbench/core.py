@@ -5,12 +5,16 @@ with a multiplication tensor c[i][j][m]: the product of the i-th and j-th
 additive generators is sum_m c[i][j][m] * b_m.  Elements are coefficient
 tuples reduced mod the shape moduli, ordered lexicographically.
 
-Three realizations share one element-arithmetic surface (a "ring handle"):
-structure rings, quotient rings, and subrings.  Deciders elsewhere in the
-package only use that surface, so they never care how a ring was produced.
-All realizations are immutable after construction; caches are write-once,
-and every cached call checks its limit gates before it reuses cached work,
-so a verdict or a skip never depends on earlier calls.
+Structure rings carry the arithmetic.  Quotient rings and subrings are
+index views on their base: a label array maps base indices to their own,
+and their tables are gathers through it from the base's tables (a subring
+of a structure ring reads the structure tensor instead).  Each view checks
+the caller's set in full when it is built.  Deciders elsewhere in the
+package only use the element surface of Ring, so they never care how a
+ring was produced.  All realizations are immutable after construction;
+caches are write-once, and every cached call checks its limit gates before
+it reuses cached work, so a verdict or a skip never depends on earlier
+calls.
 
 Deciders read dense index tables (Tables) up to max_table elements; above
 it, structure rings over one prime p are worked on as F_p algebras.
@@ -232,17 +236,6 @@ class Ring:
         """An additive generating set (small, deterministic)."""
         raise NotImplementedError
 
-    # -- indexing ----------------------------------------------------------
-    def index_map(self, limits=DEFAULT_LIMITS):
-        cached = getattr(self, "_index_map", None)
-        if cached is None:
-            cached = {e: i for i, e in enumerate(self.elements(limits))}
-            self._index_map = cached
-        return cached
-
-    def index(self, elem, limits=DEFAULT_LIMITS):
-        return self.index_map(limits)[elem]
-
     def tables(self, limits=DEFAULT_LIMITS):
         """Dense index tables (see Tables) or None above limits.max_table."""
         if self.size > limits.max_table:
@@ -340,9 +333,6 @@ class StructureRing(Ring):
             self._elements_array = cached
         return cached
 
-    def index(self, elem, limits=DEFAULT_LIMITS):
-        return self.shape.index(elem)
-
     def gens(self):
         out = []
         for i, n in enumerate(self.shape.moduli):
@@ -365,52 +355,67 @@ class StructureRing(Ring):
         return (np.einsum("ni,ijm->njm", rows, self.tensor),
                 np.einsum("nj,ijm->nim", rows, self.tensor))
 
+    def _table_ops(self, limits):
+        return _tensor_ops(self, self.elements_array(limits))
+
     def describe(self):
         label = self.name or "structure ring"
         return "%s: shape %r, %d elements" % (label, list(self.shape.moduli), self.size)
 
 
 class SubRing(Ring):
-    """Multiplicatively closed additive subgroup of a parent ring, with 1.
+    """Multiplicatively closed additive subgroup of a base ring, with 1.
 
-    `one` defaults to the parent identity; passing a different element makes
+    Its elements are base elements, in base order.  Its tables come from
+    the structure tensor when the base is a structure ring, and otherwise
+    by gathers from the base's tables through a label array; a sum or a
+    product that leaves the subset raises ConstructionError either way.
+    With check (the default) every entry must be an element of the base
+    and the tables are built at once, so closure is checked in full.
+    check=False is for subsets the caller has closed (centers, samples).
+
+    `one` defaults to the base identity; passing a different element makes
     a corner ring (for an ideal that is unital under a central idempotent).
+    It is checked on the tables, with or without check.
     """
 
     def __init__(self, base, elems, name=None, check=True, one=None):
         self.base = base
-        elems = sorted(set(elems))
-        self.size = len(elems)
-        self._elements = tuple(elems)
-        self._member = frozenset(elems)
+        elems = list(elems)
+        if check:
+            for e in elems:
+                if not _is_element(base, e):
+                    raise InputError("%r is not an element of %s"
+                                     % (e, base.describe()))
+        self._elements = tuple(sorted(set(elems)))
+        self.size = len(self._elements)
+        self._member = frozenset(self._elements)
         if base.zero not in self._member:
             raise ConstructionError("subring must contain 0")
         self.zero = base.zero
         self.one = base.one if one is None else base.element(one)
         if self.one not in self._member:
             raise ConstructionError("identity %r not in the subset" % (self.one,))
-        if one is not None:
-            for x in self._elements:
-                if base.mul(self.one, x) != x or base.mul(x, self.one) != x:
-                    raise ConstructionError("%r does not act as identity"
-                                            % (self.one,), witness=x)
         self.name = name
         self.basis_names = getattr(base, "basis_names", None)
-        if check:
-            self._spot_check()
+        if check or one is not None:
+            t = _tables_or_raise(self, DEFAULT_LIMITS)
+            ar = np.arange(self.size)
+            fails = (t.mul[t.one] != ar) | (t.mul[:, t.one] != ar)
+            if fails.any():
+                raise ConstructionError("%r does not act as identity" % (self.one,),
+                                        witness=t.elems[int(np.argmax(fails))])
 
-    def _spot_check(self):
-        # closure probe on a deterministic sample; full closure is the
-        # builder's job (see ideals.closure / props.sample_rings)
-        sample = self._elements[:: max(1, self.size // 16)]
-        for a in sample:
-            for b in sample:
-                if self.base.add(a, b) not in self._member:
-                    raise ConstructionError("subset not additively closed",
-                                            witness=(a, b))
-                if self.base.mul(a, b) not in self._member:
-                    raise ConstructionError("subset not multiplicatively closed",
-                                            witness=(a, b))
+    def _table_ops(self, limits):
+        if isinstance(self.base, StructureRing):
+            return _tensor_ops(self.base, np.array(self._elements, dtype=np.int64))
+        bt = self.base.tables(limits)
+        if bt is None:
+            return None
+        idx = _base_indices(bt, self._elements)
+        labels = np.full(len(bt.elems), -1, dtype=np.int32)
+        labels[idx] = np.arange(len(idx))
+        return _gather_ops(bt, labels, idx)
 
     def add(self, a, b):
         return self.base.add(a, b)
@@ -431,11 +436,9 @@ class SubRing(Ring):
         return self._elements
 
     def gens(self):
-        cached = getattr(self, "_gens", None)
-        if cached is None:
-            cached = _greedy_additive_gens(self)
-            self._gens = cached
-        return cached
+        """The greedy additive generators of the tables (_additive_gens_idx)."""
+        t = _tables_or_raise(self, DEFAULT_LIMITS)
+        return tuple(t.elems[i] for i in t.gen_idx)
 
     def describe(self):
         label = self.name or "subring"
@@ -445,84 +448,71 @@ class SubRing(Ring):
 class QuotientRing(Ring):
     """Quotient of a ring by a two-sided ideal, on least coset representatives.
 
-    Elements are the lexicographically least member of each coset, expressed
-    in the base ring's coordinates.  Operations compute in the base and
-    project.  The ideal is assumed validated (see ideals.quotient).
+    An index view on the base's tables: labels[i] is the coset of the i-th
+    base element, and each coset is represented by its least member, in
+    the base's coordinates.  The constructor checks the ideal in full:
+    every entry is a base element, 0 is in I, I + I lies in I, and so do
+    I*g and g*I for every additive generator g of the base, which covers
+    all of R since products are bilinear.  A base without tables raises
+    LimitError(max_table).
     """
 
     def __init__(self, base, ideal_elems, name=None, limits=DEFAULT_LIMITS):
-        self.base = base
-        ideal = sorted(set(ideal_elems))
-        if not ideal or ideal[0] != base.zero:
+        bt = _tables_or_raise(base, limits)
+        ideal = _base_indices(bt, ideal_elems)
+        inside = np.zeros(len(bt.elems), dtype=bool)
+        inside[ideal] = True
+        if not inside[bt.zero]:
             raise DomainError("ideal must contain zero")
-        self._ideal = tuple(ideal)
-        if base.size % len(ideal):
-            raise DomainError("ideal size %d does not divide ring size %d"
-                              % (len(ideal), base.size))
-        reps = []
-        proj = {}
-        for x in base.elements(limits):
-            if x in proj:
-                continue
-            reps.append(x)
-            for i in self._ideal:
-                y = base.add(x, i)
-                if proj.setdefault(y, x) != x:
-                    raise DomainError("cosets overlap; subset is not an "
-                                      "additive subgroup")
-        if len(proj) != base.size:
-            raise DomainError("ideal cosets do not partition the ring "
-                              "(subset is not an additive subgroup)")
-        self._reps = tuple(reps)
-        self._proj = proj
-        self.size = len(reps)
+        if not inside[bt.add[np.ix_(ideal, ideal)]].all():
+            raise DomainError("subset is not an additive subgroup")
+        if not (inside[bt.mul[np.ix_(ideal, bt.gen_idx)]].all()
+                and inside[bt.mul[np.ix_(bt.gen_idx, ideal)]].all()):
+            raise DomainError("subset is not a two-sided ideal")
+        least = bt.add[:, ideal].min(axis=1)   # index order is element order
+        self._reps = np.unique(least)
+        self.labels = np.searchsorted(self._reps, least).astype(np.int32)
+        self.labels.setflags(write=False)
+        self.base = base
+        self._bt = bt
+        self._ideal = tuple(bt.elems[i] for i in ideal)
+        self._elements = tuple(bt.elems[i] for i in self._reps)
+        self.size = len(self._elements)
         self.zero = base.zero
-        self.one = proj[base.one]
+        self.one = self.project(base.one)
         self.name = name
         self.basis_names = getattr(base, "basis_names", None)
-        if self.size <= 512 and base.size <= 4096:
-            self._well_defined_check()
 
-    def _well_defined_check(self):
-        # induced operations must not depend on the representative
-        base = self.base
-        proj = self._proj
-        for x in base.elements():
-            rx = proj[x]
-            for i in self._ideal[1:2]:  # one non-trivial shift is enough per x
-                y = base.add(x, i)
-                if proj[base.mul(y, rx)] != proj[base.mul(x, rx)] or \
-                        proj[base.mul(rx, y)] != proj[base.mul(rx, x)]:
-                    raise DomainError("operations not well defined on cosets; "
-                                      "subset is not a two-sided ideal")
+    def _table_ops(self, limits):
+        return _gather_ops(self._bt, self.labels, self._reps)
 
     @property
     def ideal_elements(self):
         return self._ideal
 
     def project(self, elem):
-        return self._proj[elem]
+        return self._elements[self.labels[self._bt.index[elem]]]
 
     def add(self, a, b):
-        return self._proj[self.base.add(a, b)]
+        return self.project(self.base.add(a, b))
 
     def neg(self, a):
-        return self._proj[self.base.neg(a)]
+        return self.project(self.base.neg(a))
 
     def mul(self, a, b):
-        return self._proj[self.base.mul(a, b)]
+        return self.project(self.base.mul(a, b))
 
     def element(self, coeffs):
-        return self._proj[self.base.element(coeffs)]
+        return self.project(self.base.element(coeffs))
 
     def elements(self, limits=DEFAULT_LIMITS):
-        return self._reps
+        return self._elements
 
     def gens(self):
         out = []
         seen = set()
         for g in self.base.gens():
-            h = self._proj[g]
+            h = self.project(g)
             if h != self.zero and h not in seen:
                 seen.add(h)
                 out.append(h)
@@ -536,46 +526,41 @@ class QuotientRing(Ring):
         return "%s: %d cosets of %s" % (label, self.size, self.base.describe())
 
 
-def _greedy_additive_gens(ring):
-    """Small additive generating set, chosen greedily in element order."""
-    closure = {ring.zero}
-    gens = []
-    for e in ring.elements():
-        if e in closure:
-            continue
-        gens.append(e)
-        frontier = list(closure)
-        new = [e]
-        while new:
-            x = new.pop()
-            if x in closure and x != e:
-                continue
-            closure.add(x)
-            for s in gens:
-                y = ring.add(x, s)
-                if y not in closure:
-                    new.append(y)
-        # re-close under all gens to keep the invariant simple
-        changed = True
-        while changed:
-            changed = False
-            for x in list(closure):
-                for s in gens:
-                    y = ring.add(x, s)
-                    if y not in closure:
-                        closure.add(y)
-                        changed = True
-        if len(closure) == ring.size:
-            break
-    return tuple(gens)
+def _tables_or_raise(ring, limits):
+    t = ring.tables(limits)
+    if t is None:
+        raise LimitError("max_table", limits.max_table, ring.size)
+    return t
+
+
+def _is_element(ring, e):
+    """Whether e is an element of ring exactly as the ring writes it."""
+    try:
+        return ring.element(e) == e
+    except (InputError, TypeError, ValueError):
+        return False
+
+
+def _base_indices(bt, elems):
+    """Sorted distinct table indices of elems; InputError names an entry
+    that is not an element of the tables' ring."""
+    idx = []
+    for e in elems:
+        i = bt.index.get(e)
+        if i is None:
+            raise InputError("%r is not an element of %s"
+                             % (e, bt.ring.describe()))
+        idx.append(i)
+    return np.unique(np.array(idx, dtype=np.int64))
 
 
 class Tables:
     """Dense index tables: add/mul as (N, N) arrays of element indices.
 
-    Element order matches ring.elements().  Built vectorized where the
-    realization allows it, by a plain double loop for small rings, and not
-    at all above limits.max_table (callers fall back to scalar arithmetic).
+    Element order matches ring.elements().  Structure rings and their
+    subrings compute them from the structure tensor; quotients and other
+    subrings gather them from the base's tables through a label array.
+    None above limits.max_table, or when a view's base has no tables.
     """
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
@@ -585,85 +570,91 @@ class Tables:
     def build(ring, limits=DEFAULT_LIMITS):
         if ring.size > limits.max_table:
             return None
+        ops = ring._table_ops(limits)
+        if ops is None:
+            return None
         t = Tables()
         t.ring = ring
         t.elems = ring.elements(limits)
         t.index = {e: i for i, e in enumerate(t.elems)}
         t.zero = t.index[ring.zero]
         t.one = t.index[ring.one]
-        t.gen_idx = np.array(sorted(t.index[g] for g in ring.gens()),
-                             dtype=np.int64)
-        built = t._build_vectorized(limits)
-        if not built:
-            t._build_scalar()
+        t.add, t.mul, t.neg = ops
+        for what, table in (("additively", t.add), ("multiplicatively", t.mul)):
+            if (table < 0).any():
+                a, b = np.argwhere(table < 0)[0]
+                raise ConstructionError("subset not %s closed" % what,
+                                        witness=(t.elems[a], t.elems[b]))
+        if isinstance(ring, SubRing):
+            gen_idx = _additive_gens_idx(t, range(len(t.elems)))
+        else:
+            gen_idx = sorted(t.index[g] for g in ring.gens())
+        t.gen_idx = np.array(gen_idx, dtype=np.int64)
         return t
 
-    def _structure_parent(self):
-        r = self.ring
-        if isinstance(r, StructureRing):
-            return r
-        if isinstance(r, SubRing) and isinstance(r.base, StructureRing):
-            return r.base
-        return None
 
-    def _build_vectorized(self, limits):
-        parent = self._structure_parent()
-        r = self.ring
-        if parent is not None:
-            X = np.array(self.elems, dtype=np.int64)
-            mods = np.array(parent.shape.moduli, dtype=np.int64)
-            w = np.array(parent.shape.weights, dtype=np.int64)
-            codes = X @ w
-            order = np.argsort(codes)
-            sorted_codes = codes[order]
+def _tensor_ops(parent, X):
+    """add, mul, neg tables of the ascending rows X of a structure ring,
+    -1 where a result is not a row of X."""
+    mods, w = parent._mods, np.array(parent.shape.weights, dtype=np.int64)
+    codes = X @ w
+    n, k = X.shape
 
-            def lookup(arr):
-                c = arr @ w
-                pos = np.searchsorted(sorted_codes, c)
-                if (pos >= len(sorted_codes)).any() or \
-                        (sorted_codes[np.minimum(pos, len(sorted_codes) - 1)] != c).any():
-                    raise ConstructionError("products escape the subring")
-                return order[pos].astype(np.int32)
+    def lookup(c):
+        if n == parent.size:   # all of the ring: codes are the indices
+            return c.astype(np.int32)
+        pos = np.minimum(np.searchsorted(codes, c), n - 1)
+        return np.where(codes[pos] == c, pos, -1).astype(np.int32)
 
-            n = len(X)
-            self.add = np.empty((n, n), dtype=np.int32)
-            self.mul = np.empty((n, n), dtype=np.int32)
-            chunk = max(1, (1 << 22) // max(1, n * parent.shape.width))
-            L = np.tensordot(X, parent.tensor, axes=(1, 0))  # (n, j, m)
-            for s in range(0, n, chunk):
-                e = min(n, s + chunk)
-                block = (X[s:e, None, :] + X[None, :, :]) % mods
-                self.add[s:e] = lookup(block.reshape(-1, X.shape[1])).reshape(e - s, n)
-                prod = np.einsum("ajm,bj->abm", L[s:e], X) % mods
-                self.mul[s:e] = lookup(prod.reshape(-1, X.shape[1])).reshape(e - s, n)
-            self.neg = lookup((-X) % mods)
-            return True
-        if isinstance(r, QuotientRing):
-            bt = r.base.tables(limits)
-            if bt is None:
-                return False
-            rid = np.array([bt.index[x] for x in self.elems], dtype=np.int64)
-            projB = np.empty(r.base.size, dtype=np.int32)
-            for x, i in bt.index.items():
-                projB[i] = self.index[r.project(x)]
-            self.add = projB[bt.add[np.ix_(rid, rid)]]
-            self.mul = projB[bt.mul[np.ix_(rid, rid)]]
-            self.neg = projB[bt.neg[rid]]
-            return True
-        return False
+    add = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    chunk = max(1, (1 << 22) // max(1, n * k))
+    L = np.tensordot(X, parent.tensor, axes=(1, 0))  # (n, j, m)
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        add[s:e] = lookup(((X[s:e, None, :] + X[None, :, :]) % mods) @ w)
+        mul[s:e] = lookup((np.einsum("ajm,bj->abm", L[s:e], X) % mods) @ w)
+    return add, mul, lookup(((-X) % mods) @ w)
 
-    def _build_scalar(self):
-        r = self.ring
-        n = len(self.elems)
-        self.add = np.empty((n, n), dtype=np.int32)
-        self.mul = np.empty((n, n), dtype=np.int32)
-        self.neg = np.empty(n, dtype=np.int32)
-        idx = self.index
-        for i, a in enumerate(self.elems):
-            self.neg[i] = idx[r.neg(a)]
-            for j, b in enumerate(self.elems):
-                self.add[i, j] = idx[r.add(a, b)]
-                self.mul[i, j] = idx[r.mul(a, b)]
+
+def _gather_ops(bt, labels, idx):
+    """add, mul, neg tables of a view: the base's tables on the rows and
+    columns idx, relabelled through labels (-1 outside the view)."""
+    sub = np.ix_(idx, idx)
+    return labels[bt.add[sub]], labels[bt.mul[sub]], labels[bt.neg[idx]]
+
+
+def _close_additive_mask(t, mask, gidx):
+    """Close mask under x -> x + g for the generator indices gidx."""
+    if not len(gidx):
+        return mask
+    gidx = np.asarray(sorted(gidx), dtype=np.int64)
+    frontier = np.nonzero(mask)[0]
+    while frontier.size:
+        new = t.add[np.ix_(frontier, gidx)].ravel()
+        new = np.unique(new)
+        fresh = new[~mask[new]]
+        mask[fresh] = True
+        frontier = fresh
+    return mask
+
+
+def _additive_gens_idx(t, idx_sorted):
+    """Greedy small additive generating set for a subgroup of indices:
+    each index, in order, that the earlier ones do not generate."""
+    member = np.zeros(len(t.elems), dtype=bool)
+    member[list(idx_sorted)] = True
+    have = np.zeros(len(t.elems), dtype=bool)
+    have[t.zero] = True
+    gens = []
+    for i in idx_sorted:
+        if have[i]:
+            continue
+        gens.append(i)
+        have = _close_additive_mask(t, have, [i] + gens[:-1])
+        if have.sum() == member.sum():
+            break
+    return gens
 
 
 def make_ring(shape, tensor, one, basis_names=None, name=None):
@@ -695,10 +686,16 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 
 
 def center(ring, limits=DEFAULT_LIMITS):
-    """The center Z(R) as a SubRing (commutative, contains 0 and 1)."""
+    """The center Z(R) as a SubRing (commutative, contains 0 and 1).
+
+    Read off the tables; above max_table only structure rings are decided,
+    by a coefficient-array scan.
+    """
     t = ring.tables(limits)
     if t is None:
-        ring.elements(limits)   # the max_elements gate of the scans below
+        if not isinstance(ring, StructureRing):
+            raise LimitError("max_table", limits.max_table, ring.size)
+        ring.elements(limits)   # the max_elements gate of the scan below
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
@@ -707,7 +704,7 @@ def center(ring, limits=DEFAULT_LIMITS):
         for g in t.gen_idx:
             mask &= t.mul[:, g] == t.mul[g, :]
         elems = [t.elems[i] for i in np.nonzero(mask)[0]]
-    elif isinstance(ring, StructureRing):
+    else:
         X = ring.elements_array(limits)
         mods = np.array(ring.shape.moduli, dtype=np.int64)
         mask = np.ones(len(X), dtype=bool)
@@ -716,10 +713,6 @@ def center(ring, limits=DEFAULT_LIMITS):
             left = (X @ ring.left_mul_matrix(g)) % mods
             mask &= (right == left).all(axis=1)
         elems = [tuple(int(v) for v in row) for row in X[mask]]
-    else:
-        gens = ring.gens()
-        elems = [x for x in ring.elements(limits)
-                 if all(ring.mul(x, g) == ring.mul(g, x) for g in gens)]
     sub = SubRing(ring, elems, name="center", check=False)
     ring._center = sub
     return sub

@@ -19,6 +19,7 @@ import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, DomainError, LimitError, QuotientRing, StructureRing,
+    _additive_gens_idx, _close_additive_mask, _tables_or_raise,
     units_and_regulars,
 )
 
@@ -60,26 +61,6 @@ class Ideal:
 
 # -- index-mask machinery (table-backed rings) --------------------------------
 
-def _tables_or_raise(ring, limits):
-    t = ring.tables(limits)
-    if t is None:
-        raise LimitError("max_table", limits.max_table, ring.size)
-    return t
-
-def _close_additive_mask(t, mask, gidx):
-    """Close mask under x -> x + g for the generator indices gidx."""
-    if not len(gidx):
-        return mask
-    gidx = np.asarray(sorted(gidx), dtype=np.int64)
-    frontier = np.nonzero(mask)[0]
-    while frontier.size:
-        new = t.add[np.ix_(frontier, gidx)].ravel()
-        new = np.unique(new)
-        fresh = new[~mask[new]]
-        mask[fresh] = True
-        frontier = fresh
-    return mask
-
 def _additive_mask(t, gidx):
     mask = np.zeros(len(t.elems), dtype=bool)
     mask[t.zero] = True
@@ -106,23 +87,6 @@ def _ideal_mask(t, gidx, side):
 
 def _mask_elems(t, mask):
     return tuple(t.elems[i] for i in np.nonzero(mask)[0])
-
-
-def _additive_gens_idx(t, idx_sorted):
-    """Greedy small additive generating set for a subgroup of indices."""
-    member = np.zeros(len(t.elems), dtype=bool)
-    member[list(idx_sorted)] = True
-    have = np.zeros(len(t.elems), dtype=bool)
-    have[t.zero] = True
-    gens = []
-    for i in idx_sorted:
-        if have[i]:
-            continue
-        gens.append(i)
-        have = _close_additive_mask(t, have, [i] + gens[:-1])
-        if have.sum() == member.sum():
-            break
-    return gens
 
 
 # -- structure-ring fallback (no tables) ---------------------------------------
@@ -202,19 +166,7 @@ def additive_closure(ring, gens, limits=DEFAULT_LIMITS):
         rows = np.array(gens or [ring.zero], dtype=np.int64)
         out = _structure_additive(ring, rows, limits).sorted_rows()
         return tuple(tuple(int(v) for v in row) for row in out)
-    # scalar fallback for small odd realizations
-    closure = {ring.zero}
-    frontier = [ring.zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = ring.add(x, g)
-            if y not in closure:
-                if len(closure) >= limits.max_elements:
-                    raise LimitError("max_elements", limits.max_elements)
-                closure.add(y)
-                frontier.append(y)
-    return tuple(sorted(closure))
+    raise LimitError("max_table", limits.max_table, ring.size)
 
 
 def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
@@ -392,7 +344,12 @@ def ideal_lattice(ring, side="two", limits=DEFAULT_LIMITS):
 # -- quotients ---------------------------------------------------------------------
 
 def quotient(ring, ideal, name=None, limits=DEFAULT_LIMITS):
-    """R/I on least coset representatives.  Accepts an Ideal or elements."""
+    """R/I on least coset representatives.  Accepts an Ideal or elements.
+
+    The ideal is checked in full (see QuotientRing): DomainError when it is
+    not a two-sided ideal, InputError on an entry that is not an element of
+    the ring, LimitError(max_table) when the ring has no tables.
+    """
     if isinstance(ideal, Ideal):
         if ideal.ring is not ring:
             raise DomainError("ideal belongs to a different ring")

@@ -18,10 +18,10 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, StructureRing, SubRing,
-    center, units_and_regulars,
+    _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _mask_elems, _tables_or_raise, additive_closure, additive_gens,
+    Ideal, _mask_elems, additive_closure, additive_gens,
     all_ideals, ideal_closure, ideal_power, jacobson_radical,
     nilpotency_index, prime_radical, quotient,
 )
@@ -477,9 +477,10 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
         if len(acc) == 1:
             nxt = frozenset(slice_elems)
         else:
-            sliced = set(slice_elems)
-            nxt = frozenset(x for x in ring.elements(limits)
-                            if q.project(x) in sliced)
+            qt = q.tables(limits)
+            sliced = np.zeros(q.size, dtype=bool)
+            sliced[[qt.index[x] for x in slice_elems]] = True
+            nxt = frozenset(_mask_elems(ring.tables(limits), sliced[q.labels]))
         if not acc < nxt:
             return CentralSeriesReport(False, tuple(sizes),
                                        reason="chain stalled")

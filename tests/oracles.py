@@ -1,16 +1,16 @@
-"""Slow reference deciders that enumerate whole ideal lattices.
+"""Slow reference deciders and constructors kept as independent oracles.
 
-These are the lattice-based procedures the package used before it decided
-uniserial, strongly bounded and the prime radical from principal ideals and
-the units.  They stay here as independent oracles for differential tests.
+These are the procedures the package used before: the lattice-based
+deciders it replaced with principal ideals and the units, and the
+dictionary-backed quotient and element-by-element additive generators it
+replaced with index views on tables.  Differential tests compare against
+them.
 """
 
 import numpy as np
 
-from ringbench.ideals import (
-    Ideal, _additive_gens_idx, _close_additive_mask, _ideal_mask, _mask_elems,
-    nilpotency_index,
-)
+from ringbench.core import _additive_gens_idx, _close_additive_mask
+from ringbench.ideals import Ideal, _ideal_mask, _mask_elems, nilpotency_index
 
 
 def lattice(ring, side="two"):
@@ -103,3 +103,84 @@ def prime_radical(ring, two_sided=None):
         idx = np.array([t.index[e] for e in ideal.elements])
         acc[t.add[np.ix_(np.nonzero(acc)[0], idx)].ravel()] = True
     return _mask_elems(t, acc)
+
+
+class DictQuotient:
+    """R/I as it was built before label arrays: walk the base in element
+    order, take the first unseen element of each coset as its
+    representative, project through a dict and compute in the base."""
+
+    def __init__(self, base, ideal_elems):
+        ideal = sorted(set(ideal_elems))
+        reps, proj = [], {}
+        for x in base.elements():
+            if x in proj:
+                continue
+            reps.append(x)
+            for i in ideal:
+                proj.setdefault(base.add(x, i), x)
+        self.base, self.reps, self.proj = base, tuple(reps), proj
+        self.zero, self.one = base.zero, proj[base.one]
+
+    def add(self, a, b):
+        return self.proj[self.base.add(a, b)]
+
+    def neg(self, a):
+        return self.proj[self.base.neg(a)]
+
+    def mul(self, a, b):
+        return self.proj[self.base.mul(a, b)]
+
+    def gens(self):
+        out, seen = [], set()
+        for g in self.base.gens():
+            h = self.proj[g]
+            if h != self.zero and h not in seen:
+                seen.add(h)
+                out.append(h)
+        return tuple(out)
+
+    def tables(self):
+        """(add, mul, neg) index arrays, projected from the base's tables."""
+        bt = self.base.tables()
+        pos = {x: i for i, x in enumerate(self.reps)}
+        rid = np.array([bt.index[x] for x in self.reps])
+        proj = np.empty(len(bt.elems), dtype=np.int64)
+        for x, i in bt.index.items():
+            proj[i] = pos[self.proj[x]]
+        return (proj[bt.add[np.ix_(rid, rid)]], proj[bt.mul[np.ix_(rid, rid)]],
+                proj[bt.neg[rid]])
+
+
+def greedy_additive_gens(ring):
+    """Small additive generating set, chosen greedily in element order:
+    each element that the earlier choices do not generate."""
+    closure = {ring.zero}
+    gens = []
+    for e in ring.elements():
+        if e in closure:
+            continue
+        gens.append(e)
+        new = [e]
+        while new:
+            x = new.pop()
+            if x in closure and x != e:
+                continue
+            closure.add(x)
+            for s in gens:
+                y = ring.add(x, s)
+                if y not in closure:
+                    new.append(y)
+        # re-close under all gens to keep the invariant simple
+        changed = True
+        while changed:
+            changed = False
+            for x in list(closure):
+                for s in gens:
+                    y = ring.add(x, s)
+                    if y not in closure:
+                        closure.add(y)
+                        changed = True
+        if len(closure) == ring.size:
+            break
+    return tuple(gens)

@@ -173,6 +173,14 @@ def test_quotient_bad_gens(capsys):
     assert main(["quotient", "ex52", "--gens", "1,2", "report"]) == 2
 
 
+def test_quotient_above_max_table_exits_3(capsys):
+    assert main(["quotient", "z3q8", "--gens", "group-sum", "report"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit max_table=1024 exceeded" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_lattice_command(tmp_path, capsys):
     assert main(["lattice", "z4"]) == 0
     out = capsys.readouterr().out

@@ -241,3 +241,13 @@ def test_catalog_names_and_parsing():
         catalog("nope")
     assert "available" in str(err.value)
     assert isinstance(catalog_names(), tuple)
+
+
+def test_catalog_integers_mod_n_in_both_forms():
+    assert "z(n)" in catalog_names()
+    for form in ("z(12)", "Z(12)", " z12 "):
+        ring = catalog(form)
+        assert (ring.size, ring.one, ring.tensor.tolist()) == (12, (1,), [[[1]]])
+    for bad in ("z(12", "z12)", "z()"):
+        with pytest.raises(InputError):
+            catalog(bad)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from ringbench.core import (
-    AdditiveShape, DomainError, InputError, LimitError, Limits, QuotientRing,
-    StructureRing, SubRing, center, elem_arith, enumerate_elements, make_ring,
-    units_and_regulars, validate_ring,
+    AdditiveShape, ConstructionError, DomainError, InputError, LimitError,
+    Limits, QuotientRing, StructureRing, SubRing, center, elem_arith,
+    enumerate_elements, make_ring, units_and_regulars, validate_ring,
 )
-from ringbench.construct import catalog
+from ringbench.construct import catalog, full_matrix_ring
+from ringbench.ideals import additive_closure, quotient
 from ringbench.props import full_report, ore_check
 
 
@@ -254,8 +255,64 @@ def test_subring_upper_triangular():
 def test_subring_rejects_non_closed_subset():
     base = make_mat(2, 2)
     bad = [base.zero, base.one, (0, 1, 0, 0), (0, 0, 1, 0)]  # E12*E21 = E11 missing
-    with pytest.raises((InputError, Exception)):
+    with pytest.raises(ConstructionError):
         SubRing(base, bad)
+    z6 = QuotientRing(make_zn(12), [(0,), (6,)])   # gathered from Z12's tables
+    with pytest.raises(ConstructionError, match="additively closed") as err:
+        SubRing(z6, [(0,), (1,), (2,)])
+    assert err.value.witness == ((1,), (2,))
+
+
+def test_subring_closure_check_is_complete():
+    # S2 = {c even} in M2(Z4) has 128 elements; adding any one matrix with
+    # c odd breaks additive closure (a sampled check passed half of these)
+    base = full_matrix_ring(2, 4)
+    s2 = [e for e in base.elements() if e[2] % 2 == 0]
+    assert SubRing(base, s2).size == 128
+    for x in base.elements():
+        if x[2] % 2:
+            with pytest.raises(ConstructionError, match="additively closed"):
+                SubRing(base, s2 + [x])
+
+
+def test_subring_corner_identity_is_checked():
+    base = make_mat(2, 2)
+    e11 = (1, 0, 0, 0)
+    corner = SubRing(base, [base.zero, e11], one=e11)
+    assert corner.one == e11 and corner.size == 2
+    upper = [e for e in base.elements() if e[2] == 0]
+    with pytest.raises(ConstructionError, match="identity") as err:
+        SubRing(base, upper, one=e11)
+    assert err.value.witness == (0, 0, 0, 1)   # e11 * e22 = 0
+
+
+def test_views_reject_entries_that_are_not_base_elements():
+    m2z2 = catalog("m2z2")
+    zero, one = m2z2.zero, m2z2.one
+    with pytest.raises(InputError, match=r"\(2, 0, 0, 0\)"):
+        QuotientRing(m2z2, [zero, (2, 0, 0, 0)])
+    with pytest.raises(InputError, match=r"\(2, 0, 0, 0\)"):
+        SubRing(m2z2, [zero, one, (2, 0, 0, 0), (3, 0, 0, 1)])
+    with pytest.raises(InputError, match=r"\(0, 1\)"):
+        QuotientRing(m2z2, [zero, (0, 1)])
+    q = quotient(m2z2, m2z2.elements())
+    with pytest.raises(InputError, match=r"\(1, 0, 0, 1\)"):
+        SubRing(q, [q.zero, (1, 0, 0, 1)])   # a base element, not a coset
+
+
+def test_views_need_tables_and_no_scalar_paths_remain():
+    big = catalog("z3q8")
+    with pytest.raises(LimitError) as err:
+        QuotientRing(big, [big.zero])
+    assert err.value.limit == "max_table"
+    ex52 = catalog("ex52")
+    q = quotient(ex52, [ex52.zero])
+    tight = Limits(max_table=64)
+    for call in (lambda: center(q, tight),
+                 lambda: additive_closure(q, q.gens()[:1], tight)):
+        with pytest.raises(LimitError) as err:
+            call()
+        assert err.value.limit == "max_table"
 
 
 def test_subring_tables_match():
@@ -290,6 +347,9 @@ def test_quotient_rejects_non_subgroup():
     base = make_mat(2, 2)
     with pytest.raises(DomainError):
         QuotientRing(base, [base.zero, (1, 0, 0, 0), (0, 1, 0, 0)])
+    # closed under multiplication by Z6, but 2 + 3 = 5 is missing
+    with pytest.raises(DomainError, match="additive subgroup"):
+        QuotientRing(make_zn(6), [(0,), (2,), (3,)])
 
 
 def test_quotient_reps_are_least_and_tables_match():

@@ -1,15 +1,18 @@
-"""Principal-ideal deciders against the lattice oracles in tests/oracles.py,
-plus regressions for limit-gated caches and the central-series check."""
+"""Principal-ideal deciders and the quotient and subring views against the
+oracles in tests/oracles.py, plus regressions for limit-gated caches, the
+central-series check and the complete ideal check of quotients."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from ringbench.core import LimitError, Limits, SubRing, center, make_ring
+from ringbench.core import (
+    DomainError, LimitError, Limits, QuotientRing, SubRing, center, make_ring,
+)
 from ringbench.construct import as_structure_ring, catalog, full_matrix_ring
 from ringbench.ideals import (
-    all_ideals, ideal_lattice, jacobson_radical, prime_radical,
+    all_ideals, ideal_lattice, jacobson_radical, prime_radical, quotient,
 )
 from ringbench import props
 from ringbench.props import (
@@ -200,3 +203,51 @@ def test_central_series_checks_past_the_first_64_elements(monkeypatch):
     rep = central_series_through_radical(ring)
     assert (rep.ok, rep.sizes, rep.reason) == (
         False, (1,), "factor is not central")
+
+
+# -- quotients and subrings as index views ------------------------------------
+
+QUOTIENT_KEYS = list(CATALOG) + [(5, 60, 256, i) for i in range(60)]
+
+
+@pytest.mark.parametrize("key", QUOTIENT_KEYS, ids=_key_id)
+def test_quotients_match_dict_oracle(key):
+    ring = _ring(key)
+    elems = ring.elements()
+    for ideal in all_ideals(ring):
+        q = quotient(ring, ideal)
+        old = oracles.DictQuotient(ring, ideal.elements)
+        assert q.elements() == old.reps
+        assert q.one == old.one
+        assert q.gens() == old.gens()
+        assert [q.project(x) for x in elems] == [old.proj[x] for x in elems]
+        t = q.tables()
+        for table, expected in zip((t.add, t.mul, t.neg), old.tables()):
+            assert np.array_equal(table, expected)
+        for a in q.gens():
+            for b in q.elements():
+                assert q.mul(a, b) == old.mul(a, b)
+                assert q.add(a, b) == old.add(a, b)
+
+
+@pytest.mark.parametrize("seed, count, max_size", SAMPLES)
+def test_subring_gens_match_greedy_oracle(seed, count, max_size):
+    for ring in _samples(seed, count, max_size):
+        assert ring.gens() == oracles.greedy_additive_gens(ring)
+        z = center(ring)
+        assert z.gens() == oracles.greedy_additive_gens(z)
+
+
+def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
+    # the ideal check used to try one shift per element, and accepted 55
+    rejected = 0
+    for name in CATALOG:
+        ring = catalog(name)
+        two = {i.elements for i in all_ideals(ring, side="two")}
+        one = {i.elements for side in ("left", "right")
+               for i in all_ideals(ring, side=side)} - two
+        for elems in sorted(one):
+            with pytest.raises(DomainError, match="two-sided ideal"):
+                QuotientRing(ring, elems)
+            rejected += 1
+    assert rejected == 106
