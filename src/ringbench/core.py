@@ -16,8 +16,12 @@ caches are write-once, and every cached call checks its limit gates before
 it reuses cached work, so a verdict or a skip never depends on earlier
 calls.
 
-Deciders read dense index tables (Tables) up to max_table elements; above
-it, structure rings over one prime p are worked on as F_p algebras.
+Deciders read dense index tables (Tables) up to max_table elements.  The
+set kernels (closures, the center, CE) read one lookup surface on every
+ring: the dense tables, or above max_table the sums and products of a
+whole structure ring computed on demand (_OnDemandTables).  Units and the
+Ore check above max_table work on structure rings over one prime p as F_p
+algebras.
 """
 
 import itertools
@@ -275,13 +279,14 @@ class StructureRing(Ring):
         self.tensor.setflags(write=False)
         report = validate_ring(self.shape, self.tensor, one)
         if not report:
-            raise InputError("not a ring: " + "; ".join(report.violations))
+            raise InputError("ring axioms fail: " + "; ".join(report.violations))
         self.one = self.shape.reduce(one)
         self.zero = (0,) * self.shape.width
         self.size = self.shape.cardinality
         self.basis_names = tuple(basis_names) if basis_names else None
         self.name = name
         self._mods = mods
+        self._weights = np.array(self.shape.weights, dtype=np.int64)
         # sparse view of the tensor for the scalar product loop
         nz = []
         k = self.shape.width
@@ -341,14 +346,6 @@ class StructureRing(Ring):
                 e[i] = 1
                 out.append(tuple(e))
         return tuple(out)
-
-    def left_mul_matrix(self, a):
-        """M with (a*x) = x @ M for row vectors x."""
-        return np.tensordot(np.array(a, dtype=np.int64), self.tensor, axes=(0, 0))
-
-    def right_mul_matrix(self, a):
-        """M with (x*a) = x @ M for row vectors x."""
-        return np.tensordot(np.array(a, dtype=np.int64), self.tensor, axes=(0, 1))
 
     def mul_matrices(self, rows):
         """Left and right multiplication matrices of each row, (n, k, k) each."""
@@ -592,13 +589,92 @@ class Tables:
         t.gen_idx = np.array(gen_idx, dtype=np.int64)
         return t
 
+    def sums(self, rows, cols):
+        """Indices of a + b for a in rows and b in cols, (len(rows), len(cols))."""
+        return self.add[np.ix_(rows, cols)]
+
+    def prods(self, rows, cols):
+        """Indices of a * b for a in rows and b in cols, (len(rows), len(cols))."""
+        return self.mul[np.ix_(rows, cols)]
+
+
+class _OnDemandTables:
+    """The sums and products of a whole structure ring, computed on demand.
+
+    It has the surface of Tables that the set kernels read (elems, index,
+    zero, gen_idx, sums, prods) without the (N, N) arrays.  Index i
+    is the i-th element, whose mixed-radix code is i, so a lookup takes
+    the coefficient rows of its indices and contracts them (_outer_codes).
+    """
+
+    def __init__(self, ring, limits=DEFAULT_LIMITS):
+        self.ring = ring
+        self.elems = ring.elements(limits)
+        self._rows = ring.elements_array(limits)
+        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.zero = 0
+        self.gen_idx = np.array(sorted(self.index[g] for g in ring.gens()),
+                                dtype=np.int64)
+
+    def sums(self, rows, cols):
+        return _outer_codes(self.ring, self._rows[rows], self._rows[cols], "add")
+
+    def prods(self, rows, cols):
+        return _outer_codes(self.ring, self._rows[rows], self._rows[cols], "mul")
+
+
+def _kernel_tables(ring, limits):
+    """What the set kernels (closures, center, CE) read: the dense tables
+    up to max_table, and above it the on-demand tables of a whole structure
+    ring.  Other rings above max_table raise LimitError(max_table)."""
+    t = ring.tables(limits)
+    if t is not None:
+        return t
+    if not isinstance(ring, StructureRing):
+        raise LimitError("max_table", limits.max_table, ring.size)
+    ring.elements(limits)   # the max_elements gate of the cached view
+    cached = getattr(ring, "_on_demand", None)
+    if cached is None:
+        cached = ring._on_demand = _OnDemandTables(ring, limits)
+    return cached
+
+
+def _outer_codes(ring, A, B, op):
+    """Codes of a + b (op "add") or a * b (op "mul") for every coefficient
+    row a of A and b of B of a structure ring, (len(A), len(B)).  Rows of A
+    are taken in chunks of about _CHUNK_BYTES of work.  Products contract
+    the shorter of A and B with the tensor first, once, and reduce it."""
+    mods, w = ring._mods, ring._weights
+    k = len(mods)
+    # a product coordinate is a sum of k terms below max(mods)**2; float64
+    # matmul (BLAS) is exact while that sum stays below 2**53
+    dtype = np.float64 if k * int(mods.max()) ** 2 < 2 ** 53 else np.int64
+    if op == "mul" and len(A) > len(B):
+        # a @ right: column block j is a * (j-th row of B)
+        right = np.tensordot(B, ring.tensor, axes=(1, 1)) % mods
+        right = right.transpose(1, 0, 2).reshape(k, -1).astype(dtype)
+    elif op == "mul":
+        left = (np.tensordot(A, ring.tensor, axes=(1, 0)) % mods).astype(dtype)
+        B = B.astype(dtype)   # row j of left[a] is a * b_j
+    out = np.empty((len(A), len(B)), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * k * (len(B) + k)))
+    for s in range(0, len(A), step):
+        a = A[s:s + step]
+        if op == "add":
+            rows = a[:, None, :] + B
+        elif len(A) > len(B):
+            rows = (a.astype(dtype) @ right).reshape(len(a), len(B), k)
+        else:
+            rows = np.matmul(B, left[s:s + step])
+        out[s:s + step] = rows.astype(np.int64, copy=False) % mods @ w
+    return out
+
 
 def _tensor_ops(parent, X):
     """add, mul, neg tables of the ascending rows X of a structure ring,
     -1 where a result is not a row of X."""
-    mods, w = parent._mods, np.array(parent.shape.weights, dtype=np.int64)
-    codes = X @ w
-    n, k = X.shape
+    codes = X @ parent._weights
+    n = len(X)
 
     def lookup(c):
         if n == parent.size:   # all of the ring: codes are the indices
@@ -606,15 +682,9 @@ def _tensor_ops(parent, X):
         pos = np.minimum(np.searchsorted(codes, c), n - 1)
         return np.where(codes[pos] == c, pos, -1).astype(np.int32)
 
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, n * k))
-    L = np.tensordot(X, parent.tensor, axes=(1, 0))  # (n, j, m)
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        add[s:e] = lookup(((X[s:e, None, :] + X[None, :, :]) % mods) @ w)
-        mul[s:e] = lookup((np.einsum("ajm,bj->abm", L[s:e], X) % mods) @ w)
-    return add, mul, lookup(((-X) % mods) @ w)
+    return (lookup(_outer_codes(parent, X, X, "add")),
+            lookup(_outer_codes(parent, X, X, "mul")),
+            lookup((-X) % parent._mods @ parent._weights))
 
 
 def _gather_ops(bt, labels, idx):
@@ -625,17 +695,21 @@ def _gather_ops(bt, labels, idx):
 
 
 def _close_additive_mask(t, mask, gidx):
-    """Close mask under x -> x + g for the generator indices gidx."""
-    if not len(gidx):
-        return mask
-    gidx = np.asarray(sorted(gidx), dtype=np.int64)
-    frontier = np.nonzero(mask)[0]
-    while frontier.size:
-        new = t.add[np.ix_(frontier, gidx)].ravel()
-        new = np.unique(new)
-        fresh = new[~mask[new]]
-        mask[fresh] = True
-        frontier = fresh
+    """Grow the additive subgroup S held by mask by the generator indices
+    gidx, one coset at a time: S + g, S + 2g, ... up to the first coset
+    already inside, which is S itself.  mask must hold a subgroup (at
+    least {0}); it is updated in place and returned."""
+    cur = np.nonzero(mask)[0]
+    for g in gidx:
+        if mask[g]:
+            continue
+        blocks = [cur]
+        coset = t.sums(cur, [g]).ravel()
+        while not mask[coset[0]]:
+            mask[coset] = True
+            blocks.append(coset)
+            coset = t.sums(coset, [g]).ravel()
+        cur = np.concatenate(blocks)
     return mask
 
 
@@ -651,10 +725,14 @@ def _additive_gens_idx(t, idx_sorted):
         if have[i]:
             continue
         gens.append(i)
-        have = _close_additive_mask(t, have, [i] + gens[:-1])
+        have = _close_additive_mask(t, have, [i])
         if have.sum() == member.sum():
             break
     return gens
+
+
+def _mask_elems(t, mask):
+    return tuple(t.elems[i] for i in np.nonzero(mask)[0])
 
 
 def make_ring(shape, tensor, one, basis_names=None, name=None):
@@ -686,34 +764,15 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 
 
 def center(ring, limits=DEFAULT_LIMITS):
-    """The center Z(R) as a SubRing (commutative, contains 0 and 1).
-
-    Read off the tables; above max_table only structure rings are decided,
-    by a coefficient-array scan.
-    """
-    t = ring.tables(limits)
-    if t is None:
-        if not isinstance(ring, StructureRing):
-            raise LimitError("max_table", limits.max_table, ring.size)
-        ring.elements(limits)   # the max_elements gate of the scan below
+    """The center Z(R) as a SubRing (commutative, contains 0 and 1): the
+    elements that commute with every additive generator."""
+    t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
-    if t is not None:
-        mask = np.ones(len(t.elems), dtype=bool)
-        for g in t.gen_idx:
-            mask &= t.mul[:, g] == t.mul[g, :]
-        elems = [t.elems[i] for i in np.nonzero(mask)[0]]
-    else:
-        X = ring.elements_array(limits)
-        mods = np.array(ring.shape.moduli, dtype=np.int64)
-        mask = np.ones(len(X), dtype=bool)
-        for g in ring.gens():
-            right = (X @ ring.right_mul_matrix(g)) % mods
-            left = (X @ ring.left_mul_matrix(g)) % mods
-            mask &= (right == left).all(axis=1)
-        elems = [tuple(int(v) for v in row) for row in X[mask]]
-    sub = SubRing(ring, elems, name="center", check=False)
+    every = np.arange(len(t.elems))
+    mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
+    sub = SubRing(ring, _mask_elems(t, mask), name="center", check=False)
     ring._center = sub
     return sub
 

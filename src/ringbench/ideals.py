@@ -1,11 +1,11 @@
 """Ideal arithmetic for finite rings: closures, lattices, quotients, radicals.
 
-All set-level work runs on dense index tables where the ring admits them
-(see core.Tables); structure rings above the table limit get a vectorized
-coefficient-array path, which is enough to build ideals like augmentation
-kernels in group algebras of a few thousand elements.  Results come back
-as Ideal values holding sorted element tuples, so every downstream
-consumer sees one deterministic order.
+Closures run as index-mask kernels on one kind of lookup: the dense index
+tables up to max_table (core.Tables), and above it the sums and products of
+a whole structure ring computed on demand (core._OnDemandTables), which is
+enough to build ideals like augmentation kernels in group algebras of a few
+thousand elements.  Results come back as Ideal values holding sorted
+element tuples, so every downstream consumer sees one deterministic order.
 
 Whole lattices (all_ideals) are enumerated only where a property quantifies
 over every ideal: complete central essentiality, the least ideal and the
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, DomainError, LimitError, QuotientRing, StructureRing,
-    _additive_gens_idx, _close_additive_mask, _tables_or_raise,
-    units_and_regulars,
+    DEFAULT_LIMITS, DomainError, LimitError, QuotientRing,
+    _additive_gens_idx, _close_additive_mask, _kernel_tables, _mask_elems,
+    _tables_or_raise, units_and_regulars,
 )
 
 SIDES = ("two", "left", "right")
@@ -59,98 +59,32 @@ class Ideal:
         return "%s-sided ideal, size %d, gens [%s]" % (self.side, self.size, g)
 
 
-# -- index-mask machinery (table-backed rings) --------------------------------
+# -- index-mask kernels ----------------------------------------------------------
 
 def _additive_mask(t, gidx):
     mask = np.zeros(len(t.elems), dtype=bool)
     mask[t.zero] = True
-    mask[list(gidx)] = True
     return _close_additive_mask(t, mask, gidx)
 
 def _ideal_mask(t, gidx, side):
-    """Close under addition and one/two-sided multiplication by ring gens."""
+    """Close under addition and one/two-sided multiplication by ring gens.
+
+    Products are taken of the elements passed as additive generators only,
+    each once: x -> x*g and x -> g*x are additive, so the span is closed
+    once every generator's products lie in it."""
     rg = t.gen_idx
     mask = _additive_mask(t, gidx)
-    while True:
-        cur = np.nonzero(mask)[0]
+    new = np.asarray(gidx, dtype=np.int64)
+    while new.size:
         prods = []
         if side in ("two", "right"):
-            prods.append(t.mul[np.ix_(cur, rg)].ravel())
+            prods.append(t.prods(new, rg).ravel())
         if side in ("two", "left"):
-            prods.append(t.mul[np.ix_(rg, cur)].ravel())
+            prods.append(t.prods(rg, new).ravel())
         new = np.unique(np.concatenate(prods))
-        fresh = new[~mask[new]]
-        if not fresh.size:
-            return mask
-        mask[fresh] = True
-        mask = _close_additive_mask(t, mask, fresh)
-
-def _mask_elems(t, mask):
-    return tuple(t.elems[i] for i in np.nonzero(mask)[0])
-
-
-# -- structure-ring fallback (no tables) ---------------------------------------
-
-class _SubgroupRows:
-    """A subgroup of a structure ring's additive group, as coefficient rows.
-
-    Grows by whole cosets: joining a new element x appends the disjoint
-    cosets S, S+x, S+2x, ... until a multiple of x lands back in S.
-    """
-
-    def __init__(self, ring, limits):
-        self.mods = np.array(ring.shape.moduli, dtype=np.int64)
-        self.w = np.array(ring.shape.weights, dtype=np.int64)
-        self.limits = limits
-        self.rows = np.zeros((1, ring.shape.width), dtype=np.int64)
-        self.codes = {0}
-
-    def __contains__(self, row):
-        return int(row @ self.w) in self.codes
-
-    def add_gen(self, row):
-        x = np.asarray(row, dtype=np.int64) % self.mods
-        y = x
-        blocks = []
-        while int(y @ self.w) not in self.codes:
-            shifted = (self.rows + y) % self.mods
-            blocks.append(shifted)
-            self.codes.update(int(c) for c in shifted @ self.w)
-            if len(self.codes) > self.limits.max_elements:
-                raise LimitError("max_elements", self.limits.max_elements)
-            y = (y + x) % self.mods
-        if blocks:
-            self.rows = np.concatenate([self.rows] + blocks)
-
-    def sorted_rows(self):
-        return self.rows[np.argsort(self.rows @ self.w)]
-
-
-def _structure_additive(ring, rows, limits=DEFAULT_LIMITS):
-    sg = _SubgroupRows(ring, limits)
-    for row in np.asarray(rows, dtype=np.int64):
-        sg.add_gen(row)
-    return sg
-
-def _structure_ideal(ring, gen_rows, side, limits):
-    """Ideal closure in a structure ring via coefficient arrays."""
-    mods = np.array(ring.shape.moduli, dtype=np.int64)
-    sg = _structure_additive(ring, gen_rows, limits)
-    basis = [tuple(g) for g in ring.gens()]
-    while True:
-        prods = []
-        for g in basis:
-            if side in ("two", "right"):
-                prods.append((sg.rows @ ring.right_mul_matrix(g)) % mods)
-            if side in ("two", "left"):
-                prods.append((sg.rows @ ring.left_mul_matrix(g)) % mods)
-        allp = np.concatenate(prods)
-        fresh = [row for row in allp if row not in sg]
-        if not fresh:
-            rows = sg.sorted_rows()
-            return tuple(tuple(int(v) for v in row) for row in rows)
-        for row in fresh:
-            sg.add_gen(row)
+        new = new[~mask[new]]
+        mask = _close_additive_mask(t, mask, new)
+    return mask
 
 
 # -- public closure operations ---------------------------------------------------
@@ -158,15 +92,9 @@ def _structure_ideal(ring, gen_rows, side, limits):
 def additive_closure(ring, gens, limits=DEFAULT_LIMITS):
     """Smallest additive subgroup containing gens, as sorted elements."""
     gens = [ring.element(g) for g in gens]
-    t = ring.tables(limits)
-    if t is not None:
-        gidx = sorted({t.index[g] for g in gens})
-        return _mask_elems(t, _additive_mask(t, gidx))
-    if isinstance(ring, StructureRing):
-        rows = np.array(gens or [ring.zero], dtype=np.int64)
-        out = _structure_additive(ring, rows, limits).sorted_rows()
-        return tuple(tuple(int(v) for v in row) for row in out)
-    raise LimitError("max_table", limits.max_table, ring.size)
+    t = _kernel_tables(ring, limits)
+    gidx = sorted({t.index[g] for g in gens})
+    return _mask_elems(t, _additive_mask(t, gidx))
 
 
 def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
@@ -174,16 +102,10 @@ def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
     if side not in SIDES:
         raise DomainError("side must be one of %r" % (SIDES,))
     gens = tuple(ring.element(g) for g in gens)
-    t = ring.tables(limits)
-    if t is not None:
-        gidx = sorted({t.index[g] for g in gens})
-        elems = _mask_elems(t, _ideal_mask(t, gidx, side))
-    elif isinstance(ring, StructureRing):
-        rows = np.array(gens or [ring.zero], dtype=np.int64)
-        elems = _structure_ideal(ring, rows, side, limits)
-    else:
-        raise LimitError("max_table", limits.max_table, ring.size)
-    return Ideal(ring=ring, elements=elems, gens=gens, side=side)
+    t = _kernel_tables(ring, limits)
+    gidx = sorted({t.index[g] for g in gens})
+    return Ideal(ring=ring, elements=_mask_elems(t, _ideal_mask(t, gidx, side)),
+                 gens=gens, side=side)
 
 
 def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):

@@ -3,12 +3,14 @@
 Every decider returns a Verdict (or a small report dataclass) carrying a
 machine-checkable witness: a counterexample pair when the property fails,
 or a witness map when it holds and the ring is small enough to store one.
-Deciders prefer dense index tables.  Above the table limit, the center, CE,
-units and the Ore check run on structure rings over coefficient arrays and
-mod-p matrices; most other deciders skip on max_table.  One-sided questions
-(invariant, strongly bounded, uniserial) are decided on the principal
-one-sided ideals, which are the rows and columns of the multiplication
-table; only complete central essentiality enumerates an ideal lattice.
+The center and CE run on the same index-mask kernels as the closures: the
+dense tables up to max_table, and above it a structure ring's sums and
+products computed on demand.  Above the table limit units and the Ore
+check run as mod-p linear algebra; most other deciders skip on max_table.
+One-sided questions (invariant, strongly bounded, uniserial) are decided
+on the principal one-sided ideals, which are the rows and columns of the
+multiplication table; only complete central essentiality enumerates an
+ideal lattice.
 """
 
 import random
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, StructureRing, SubRing,
-    _tables_or_raise, center, units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _OnDemandTables,
+    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
+    center, units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _mask_elems, additive_closure, additive_gens,
+    Ideal, _additive_mask, additive_closure, additive_gens,
     all_ideals, ideal_closure, ideal_power, jacobson_radical,
     nilpotency_index, prime_radical, quotient,
 )
@@ -74,58 +77,35 @@ def centrally_essential(ring, limits=DEFAULT_LIMITS):
             wm = {a: (ring.one, a) for a in ring.elements(limits)
                   if a != ring.zero}
         return CEReport(True, z.size, witness_map=wm)
-    t = ring.tables(limits)
-    if t is not None:
-        return _ce_tables(ring, z, t)
-    if isinstance(ring, StructureRing):
-        return _ce_structure(ring, z, limits)
-    raise LimitError("max_table", limits.max_table, ring.size)
+    return _ce_tables(ring, z, _kernel_tables(ring, limits))
 
 
 def _ce_tables(ring, z, t):
+    """CE on kernel tables, a chunk of rows at a time; the first chunk
+    holding an element without a central partner ends the walk."""
     n = len(t.elems)
-    zidx = np.array(sorted(t.index[x] for x in z.elements()), dtype=np.int64)
-    zidx = zidx[zidx != t.zero]
+    zall = np.array(sorted(t.index[x] for x in z.elements()), dtype=np.int64)
     in_center = np.zeros(n, dtype=bool)
-    in_center[[t.index[x] for x in z.elements()]] = True
-    prod = t.mul[:, zidx]                       # (n, |Z|-1): a * x
-    good = in_center[prod] & (prod != t.zero)
-    ok = good.any(axis=1)
-    ok[t.zero] = True
-    if not ok.all():
-        bad = int(np.nonzero(~ok)[0][0])
-        return CEReport(False, z.size, counterexample=t.elems[bad])
+    in_center[zall] = True
+    zidx = zall[zall != t.zero]
     wm = {}
-    if n <= WITNESS_MAP_LIMIT:
-        first = np.argmax(good, axis=1)
-        for a in range(n):
-            if a == t.zero:
-                continue
-            x = int(zidx[first[a]])
-            wm[t.elems[a]] = (t.elems[x], t.elems[int(t.mul[a, x])])
+    # on demand, a product costs about one coefficient row of 8 int64
+    step = max(1, _CHUNK_BYTES // (64 * len(zidx)))
+    for s in range(0, n, step):
+        rows = np.arange(s, min(n, s + step))
+        prod = t.prods(rows, zidx)                  # a * x
+        good = in_center[prod] & (prod != t.zero)
+        ok = good.any(axis=1) | (rows == t.zero)
+        if not ok.all():
+            bad = s + int(np.argmin(ok))
+            return CEReport(False, z.size, counterexample=t.elems[bad])
+        if n <= WITNESS_MAP_LIMIT:
+            first = np.argmax(good, axis=1)
+            for a, f in zip(rows, first):
+                if a != t.zero:
+                    x = int(zidx[f])
+                    wm[t.elems[a]] = (t.elems[x], t.elems[int(prod[a - s, f])])
     return CEReport(True, z.size, witness_map=wm)
-
-
-def _ce_structure(ring, z, limits):
-    """Row scan for structure rings above the table limit."""
-    mods = np.array(ring.shape.moduli, dtype=np.int64)
-    w = np.array(ring.shape.weights, dtype=np.int64)
-    zrows = np.array(z.elements(), dtype=np.int64)
-    znz = zrows[(zrows != 0).any(axis=1)]
-    zcodes = np.sort(zrows @ w)
-    for a in ring.elements(limits):
-        if a == ring.zero:
-            continue
-        ma = ring.left_mul_matrix(a)            # x @ ma = a*x ... see below
-        prods = (znz @ ma) % mods
-        codes = prods @ w
-        pos = np.searchsorted(zcodes, codes)
-        pos[pos >= len(zcodes)] = 0
-        central = zcodes[pos] == codes
-        nonzero = codes != 0
-        if not (central & nonzero).any():
-            return CEReport(False, z.size, counterexample=a)
-    return CEReport(True, z.size)
 
 
 def verify_ce_counterexample(ring, a, limits=DEFAULT_LIMITS):
@@ -691,12 +671,11 @@ _AMBIENTS = {}
 
 
 def _ambient(n, mod):
+    """On-demand tables of the n x n matrix ring mod `mod`, built once."""
     key = (n, mod)
     if key not in _AMBIENTS:
         from ringbench.construct import full_matrix_ring
-        from ringbench.core import Limits
-        _AMBIENTS[key] = full_matrix_ring(
-            n, mod, limits=Limits(max_elements=2 ** 20))
+        _AMBIENTS[key] = _OnDemandTables(full_matrix_ring(n, mod))
     return _AMBIENTS[key]
 
 
@@ -706,40 +685,29 @@ def random_subring(rng, max_size=512, limits=DEFAULT_LIMITS):
     Returns None when the closure overflows max_size (callers resample).
     Closing the additive generators under pairwise products suffices: any
     two subgroup elements are integer combinations of the generators, so
-    their product is an integer combination of generator products.
+    their product is an integer combination of generator products.  The
+    closure runs on the ambient's on-demand tables, so no ambient builds
+    dense ones.
     """
-    from ringbench.core import Limits
-    from ringbench.ideals import _structure_additive
-
     n, mod = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2)))
-    amb = _ambient(n, mod)
+    t = _ambient(n, mod)
     k = n * n
-    gens = [np.array(amb.one, dtype=np.int64)]
+    gens = [t.ring.one]
     for _ in range(rng.randint(1, 3)):
-        gens.append(np.array([rng.randrange(mod) for _ in range(k)],
-                             dtype=np.int64))
-    tight = Limits(max_elements=max_size)
-    try:
-        sg = _structure_additive(amb, np.array(gens), tight)
-        gen_list = [g % mod for g in gens]
-        while True:
-            fresh = []
-            for a in gen_list:
-                for b in gen_list:
-                    p = (a.reshape(n, n) @ b.reshape(n, n)).reshape(k) % mod
-                    if p not in sg:
-                        fresh.append(p)
-            if not fresh:
-                break
-            for p in fresh:
-                if p not in sg:
-                    sg.add_gen(p)
-                    gen_list.append(p)
-    except LimitError:
+        gens.append(tuple(rng.randrange(mod) for _ in range(k)))
+    have = np.unique([t.index[g] for g in gens])
+    mask = _additive_mask(t, have)
+    new = have
+    while new.size and mask.sum() <= max_size:
+        prods = np.unique(np.concatenate([t.prods(new, have).ravel(),
+                                          t.prods(have, new).ravel()]))
+        new = prods[~mask[prods]]
+        mask = _close_additive_mask(t, mask, new)
+        have = np.concatenate([have, new])
+    if mask.sum() > max_size:
         return None
-    elems = [tuple(int(v) for v in row) for row in sg.sorted_rows()]
-    return SubRing(amb, elems, name="sampled %dx%d mod %d" % (n, n, mod),
-                   check=False)
+    return SubRing(t.ring, _mask_elems(t, mask),
+                   name="sampled %dx%d mod %d" % (n, n, mod), check=False)
 
 
 def sample_rings(seed, count, max_size=512, limits=DEFAULT_LIMITS):

@@ -3,14 +3,70 @@
 These are the procedures the package used before: the lattice-based
 deciders it replaced with principal ideals and the units, and the
 dictionary-backed quotient and element-by-element additive generators it
-replaced with index views on tables.  Differential tests compare against
-them.
+replaced with index views on tables.  The lattice oracle closes sets by
+breadth-first search on the dense tables, not by the package's coset
+growth.  Differential tests compare against them.
 """
 
 import numpy as np
 
-from ringbench.core import _additive_gens_idx, _close_additive_mask
-from ringbench.ideals import Ideal, _ideal_mask, _mask_elems, nilpotency_index
+from ringbench.ideals import Ideal, _mask_elems, nilpotency_index
+
+
+def _close_additive_mask(t, mask, gidx):
+    """Close mask under x -> x + g for the generator indices gidx."""
+    if not len(gidx):
+        return mask
+    gidx = np.asarray(sorted(gidx), dtype=np.int64)
+    frontier = np.nonzero(mask)[0]
+    while frontier.size:
+        new = t.add[np.ix_(frontier, gidx)].ravel()
+        new = np.unique(new)
+        fresh = new[~mask[new]]
+        mask[fresh] = True
+        frontier = fresh
+    return mask
+
+
+def _additive_gens_idx(t, idx_sorted):
+    """Greedy small additive generating set for a subgroup of indices:
+    each index, in order, that the earlier ones do not generate."""
+    member = np.zeros(len(t.elems), dtype=bool)
+    member[list(idx_sorted)] = True
+    have = np.zeros(len(t.elems), dtype=bool)
+    have[t.zero] = True
+    gens = []
+    for i in idx_sorted:
+        if have[i]:
+            continue
+        gens.append(i)
+        have = _close_additive_mask(t, have, [i] + gens[:-1])
+        if have.sum() == member.sum():
+            break
+    return gens
+
+
+def _ideal_mask(t, gidx, side):
+    """Close under addition and one/two-sided multiplication by ring gens,
+    multiplying every element of the current set each round."""
+    rg = t.gen_idx
+    mask = np.zeros(len(t.elems), dtype=bool)
+    mask[t.zero] = True
+    mask[list(gidx)] = True
+    mask = _close_additive_mask(t, mask, gidx)
+    while True:
+        cur = np.nonzero(mask)[0]
+        prods = []
+        if side in ("two", "right"):
+            prods.append(t.mul[np.ix_(cur, rg)].ravel())
+        if side in ("two", "left"):
+            prods.append(t.mul[np.ix_(rg, cur)].ravel())
+        new = np.unique(np.concatenate(prods))
+        fresh = new[~mask[new]]
+        if not fresh.size:
+            return mask
+        mask[fresh] = True
+        mask = _close_additive_mask(t, mask, fresh)
 
 
 def lattice(ring, side="two"):

@@ -52,11 +52,16 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_parse_rejects_broken_axioms():
+def test_parse_rejects_broken_axioms(tmp_path, capsys):
     # 1*1 = 0 breaks the identity law
+    text = "shape 2\none 1\nmul 0 0 -> 0\n"
     with pytest.raises(InputError) as err:
-        parse_ring_text("shape 2\none 1\nmul 0 0 -> 0\n")
-    assert "axioms" in str(err.value)
+        parse_ring_text(text)
+    assert str(err.value).startswith("ring axioms fail: ")
+    path = tmp_path / "broken.ring"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert "ring axioms fail" in capsys.readouterr().err
 
 
 def test_serialize_round_trips_catalog():

@@ -9,7 +9,8 @@ import pytest
 from ringbench.core import (
     AdditiveShape, ConstructionError, DomainError, InputError, LimitError,
     Limits, QuotientRing, StructureRing, SubRing, center, elem_arith,
-    enumerate_elements, make_ring, units_and_regulars, validate_ring,
+    _outer_codes, enumerate_elements, make_ring, units_and_regulars,
+    validate_ring,
 )
 from ringbench.construct import catalog, full_matrix_ring
 from ringbench.ideals import additive_closure, quotient
@@ -212,6 +213,15 @@ def test_tables_agree_with_scalar_ops():
                 assert t.mul[i, j] == t.index[r.mul(elems[i], elems[j])]
         assert t.zero == t.index[r.zero]
         assert t.one == t.index[r.one]
+
+
+def test_products_stay_exact_for_large_moduli():
+    # (n - 1)^2 is about 2^54 here, beyond exact float64 integers
+    n = 2 ** 27
+    rows = np.array([[n - 1], [n - 3]])
+    r = make_zn(n)
+    assert _outer_codes(r, rows, rows, "mul").tolist() == [[1, 3], [3, 9]]
+    assert _outer_codes(r, rows, rows[:1], "mul").tolist() == [[1], [3]]
 
 
 def test_tables_none_above_limit():

@@ -1,8 +1,11 @@
 """Principal-ideal deciders and the quotient and subring views against the
 oracles in tests/oracles.py, plus regressions for limit-gated caches, the
-central-series check and the complete ideal check of quotients."""
+central-series check and the complete ideal check of quotients.  The
+on-demand tables above max_table are checked against dense tables of the
+same rings, and the sample streams against pinned digests."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,13 +13,18 @@ import pytest
 from ringbench.core import (
     DomainError, LimitError, Limits, QuotientRing, SubRing, center, make_ring,
 )
-from ringbench.construct import as_structure_ring, catalog, full_matrix_ring
+from ringbench.construct import (
+    as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
+    group_sum_ideal, relative_augmentation_ideal,
+)
 from ringbench.ideals import (
-    all_ideals, ideal_lattice, jacobson_radical, prime_radical, quotient,
+    SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
+    jacobson_radical, prime_radical, quotient,
 )
 from ringbench import props
 from ringbench.props import (
-    _brackets_inside, central_series_through_radical, full_report,
+    _brackets_inside, central_series_through_radical, centrally_essential,
+    full_report,
     is_strongly_bounded, is_uniserial, sample_rings,
 )
 from tests import oracles
@@ -251,3 +259,61 @@ def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
                 QuotientRing(ring, elems)
             rejected += 1
     assert rejected == 106
+
+
+# -- on-demand tables above max_table ----------------------------------------------
+
+DENSE = Limits(max_table=4096)
+SAMPLE_DIGESTS = {
+    (5, 60, 256):
+        "b531f43af09b8d0f4f0837646b3f22ea33592aa08da6d040a7e6879d6fe8815a",
+    (11, 40, 512):
+        "85c67b791485e6a3dc8f5d9f3c3460b5fbd6ec911d292d051c7ef4f5653ff8fc",
+}
+
+
+@pytest.mark.parametrize("name", ("ext2(6)", "ex51(5)"))
+def test_on_demand_tables_match_dense_tables(name):
+    # composite moduli: 6 = 2 * 3, and 32, 4, 16
+    lazy, dense = catalog(name), catalog(name)
+    assert lazy.tables() is None and dense.tables(DENSE) is not None
+    assert center(lazy).elements() == center(dense, DENSE).elements()
+    ce, ce_dense = centrally_essential(lazy), centrally_essential(dense, DENSE)
+    assert ((ce.holds, ce.counterexample, ce.witness_map)
+            == (ce_dense.holds, ce_dense.counterexample, ce_dense.witness_map))
+    elems = lazy.elements()
+    picks = [elems[i] for i in (1, 7, len(elems) // 3, len(elems) // 2, -1)]
+    for gens in [[g] for g in picks] + [picks[1:4]]:
+        assert additive_closure(lazy, gens) == additive_closure(dense, gens, DENSE)
+        for side in SIDES:
+            assert (ideal_closure(lazy, gens, side).elements
+                    == ideal_closure(dense, gens, side, DENSE).elements)
+
+
+def test_z3q8_ideals_on_demand_are_the_augmentation_kernels():
+    ring = catalog("z3q8")
+    assert ring.tables() is None
+    elems = ring.elements()
+    coeffs = np.array(elems)
+
+    def where(keep):
+        return tuple(elems[i] for i in np.nonzero(keep)[0])
+
+    assert group_sum_ideal(ring).elements == (ring.zero, (1,) * 8, (2,) * 8)
+    assert augmentation_ideal(ring).elements == where(coeffs.sum(axis=1) % 3 == 0)
+    # for a normal subgroup H the ideal of all h - e is the kernel of
+    # Z3[G] -> Z3[G/H]: coefficient sums vanish on every coset of H
+    group, h = ring.group, ring.group.derived_subgroup()
+    cosets = {tuple(sorted(group.mul(g, x) for x in h)) for g in range(8)}
+    keep = np.ones(len(elems), dtype=bool)
+    for coset in cosets:
+        keep &= coeffs[:, list(coset)].sum(axis=1) % 3 == 0
+    assert relative_augmentation_ideal(ring, h).elements == where(keep)
+
+
+@pytest.mark.parametrize("seed, count, max_size", SAMPLES)
+def test_sample_stream_is_pinned(seed, count, max_size):
+    blob = repr([(ring.base.shape.moduli, ring.elements())
+                 for ring in _samples(seed, count, max_size)])
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[(seed, count, max_size)]

@@ -33,7 +33,7 @@ def test_additive_closure_structure_path_matches_tables():
     gens = [(1, 2, 0, 0), (0, 0, 1, 1)]
     via_tables = additive_closure(r1, gens)
     via_rows = additive_closure(r2, gens, Limits(max_table=1))
-    assert r2.tables(Limits(max_table=1)) is None  # forced the row path
+    assert r2.tables(Limits(max_table=1)) is None  # forced the on-demand path
     assert via_tables == via_rows
 
 
