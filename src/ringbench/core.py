@@ -24,6 +24,7 @@ Ore check above max_table work on structure rings over one prime p as F_p
 algebras.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -286,7 +287,6 @@ class StructureRing(Ring):
         self.basis_names = tuple(basis_names) if basis_names else None
         self.name = name
         self._mods = mods
-        self._weights = np.array(self.shape.weights, dtype=np.int64)
         # sparse view of the tensor for the scalar product loop
         nz = []
         k = self.shape.width
@@ -346,6 +346,12 @@ class StructureRing(Ring):
                 e[i] = 1
                 out.append(tuple(e))
         return tuple(out)
+
+    @functools.cached_property
+    def _weights(self):
+        """Place values as int64, so a coefficient row's code is
+        row @ _weights; OverflowError from 2**63 elements on."""
+        return np.array(self.shape.weights, dtype=np.int64)
 
     def mul_matrices(self, rows):
         """Left and right multiplication matrices of each row, (n, k, k) each."""
@@ -597,30 +603,82 @@ class Tables:
         """Indices of a * b for a in rows and b in cols, (len(rows), len(cols))."""
         return self.mul[np.ix_(rows, cols)]
 
+    def mask(self):
+        """An empty set of element indices, as a boolean mask."""
+        return np.zeros(len(self.elems), dtype=bool)
+
+    def encode(self, elems):
+        """The indices of elems, as an array."""
+        return np.array([self.index[e] for e in elems], dtype=np.int64)
+
+    def decode(self, idx):
+        """The elements at the indices idx, as a tuple."""
+        return tuple(self.elems[i] for i in idx)
+
 
 class _OnDemandTables:
     """The sums and products of a whole structure ring, computed on demand.
 
-    It has the surface of Tables that the set kernels read (elems, index,
-    zero, gen_idx, sums, prods) without the (N, N) arrays.  Index i
-    is the i-th element, whose mixed-radix code is i, so a lookup takes
-    the coefficient rows of its indices and contracts them (_outer_codes).
+    It has the surface of Tables that the set kernels read (zero, gen_idx,
+    sums, prods, mask, encode, decode) without enumerating the ring: index
+    i is the element whose mixed-radix code is i, and a lookup contracts
+    the coefficient rows of its indices with the tensor (_outer_codes).
+    Its sets are _IndexSets, so a closure is bounded by max_elements and
+    the ring is not.
     """
 
     def __init__(self, ring, limits=DEFAULT_LIMITS):
         self.ring = ring
-        self.elems = ring.elements(limits)
-        self._rows = ring.elements_array(limits)
-        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.limits = limits
         self.zero = 0
-        self.gen_idx = np.array(sorted(self.index[g] for g in ring.gens()),
-                                dtype=np.int64)
+        self.gen_idx = np.sort(self.encode(ring.gens()))
+
+    def _rows(self, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        return idx[:, None] // self.ring._weights % self.ring._mods
 
     def sums(self, rows, cols):
-        return _outer_codes(self.ring, self._rows[rows], self._rows[cols], "add")
+        return _outer_codes(self.ring, self._rows(rows), self._rows(cols), "add")
 
     def prods(self, rows, cols):
-        return _outer_codes(self.ring, self._rows[rows], self._rows[cols], "mul")
+        return _outer_codes(self.ring, self._rows(rows), self._rows(cols), "mul")
+
+    def mask(self):
+        return _IndexSet(self.limits.max_elements)
+
+    def encode(self, elems):
+        k = self.ring.shape.width
+        return np.array(elems, dtype=np.int64).reshape(-1, k) @ self.ring._weights
+
+    def decode(self, idx):
+        return tuple(map(tuple, self._rows(idx).tolist()))
+
+
+class _IndexSet:
+    """A set of element indices with the part of a boolean mask's interface
+    the set kernels use: s[i] and s[i] = True for an index or an array of
+    them, s.nonzero() and s.sum().  Holding more than `limit` indices
+    raises LimitError(max_elements)."""
+
+    def __init__(self, limit):
+        self.members = set()
+        self.limit = limit
+
+    def __getitem__(self, i):
+        if np.ndim(i) == 0:
+            return int(i) in self.members
+        return np.array([x in self.members for x in i.tolist()], dtype=bool)
+
+    def __setitem__(self, i, value):   # value is True: sets only grow
+        self.members.update(np.ravel(i).tolist())
+        if len(self.members) > self.limit:
+            raise LimitError("max_elements", self.limit, len(self.members))
+
+    def nonzero(self):
+        return (np.array(sorted(self.members), dtype=np.int64),)
+
+    def sum(self):
+        return len(self.members)
 
 
 def _kernel_tables(ring, limits):
@@ -632,11 +690,7 @@ def _kernel_tables(ring, limits):
         return t
     if not isinstance(ring, StructureRing):
         raise LimitError("max_table", limits.max_table, ring.size)
-    ring.elements(limits)   # the max_elements gate of the cached view
-    cached = getattr(ring, "_on_demand", None)
-    if cached is None:
-        cached = ring._on_demand = _OnDemandTables(ring, limits)
-    return cached
+    return _OnDemandTables(ring, limits)
 
 
 def _outer_codes(ring, A, B, op):
@@ -646,16 +700,13 @@ def _outer_codes(ring, A, B, op):
     the shorter of A and B with the tensor first, once, and reduce it."""
     mods, w = ring._mods, ring._weights
     k = len(mods)
-    # a product coordinate is a sum of k terms below max(mods)**2; float64
-    # matmul (BLAS) is exact while that sum stays below 2**53
-    dtype = np.float64 if k * int(mods.max()) ** 2 < 2 ** 53 else np.int64
     if op == "mul" and len(A) > len(B):
         # a @ right: column block j is a * (j-th row of B)
         right = np.tensordot(B, ring.tensor, axes=(1, 1)) % mods
-        right = right.transpose(1, 0, 2).reshape(k, -1).astype(dtype)
+        right = right.transpose(1, 0, 2).reshape(k, -1)
     elif op == "mul":
-        left = (np.tensordot(A, ring.tensor, axes=(1, 0)) % mods).astype(dtype)
-        B = B.astype(dtype)   # row j of left[a] is a * b_j
+        # row j of B @ left[a] is a * b_j
+        left = np.tensordot(A, ring.tensor, axes=(1, 0)) % mods
     out = np.empty((len(A), len(B)), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * k * (len(B) + k)))
     for s in range(0, len(A), step):
@@ -663,10 +714,10 @@ def _outer_codes(ring, A, B, op):
         if op == "add":
             rows = a[:, None, :] + B
         elif len(A) > len(B):
-            rows = (a.astype(dtype) @ right).reshape(len(a), len(B), k)
+            rows = (a @ right).reshape(len(a), len(B), k)
         else:
             rows = np.matmul(B, left[s:s + step])
-        out[s:s + step] = rows.astype(np.int64, copy=False) % mods @ w
+        out[s:s + step] = rows % mods @ w
     return out
 
 
@@ -699,7 +750,7 @@ def _close_additive_mask(t, mask, gidx):
     gidx, one coset at a time: S + g, S + 2g, ... up to the first coset
     already inside, which is S itself.  mask must hold a subgroup (at
     least {0}); it is updated in place and returned."""
-    cur = np.nonzero(mask)[0]
+    cur = mask.nonzero()[0]
     for g in gidx:
         if mask[g]:
             continue
@@ -732,7 +783,7 @@ def _additive_gens_idx(t, idx_sorted):
 
 
 def _mask_elems(t, mask):
-    return tuple(t.elems[i] for i in np.nonzero(mask)[0])
+    return t.decode(mask.nonzero()[0])
 
 
 def make_ring(shape, tensor, one, basis_names=None, name=None):
@@ -766,11 +817,12 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 def center(ring, limits=DEFAULT_LIMITS):
     """The center Z(R) as a SubRing (commutative, contains 0 and 1): the
     elements that commute with every additive generator."""
+    n = len(ring.elements(limits))   # the max_elements gate of the scan
     t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
-    every = np.arange(len(t.elems))
+    every = np.arange(n)
     mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
     sub = SubRing(ring, _mask_elems(t, mask), name="center", check=False)
     ring._center = sub

@@ -2,10 +2,11 @@
 
 Closures run as index-mask kernels on one kind of lookup: the dense index
 tables up to max_table (core.Tables), and above it the sums and products of
-a whole structure ring computed on demand (core._OnDemandTables), which is
-enough to build ideals like augmentation kernels in group algebras of a few
-thousand elements.  Results come back as Ideal values holding sorted
-element tuples, so every downstream consumer sees one deterministic order.
+a whole structure ring computed on demand (core._OnDemandTables).  There a
+closure is bounded by its own size, not the ring's, so small ideals of
+large group algebras are built as well.  Results come back as Ideal values
+holding sorted element tuples, so every downstream consumer sees one
+deterministic order.
 
 Whole lattices (all_ideals) are enumerated only where a property quantifies
 over every ideal: complete central essentiality, the least ideal and the
@@ -62,7 +63,7 @@ class Ideal:
 # -- index-mask kernels ----------------------------------------------------------
 
 def _additive_mask(t, gidx):
-    mask = np.zeros(len(t.elems), dtype=bool)
+    mask = t.mask()
     mask[t.zero] = True
     return _close_additive_mask(t, mask, gidx)
 
@@ -93,7 +94,7 @@ def additive_closure(ring, gens, limits=DEFAULT_LIMITS):
     """Smallest additive subgroup containing gens, as sorted elements."""
     gens = [ring.element(g) for g in gens]
     t = _kernel_tables(ring, limits)
-    gidx = sorted({t.index[g] for g in gens})
+    gidx = np.unique(t.encode(gens))
     return _mask_elems(t, _additive_mask(t, gidx))
 
 
@@ -103,7 +104,7 @@ def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
         raise DomainError("side must be one of %r" % (SIDES,))
     gens = tuple(ring.element(g) for g in gens)
     t = _kernel_tables(ring, limits)
-    gidx = sorted({t.index[g] for g in gens})
+    gidx = np.unique(t.encode(gens))
     return Ideal(ring=ring, elements=_mask_elems(t, _ideal_mask(t, gidx, side)),
                  gens=gens, side=side)
 

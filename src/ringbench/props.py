@@ -77,14 +77,15 @@ def centrally_essential(ring, limits=DEFAULT_LIMITS):
             wm = {a: (ring.one, a) for a in ring.elements(limits)
                   if a != ring.zero}
         return CEReport(True, z.size, witness_map=wm)
-    return _ce_tables(ring, z, _kernel_tables(ring, limits))
+    return _ce_tables(z, _kernel_tables(ring, limits), ring.elements(limits))
 
 
-def _ce_tables(ring, z, t):
+def _ce_tables(z, t, elems):
     """CE on kernel tables, a chunk of rows at a time; the first chunk
-    holding an element without a central partner ends the walk."""
-    n = len(t.elems)
-    zall = np.array(sorted(t.index[x] for x in z.elements()), dtype=np.int64)
+    holding an element without a central partner ends the walk.  elems
+    is the ring's element list, in index order."""
+    n = len(elems)
+    zall = np.sort(t.encode(z.elements()))
     in_center = np.zeros(n, dtype=bool)
     in_center[zall] = True
     zidx = zall[zall != t.zero]
@@ -98,13 +99,13 @@ def _ce_tables(ring, z, t):
         ok = good.any(axis=1) | (rows == t.zero)
         if not ok.all():
             bad = s + int(np.argmin(ok))
-            return CEReport(False, z.size, counterexample=t.elems[bad])
+            return CEReport(False, z.size, counterexample=elems[bad])
         if n <= WITNESS_MAP_LIMIT:
             first = np.argmax(good, axis=1)
             for a, f in zip(rows, first):
                 if a != t.zero:
                     x = int(zidx[f])
-                    wm[t.elems[a]] = (t.elems[x], t.elems[int(prod[a - s, f])])
+                    wm[elems[a]] = (elems[x], elems[int(prod[a - s, f])])
     return CEReport(True, z.size, witness_map=wm)
 
 
@@ -695,7 +696,7 @@ def random_subring(rng, max_size=512, limits=DEFAULT_LIMITS):
     gens = [t.ring.one]
     for _ in range(rng.randint(1, 3)):
         gens.append(tuple(rng.randrange(mod) for _ in range(k)))
-    have = np.unique([t.index[g] for g in gens])
+    have = np.unique(t.encode(gens))
     mask = _additive_mask(t, have)
     new = have
     while new.size and mask.sum() <= max_size:

@@ -15,8 +15,9 @@ from ringbench.core import (
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
-    group_sum_ideal, relative_augmentation_ideal,
+    group_algebra, group_sum_ideal, relative_augmentation_ideal,
 )
+from ringbench.groups import cyclic, direct_product, quaternion8
 from ringbench.ideals import (
     SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
     jacobson_radical, prime_radical, quotient,
@@ -309,6 +310,32 @@ def test_z3q8_ideals_on_demand_are_the_augmentation_kernels():
     for coset in cosets:
         keep &= coeffs[:, list(coset)].sum(axis=1) % 3 == 0
     assert relative_augmentation_ideal(ring, h).elements == where(keep)
+
+
+def test_closures_above_max_elements_are_bounded_by_the_closure():
+    # Z5[Q8] has 390625 elements: a closure is limited by its own size
+    ring = group_algebra(5, quaternion8())
+    assert ring.size > Limits().max_elements
+    assert group_sum_ideal(ring).elements == tuple((c,) * 8 for c in range(5))
+    h = sorted(ring.group.derived_subgroup())   # {e, -1}
+    rel = relative_augmentation_ideal(ring, h).elements
+    coeffs = np.array(rel)
+    cosets = {tuple(sorted(ring.group.mul(g, x) for x in h)) for g in range(8)}
+    assert len(rel) == 5 ** 4 and list(rel) == sorted(rel)
+    for coset in cosets:
+        assert not (coeffs[:, list(coset)].sum(axis=1) % 5).any()
+    with pytest.raises(LimitError, match="max_elements"):
+        augmentation_ideal(ring)   # 5^7 = 78125 elements
+
+
+def test_ring_beyond_int64_codes_builds_and_reports():
+    # 2^64 elements: mixed-radix codes overflow int64, scalar arithmetic not
+    ring = group_algebra(2, direct_product(cyclic(32), cyclic(2)))
+    assert ring.size == 2 ** 64
+    assert ring.mul(ring.one, ring.one) == ring.one
+    lines = full_report(ring).lines()
+    assert "center_size=skipped;limit=max_elements" in lines
+    assert "commutative=true" in lines
 
 
 @pytest.mark.parametrize("seed, count, max_size", SAMPLES)
