@@ -560,10 +560,12 @@ def _base_indices(bt, elems):
 class Tables:
     """Dense index tables: add/mul as (N, N) arrays of element indices.
 
-    Element order matches ring.elements().  Structure rings and their
-    subrings compute them from the structure tensor; quotients and other
-    subrings gather them from the base's tables through a label array.
-    None above limits.max_table, or when a view's base has no tables.
+    Element order matches ring.elements().  A whole structure ring builds
+    each row from a lower one by additive recurrence (_recurrence_ops);
+    subrings of a structure ring contract their rows with the structure
+    tensor; quotients and other subrings gather them from the base's
+    tables through a label array.  None above limits.max_table, or when
+    a view's base has no tables.
     """
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
@@ -723,19 +725,53 @@ def _outer_codes(ring, A, B, op):
 
 def _tensor_ops(parent, X):
     """add, mul, neg tables of the ascending rows X of a structure ring,
-    -1 where a result is not a row of X."""
+    -1 where a result is not a row of X.  The whole ring, where codes are
+    the indices, takes them by additive recurrence (_recurrence_ops); a
+    proper subset contracts its rows with the tensor and looks codes up."""
+    neg = (-X) % parent._mods @ parent._weights
+    if len(X) == parent.size:
+        return _recurrence_ops(parent, X) + (neg.astype(np.int32),)
     codes = X @ parent._weights
-    n = len(X)
 
     def lookup(c):
-        if n == parent.size:   # all of the ring: codes are the indices
-            return c.astype(np.int32)
-        pos = np.minimum(np.searchsorted(codes, c), n - 1)
+        pos = np.minimum(np.searchsorted(codes, c), len(X) - 1)
         return np.where(codes[pos] == c, pos, -1).astype(np.int32)
 
     return (lookup(_outer_codes(parent, X, X, "add")),
-            lookup(_outer_codes(parent, X, X, "mul")),
-            lookup((-X) % parent._mods @ parent._weights))
+            lookup(_outer_codes(parent, X, X, "mul")), lookup(neg))
+
+
+def _recurrence_ops(ring, X):
+    """add and mul tables of a whole structure ring, whose rows X are all
+    its elements in order, each row built from a lower one.
+
+    Let b_i be the basis vector of the first nonzero coordinate of a, so
+    a - b_i is a lower index.  Then
+
+        add[a] = succ_i[add[a - b_i]],   where succ_i[x] = x + b_i,
+        mul[a] = add[mul[a - b_i], mul[b_i]],
+
+    with the k rows mul[b_i] contracted from the tensor (_outer_codes).
+    The rows whose first nonzero coordinate is i, with digit d there, are
+    the block [d w_i, (d + 1) w_i) of place value w_i, and their a - b_i
+    are the block before it, so each block is one gather.  mul needs
+    whole rows of add, so add is finished first."""
+    mods, w = ring._mods, ring._weights
+    n, k = X.shape
+    ar = np.arange(n)[:, None]
+    # x + b_i: digit i of x steps up by one, from n_i - 1 back to 0
+    succ = np.where(X == mods - 1, ar - (mods - 1) * w, ar + w).T
+    gen_mul = _outer_codes(ring, np.eye(k, dtype=np.int64) % mods, X, "mul")
+    add = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    add[0], mul[0] = ar[:, 0], 0
+    blocks = [(i, d * int(w[i]), int(w[i])) for i in range(k - 1, -1, -1)
+              for d in range(1, int(mods[i]))]
+    for i, lo, wi in blocks:
+        add[lo:lo + wi] = succ[i][add[lo - wi:lo]]
+    for i, lo, wi in blocks:
+        mul[lo:lo + wi] = add[mul[lo - wi:lo], gen_mul[i]]
+    return add, mul
 
 
 def _gather_ops(bt, labels, idx):

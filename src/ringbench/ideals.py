@@ -8,10 +8,12 @@ large group algebras are built as well.  Results come back as Ideal values
 holding sorted element tuples, so every downstream consumer sees one
 deterministic order.
 
-Whole lattices (all_ideals) are enumerated only where a property quantifies
-over every ideal: complete central essentiality, the least ideal and the
-lattice command.  The radicals need none: J(R) is read off the units, and
-in a finite ring the prime radical equals J(R).
+Whole lattices (all_ideals) are enumerated only for the least ideal and the
+lattice command.  Complete central essentiality walks the two-sided
+ideals by size band (ideals_by_size) and builds no more of the lattice
+than it reads before its first failing quotient.  The radicals need none:
+J(R) is read off the units, and in a finite ring the prime radical
+equals J(R).
 """
 
 from dataclasses import dataclass, field
@@ -122,30 +124,16 @@ def additive_gens(ring, elems, limits=DEFAULT_LIMITS):
 
 # -- the full lattice -------------------------------------------------------------
 
-def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
-    """Every ideal of the given sidedness, sorted by (size, elements).
+def _principal_ideals(ring, t, side, limits):
+    """The principal ideals of one sidedness, keyed by mask bytes, each as
+    (mask, (generator index,), additive generator indices).
 
-    Principal ideals seed the set; pairwise joins close it.  Complete
-    because every ideal is the join of the principal ideals of its members.
     Elements in one unit orbit (u*a*v for two-sided, u*a for left, a*v for
-    right ideals) generate the same ideal, so one closure per orbit seeds
-    it, under the orbit's first index.  Comparable pairs are not joined:
-    their join is the larger of the two, already known.
-    """
-    if side not in SIDES:
-        raise DomainError("side must be one of %r" % (SIDES,))
-    if ring.size > limits.max_lattice:
-        raise LimitError("max_lattice", limits.max_lattice, ring.size)
-    t = _tables_or_raise(ring, limits)
-    cache = getattr(ring, "_all_ideals_cache", None)
-    if cache is None:
-        cache = ring._all_ideals_cache = {}
-    if side in cache:
-        return _check_ideal_count(cache[side], limits)
+    right ideals) generate the same ideal, so one closure per orbit does,
+    under the orbit's first index."""
     n = len(t.elems)
     units = np.array([t.index[u] for u in units_and_regulars(ring, limits).units])
-
-    by_key = {}   # mask bytes -> (mask, principal gen indices, additive gens)
+    by_key = {}
     seen = np.zeros(n, dtype=bool)
     for i in range(n):
         if seen[i]:
@@ -161,42 +149,111 @@ def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
         if key not in by_key:
             addg = _additive_gens_idx(t, list(np.nonzero(mask)[0]))
             by_key[key] = (mask, (i,), addg)
-    _check_ideal_count(by_key, limits)
+    _check_ideal_count(len(by_key), limits)
+    return by_key
+
+
+def _apart(mask, masks):
+    """Which rows of masks are incomparable with mask."""
+    return (mask & ~masks).any(axis=1) & (masks & ~mask).any(axis=1)
+
+
+def _join(t, a, b):
+    """The join of two (mask, gens, additive gens) entries, as one."""
+    mask = _close_additive_mask(t, a[0].copy(), b[2])
+    return (mask, tuple(sorted(set(a[1]) | set(b[1]))),
+            sorted(set(a[2]) | set(b[2])))
+
+
+def _as_ideal(ring, t, entry, side):
+    return Ideal(ring=ring, elements=_mask_elems(t, entry[0]),
+                 gens=tuple(t.elems[g] for g in entry[1]), side=side)
+
+
+def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
+    """Every ideal of the given sidedness, sorted by (size, elements).
+
+    Principal ideals seed the set (_principal_ideals); pairwise joins close
+    it.  Complete because every ideal is the join of the principal ideals
+    of its members.  Comparable pairs are not joined: their join is the
+    larger of the two, already known.
+    """
+    if side not in SIDES:
+        raise DomainError("side must be one of %r" % (SIDES,))
+    if ring.size > limits.max_lattice:
+        raise LimitError("max_lattice", limits.max_lattice, ring.size)
+    t = _tables_or_raise(ring, limits)
+    cache = getattr(ring, "_all_ideals_cache", None)
+    if cache is None:
+        cache = ring._all_ideals_cache = {}
+    if side in cache:
+        _check_ideal_count(len(cache[side]), limits)
+        return cache[side]
+    by_key = _principal_ideals(ring, t, side, limits)
 
     worklist = known = sorted(by_key)
     while worklist:
         masks = np.array([by_key[b][0] for b in known])
         fresh = []
         for a in worklist:
-            ma = by_key[a][0]
-            apart = (ma & ~masks).any(axis=1) & (masks & ~ma).any(axis=1)
-            for j in np.nonzero(apart)[0]:
-                b = known[j]
-                jm = _close_additive_mask(t, ma.copy(), by_key[b][2])
-                key = jm.tobytes()
+            for j in np.nonzero(_apart(by_key[a][0], masks))[0]:
+                joined = _join(t, by_key[a], by_key[known[j]])
+                key = joined[0].tobytes()
                 if key not in by_key:
-                    gens = tuple(sorted(set(by_key[a][1]) | set(by_key[b][1])))
-                    addg = sorted(set(by_key[a][2]) | set(by_key[b][2]))
-                    by_key[key] = (jm, gens, addg)
+                    by_key[key] = joined
                     fresh.append(key)
-                    _check_ideal_count(by_key, limits)
+                    _check_ideal_count(len(by_key), limits)
         known = sorted(by_key)
         worklist = sorted(fresh)
 
-    out = []
-    for mask, gen_idx, _ in by_key.values():
-        elems = _mask_elems(t, mask)
-        gens = tuple(t.elems[g] for g in gen_idx)
-        out.append(Ideal(ring=ring, elements=elems, gens=gens, side=side))
-    out.sort(key=lambda ideal: (ideal.size, ideal.elements))
+    out = sorted((_as_ideal(ring, t, entry, side) for entry in by_key.values()),
+                 key=lambda ideal: (ideal.size, ideal.elements))
     cache[side] = tuple(out)
     return cache[side]
 
 
-def _check_ideal_count(ideals, limits):
-    if len(ideals) > limits.max_ideals:
+def ideals_by_size(ring, limits=DEFAULT_LIMITS):
+    """The two-sided ideals in (size, elements) order, generated lazily.
+
+    The ideals of all_ideals(ring), in its order, built one size band at a
+    time, so a caller that stops early (the CCE sweep) does not pay for
+    the rest of the lattice.  Principal ideals seed the bands.  Once a
+    band is handed out, each of its ideals is joined with every earlier
+    ideal it is incomparable with; |K + L| = |K||L| / |K & L| >= 2 max(|K|,
+    |L|), so the join falls in a later band.  Complete: an ideal that is a
+    sum of m >= 2 principal ideals, m least, is the join of two smaller
+    incomparable ideals, the sum of the first m - 1 and the last one.
+
+    The gates of all_ideals apply at the same points.  A join may record
+    other gens than all_ideals does, so nothing here fills its cache.
+    """
+    if ring.size > limits.max_lattice:
+        raise LimitError("max_lattice", limits.max_lattice, ring.size)
+    t = _tables_or_raise(ring, limits)
+    pending = _principal_ideals(ring, t, "two", limits)
+    done = []   # entries handed out, in order
+    while pending:
+        size = min(entry[0].sum() for entry in pending.values())
+        band = sorted(((_as_ideal(ring, t, entry, "two"), key)
+                       for key, entry in pending.items()
+                       if entry[0].sum() == size),
+                      key=lambda pair: pair[0].elements)
+        for ideal, _ in band:
+            yield ideal
+        for _, key in band:
+            if done:
+                masks = np.array([entry[0] for entry in done])
+                for i in np.nonzero(_apart(pending[key][0], masks))[0]:
+                    joined = _join(t, pending[key], done[i])
+                    if joined[0].tobytes() not in pending:
+                        pending[joined[0].tobytes()] = joined
+                        _check_ideal_count(len(done) + len(pending), limits)
+            done.append(pending.pop(key))
+
+
+def _check_ideal_count(count, limits):
+    if count > limits.max_ideals:
         raise LimitError("max_ideals", limits.max_ideals)
-    return ideals
 
 
 @dataclass

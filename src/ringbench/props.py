@@ -9,8 +9,8 @@ products computed on demand.  Above the table limit units and the Ore
 check run as mod-p linear algebra; most other deciders skip on max_table.
 One-sided questions (invariant, strongly bounded, uniserial) are decided
 on the principal one-sided ideals, which are the rows and columns of the
-multiplication table; only complete central essentiality enumerates an
-ideal lattice.
+multiplication table.  Complete central essentiality sweeps the two-sided
+ideals by size and stops at the first failing quotient.
 """
 
 import random
@@ -25,8 +25,8 @@ from ringbench.core import (
 )
 from ringbench.ideals import (
     Ideal, _additive_mask, additive_closure, additive_gens,
-    all_ideals, ideal_closure, ideal_power, jacobson_radical,
-    nilpotency_index, prime_radical, quotient,
+    all_ideals, ideal_closure, ideal_power, ideals_by_size,
+    jacobson_radical, nilpotency_index, prime_radical, quotient,
 )
 
 WITNESS_MAP_LIMIT = 8192
@@ -68,16 +68,25 @@ class CEReport:
 
 
 def centrally_essential(ring, limits=DEFAULT_LIMITS):
-    """For every a != 0 there must be central x != 0 with a*x central != 0."""
+    """For every a != 0 there must be central x != 0 with a*x central != 0.
+
+    The report is cached on the ring; center's gates run on every call
+    first, so a cached report is never returned past a limit."""
     z = center(ring, limits)
+    cached = getattr(ring, "_ce", None)
+    if cached is not None:
+        return cached
     if z.size == ring.size:
         # commutative: x = 1 works for every a
         wm = {}
         if ring.size <= WITNESS_MAP_LIMIT:
             wm = {a: (ring.one, a) for a in ring.elements(limits)
                   if a != ring.zero}
-        return CEReport(True, z.size, witness_map=wm)
-    return _ce_tables(z, _kernel_tables(ring, limits), ring.elements(limits))
+        rep = CEReport(True, z.size, witness_map=wm)
+    else:
+        rep = _ce_tables(z, _kernel_tables(ring, limits), ring.elements(limits))
+    ring._ce = rep
+    return rep
 
 
 def _ce_tables(z, t, elems):
@@ -163,10 +172,11 @@ class CCEReport:
 def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
     """Centrally essential together with every proper factor ring.
 
-    Ideals are swept smallest first, so the failing ideal reported is the
-    first one in (size, elements) order whose quotient is not centrally
-    essential.  Commutative rings pass outright (every factor ring is
-    commutative).
+    Ideals are swept smallest first (ideals_by_size), so the failing ideal
+    reported is the first one in (size, elements) order whose quotient is
+    not centrally essential, and the sweep builds no larger ideal than
+    that one's band needs.  Commutative rings pass outright (every factor
+    ring is commutative).
     """
     if is_commutative(ring, limits):
         return CCEReport(True, ring.size)
@@ -175,9 +185,8 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
         return CCEReport(False, base.center_size,
                          failing_ideal=None,
                          quotient_counterexample=base.counterexample)
-    ideals = all_ideals(ring, side="two", limits=limits)
     checked = 0
-    for ideal in ideals:
+    for ideal in ideals_by_size(ring, limits):
         if ideal.is_zero() or ideal.is_whole():
             continue
         q = quotient(ring, ideal, limits=limits)

@@ -1,16 +1,20 @@
 """Slow reference deciders and constructors kept as independent oracles.
 
 These are the procedures the package used before: the lattice-based
-deciders it replaced with principal ideals and the units, and the
-dictionary-backed quotient and element-by-element additive generators it
-replaced with index views on tables.  The lattice oracle closes sets by
-breadth-first search on the dense tables, not by the package's coset
-growth.  Differential tests compare against them.
+deciders it replaced with principal ideals and the units, the CCE sweep
+over the whole two-sided lattice it replaced with a sweep by size bands,
+and the dictionary-backed quotient and element-by-element additive
+generators it replaced with index views on tables.  The lattice oracle
+closes sets by breadth-first search on the dense tables, not by the
+package's coset growth.  Differential tests compare against them.
 """
 
 import numpy as np
 
-from ringbench.ideals import Ideal, _mask_elems, nilpotency_index
+from ringbench.ideals import (
+    Ideal, _mask_elems, all_ideals, nilpotency_index, quotient,
+)
+from ringbench.props import CCEReport, centrally_essential, is_commutative
 
 
 def _close_additive_mask(t, mask, gidx):
@@ -112,6 +116,31 @@ def uniserial(ring, lattices=None):
             if not prev.member <= cur.member:
                 return False, (side, (prev, cur))
     return True, None
+
+
+def cce(ring):
+    """Complete central essentiality over the whole two-sided lattice
+    (all_ideals), smallest ideal first."""
+    if is_commutative(ring):
+        return CCEReport(True, ring.size)
+    base = centrally_essential(ring)
+    if not base:
+        return CCEReport(False, base.center_size,
+                         quotient_counterexample=base.counterexample)
+    checked = 0
+    for ideal in all_ideals(ring, side="two"):
+        if ideal.is_zero() or ideal.is_whole():
+            continue
+        q = quotient(ring, ideal)
+        checked += 1
+        if is_commutative(q):
+            continue
+        rep = centrally_essential(q)
+        if not rep:
+            return CCEReport(False, base.center_size, checked_ideals=checked,
+                             failing_ideal=ideal,
+                             quotient_counterexample=rep.counterexample)
+    return CCEReport(True, base.center_size, checked_ideals=checked)
 
 
 def largest_inner_ideal(ring, elems, side="right"):

@@ -199,6 +199,10 @@ def test_lattice_command(tmp_path, capsys):
 def test_lattice_respects_limits(capsys):
     assert main(["--max-ideals", "2", "lattice", "ex52"]) == 3
     assert "max_ideals" in capsys.readouterr().err
+    # the CCE sweep gates its principal pass on max_ideals too
+    assert main(["--max-ideals", "2", "report", "ex52"]) == 0
+    out = capsys.readouterr().out
+    assert "completely_centrally_essential=skipped;limit=max_ideals" in out
 
 
 # -- claim suite ----------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Principal-ideal deciders and the quotient and subring views against the
-oracles in tests/oracles.py, plus regressions for limit-gated caches, the
-central-series check and the complete ideal check of quotients.  The
-on-demand tables above max_table are checked against dense tables of the
-same rings, and the sample streams against pinned digests."""
+"""Principal-ideal deciders, the CCE sweep by size bands and the quotient
+and subring views against the oracles in tests/oracles.py, plus
+regressions for limit-gated caches, the central-series check and the
+complete ideal check of quotients.  Whole-ring tables built by additive
+recurrence are checked against the tensor contraction, the on-demand
+tables above max_table against dense tables of the same rings, and the
+sample streams against pinned digests."""
 
 import functools
 import hashlib
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from ringbench.core import (
-    DomainError, LimitError, Limits, QuotientRing, SubRing, center, make_ring,
+    DomainError, LimitError, Limits, QuotientRing, SubRing, _outer_codes,
+    center, make_ring,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
@@ -20,12 +23,12 @@ from ringbench.construct import (
 from ringbench.groups import cyclic, direct_product, quaternion8
 from ringbench.ideals import (
     SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
-    jacobson_radical, prime_radical, quotient,
+    ideals_by_size, jacobson_radical, prime_radical, quotient,
 )
 from ringbench import props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
-    full_report,
+    completely_centrally_essential, full_report,
     is_strongly_bounded, is_uniserial, sample_rings,
 )
 from tests import oracles
@@ -109,6 +112,43 @@ def test_principal_deciders_match_lattice_oracles(key):
     assert p.elements == jacobson_radical(ring).elements
 
 
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_cce_by_size_bands_matches_lattice_oracle(key):
+    ring = _ring(key)
+    sweep = [i.elements for i in ideals_by_size(ring)]
+    assert sweep == [i.elements for i in all_ideals(ring)]
+    expected, rep = oracles.cce(ring), completely_centrally_essential(ring)
+    assert ((rep.holds, rep.center_size, rep.checked_ideals,
+             rep.quotient_counterexample)
+            == (expected.holds, expected.center_size, expected.checked_ideals,
+                expected.quotient_counterexample))
+    assert ((rep.failing_ideal and rep.failing_ideal.elements)
+            == (expected.failing_ideal and expected.failing_ideal.elements))
+
+
+def test_cce_sweep_leaves_the_lattice_cache_alone():
+    ring = catalog("ex52")
+    rep = completely_centrally_essential(ring)
+    assert (rep.holds, rep.checked_ideals) == (False, 1)
+    assert getattr(ring, "_all_ideals_cache", None) is None
+    fresh = catalog("ex52")
+    for side in SIDES:
+        assert (_ideal_data(all_ideals(ring, side=side))
+                == _ideal_data(all_ideals(fresh, side=side)))
+
+
+def test_cce_sweep_counts_joins_against_max_ideals():
+    # ext2(4): 24 principal ideals, 47 in all, and CCE holds, so the sweep
+    # reaches the last join
+    for cap, fits in ((46, False), (47, True)):
+        for call in (all_ideals, completely_centrally_essential):
+            if fits:
+                call(catalog("ext2(4)"), limits=Limits(max_ideals=cap))
+                continue
+            with pytest.raises(LimitError, match="max_ideals"):
+                call(catalog("ext2(4)"), limits=Limits(max_ideals=cap))
+
+
 def test_ext2_5_lattice_keys_are_answered_above_max_lattice():
     ring = catalog("ext2(5)")
     assert ring.size > Limits().max_lattice
@@ -130,6 +170,9 @@ def test_ext2_5_lattice_keys_are_answered_above_max_lattice():
     assert _ideal_data(v.witness[1]) == _ideal_data(pair)
 
 
+DENSE = Limits(max_table=4096)
+
+
 # -- caches and limits ---------------------------------------------------------
 
 def test_tables_cache_checks_max_table_on_every_call():
@@ -144,9 +187,13 @@ def test_report_does_not_depend_on_earlier_calls():
     fresh = full_report(catalog("z3q8"), tight).lines()
     assert "units=skipped;limit=max_elements" in fresh
     assert "center_size=skipped;limit=max_elements" in fresh
+    assert "centrally_essential=skipped;limit=max_elements" in fresh
     ring = catalog("z3q8")
     assert "units=768" in full_report(ring).lines()
+    assert centrally_essential(ring) is centrally_essential(ring)
     assert full_report(ring, tight).lines() == fresh
+    with pytest.raises(LimitError, match="max_elements"):
+        centrally_essential(ring, tight)
 
 
 @pytest.mark.parametrize("call, limits, limit", [
@@ -155,8 +202,13 @@ def test_report_does_not_depend_on_earlier_calls():
     (all_ideals, Limits(max_table=1), "max_table"),
     (all_ideals, Limits(max_ideals=4), "max_ideals"),
     (all_ideals, Limits(max_lattice=64), "max_lattice"),
+    (centrally_essential, Limits(max_table=1, max_elements=64),
+     "max_elements"),
+    (completely_centrally_essential, Limits(max_lattice=64), "max_lattice"),
+    (completely_centrally_essential, Limits(max_ideals=4), "max_ideals"),
+    (completely_centrally_essential, Limits(max_table=1), "max_table"),
 ], ids=["center", "jacobson", "lattice-table", "lattice-ideals",
-        "lattice-size"])
+        "lattice-size", "ce", "cce-size", "cce-ideals", "cce-table"])
 def test_cached_results_are_gated_by_limits(call, limits, limit):
     ring = catalog("ex52")
     call(ring)
@@ -264,13 +316,41 @@ def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
 
 # -- on-demand tables above max_table ----------------------------------------------
 
-DENSE = Limits(max_table=4096)
 SAMPLE_DIGESTS = {
     (5, 60, 256):
         "b531f43af09b8d0f4f0837646b3f22ea33592aa08da6d040a7e6879d6fe8815a",
     (11, 40, 512):
         "85c67b791485e6a3dc8f5d9f3c3460b5fbd6ec911d292d051c7ef4f5653ff8fc",
 }
+
+
+def _z2_z1_z3():
+    """Z2 x Z1 x Z3, a ring with a modulus-1 coordinate."""
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 0, 0] = c[2, 2, 2] = 1
+    return make_ring([2, 1, 3], c, (1, 0, 1))
+
+
+TABLE_RINGS = {name: functools.partial(catalog, name) for name in (
+    "z2q8", "z2d4", "ex52", "m2z2", "t2z2", "ex51(2)", "ex51(3)", "ex51(4)",
+    "ext2(2)", "ext2(3)", "ext2(4)", "ext2(5)", "z(12)", "ext2(6)",
+    "ex51(5)")}
+TABLE_RINGS["z2"] = functools.partial(catalog, "z(2)")
+TABLE_RINGS["z2xz1xz3"] = _z2_z1_z3
+
+
+@pytest.mark.parametrize("name", TABLE_RINGS)
+def test_recurrence_tables_match_tensor_contraction(name):
+    # ext2(6) and ex51(5) are above max_table: composite and mixed moduli.
+    # A one-element ring is the zero ring, which no constructor admits.
+    ring = TABLE_RINGS[name]()
+    t = ring.tables(DENSE)
+    assert len(t.elems) == ring.size <= DENSE.max_table
+    X = ring.elements_array()
+    for table, op in ((t.add, "add"), (t.mul, "mul")):
+        assert table.dtype == np.int32
+        assert np.array_equal(table, _outer_codes(ring, X, X, op))
+    assert np.array_equal(t.neg, (-X) % ring._mods @ ring._weights)
 
 
 @pytest.mark.parametrize("name", ("ext2(6)", "ex51(5)"))
