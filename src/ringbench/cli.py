@@ -23,7 +23,7 @@ from ringbench.construct import (
     relative_augmentation_ideal,
 )
 from ringbench.ideals import (
-    ideal_closure, ideal_lattice, prime_radical, quotient,
+    ideal_closure, ideal_lattice, ideals_by_size, prime_radical, quotient,
 )
 from ringbench import props
 from ringbench.symbolic import jet_verify, triangle_verify
@@ -133,14 +133,15 @@ def load_ring(source, limits=DEFAULT_LIMITS):
 def least_ideal(ring, limits=DEFAULT_LIMITS):
     """Lex-first minimal nonzero proper two-sided ideal.
 
-    When the minimal ideal is unique this is the least ideal; otherwise it
-    is the deterministic first choice among the minimal ones.
+    The first nonzero ideal in (size, elements) order: it is minimal, and
+    every other minimal ideal comes after it.  So the sweep stops there.
+    When the minimal ideal is unique this is the least ideal.
     """
-    mins = [i for i in ideal_lattice(ring, limits=limits).minimal_nonzero()
-            if not i.is_whole()]
-    if not mins:
+    ideal = next(i for i in ideals_by_size(ring, limits=limits)
+                 if not i.is_zero())
+    if ideal.is_whole():
         raise InputError("ring has no proper nonzero ideal")
-    return sorted(mins, key=lambda i: (i.size, i.elements))[0]
+    return ideal
 
 
 def resolve_gens(ring, spec, limits=DEFAULT_LIMITS):
@@ -474,14 +475,21 @@ def cmd_suite(args, limits):
 
 # -- entry point --------------------------------------------------------------------
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r"
+                                         % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ringbench",
         description="Finite-ring property workbench: reports, quotients, "
                     "ideal lattices, and a claim-verification suite.")
-    parser.add_argument("--max-elements", type=int, metavar="N",
+    parser.add_argument("--max-elements", type=_positive_int, metavar="N",
                         help="cap on enumerated elements")
-    parser.add_argument("--max-ideals", type=int, metavar="N",
+    parser.add_argument("--max-ideals", type=_positive_int, metavar="N",
                         help="cap on enumerated ideals")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when any report property was skipped "

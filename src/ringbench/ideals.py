@@ -8,12 +8,11 @@ large group algebras are built as well.  Results come back as Ideal values
 holding sorted element tuples, so every downstream consumer sees one
 deterministic order.
 
-Whole lattices (all_ideals) are enumerated only for the least ideal and the
-lattice command.  Complete central essentiality walks the two-sided
-ideals by size band (ideals_by_size) and builds no more of the lattice
-than it reads before its first failing quotient.  The radicals need none:
-J(R) is read off the units, and in a finite ring the prime radical
-equals J(R).
+One enumerator lists ideals: ideals_by_size, a lazy sweep by size band.
+Complete central essentiality and the least ideal stop it early; whole
+lattices (all_ideals) run it to the end, for the lattice command and
+random quotients.  The radicals need none: J(R) is read off the units,
+and in a finite ring the prime radical equals J(R).
 """
 
 from dataclasses import dataclass, field
@@ -171,70 +170,38 @@ def _as_ideal(ring, t, entry, side):
 
 
 def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
-    """Every ideal of the given sidedness, sorted by (size, elements).
+    """Every ideal of the given sidedness, sorted by (size, elements): the
+    sweep of ideals_by_size run to the end."""
+    return tuple(ideals_by_size(ring, side, limits))
 
-    Principal ideals seed the set (_principal_ideals); pairwise joins close
-    it.  Complete because every ideal is the join of the principal ideals
-    of its members.  Comparable pairs are not joined: their join is the
-    larger of the two, already known.
+
+def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
+    """The ideals of one sidedness in (size, elements) order, lazily.
+
+    Built one size band at a time, so a caller that stops early (the CCE
+    sweep, the least ideal) does not pay for the rest of the lattice.
+    Principal ideals seed the bands (_principal_ideals).  Once a band is
+    handed out, each of its ideals is joined with every earlier ideal it
+    is incomparable with; |K + L| = |K||L| / |K & L| >= 2 max(|K|, |L|),
+    so the join falls in a later band.  Complete: an ideal that is a sum
+    of m >= 2 principal ideals, m least, is the join of two smaller
+    incomparable ideals, the sum of the first m - 1 and the last one.
+
+    A principal ideal records its least generator as gens; a join records
+    the sorted union of the gens of the first pair joined into it.
+    The gates run on every call: max_lattice, then max_table, then
+    max_ideals after the principal pass and on each new join.
     """
     if side not in SIDES:
         raise DomainError("side must be one of %r" % (SIDES,))
     if ring.size > limits.max_lattice:
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
     t = _tables_or_raise(ring, limits)
-    cache = getattr(ring, "_all_ideals_cache", None)
-    if cache is None:
-        cache = ring._all_ideals_cache = {}
-    if side in cache:
-        _check_ideal_count(len(cache[side]), limits)
-        return cache[side]
-    by_key = _principal_ideals(ring, t, side, limits)
-
-    worklist = known = sorted(by_key)
-    while worklist:
-        masks = np.array([by_key[b][0] for b in known])
-        fresh = []
-        for a in worklist:
-            for j in np.nonzero(_apart(by_key[a][0], masks))[0]:
-                joined = _join(t, by_key[a], by_key[known[j]])
-                key = joined[0].tobytes()
-                if key not in by_key:
-                    by_key[key] = joined
-                    fresh.append(key)
-                    _check_ideal_count(len(by_key), limits)
-        known = sorted(by_key)
-        worklist = sorted(fresh)
-
-    out = sorted((_as_ideal(ring, t, entry, side) for entry in by_key.values()),
-                 key=lambda ideal: (ideal.size, ideal.elements))
-    cache[side] = tuple(out)
-    return cache[side]
-
-
-def ideals_by_size(ring, limits=DEFAULT_LIMITS):
-    """The two-sided ideals in (size, elements) order, generated lazily.
-
-    The ideals of all_ideals(ring), in its order, built one size band at a
-    time, so a caller that stops early (the CCE sweep) does not pay for
-    the rest of the lattice.  Principal ideals seed the bands.  Once a
-    band is handed out, each of its ideals is joined with every earlier
-    ideal it is incomparable with; |K + L| = |K||L| / |K & L| >= 2 max(|K|,
-    |L|), so the join falls in a later band.  Complete: an ideal that is a
-    sum of m >= 2 principal ideals, m least, is the join of two smaller
-    incomparable ideals, the sum of the first m - 1 and the last one.
-
-    The gates of all_ideals apply at the same points.  A join may record
-    other gens than all_ideals does, so nothing here fills its cache.
-    """
-    if ring.size > limits.max_lattice:
-        raise LimitError("max_lattice", limits.max_lattice, ring.size)
-    t = _tables_or_raise(ring, limits)
-    pending = _principal_ideals(ring, t, "two", limits)
+    pending = _principal_ideals(ring, t, side, limits)
     done = []   # entries handed out, in order
     while pending:
         size = min(entry[0].sum() for entry in pending.values())
-        band = sorted(((_as_ideal(ring, t, entry, "two"), key)
+        band = sorted(((_as_ideal(ring, t, entry, side), key)
                        for key, entry in pending.items()
                        if entry[0].sum() == size),
                       key=lambda pair: pair[0].elements)

@@ -186,7 +186,7 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
                          failing_ideal=None,
                          quotient_counterexample=base.counterexample)
     checked = 0
-    for ideal in ideals_by_size(ring, limits):
+    for ideal in ideals_by_size(ring, limits=limits):
         if ideal.is_zero() or ideal.is_whole():
             continue
         q = quotient(ring, ideal, limits=limits)
@@ -615,15 +615,31 @@ def full_report(ring, limits=DEFAULT_LIMITS):
         except LimitError as err:
             skipped[key] = err.limit
 
+    memo = {}
+
+    def once(name, fn):
+        """fn() computed once per report.  A LimitError is not kept, so
+        every key that reads the value skips alike."""
+        if name not in memo:
+            memo[name] = fn()
+        return memo[name]
+
+    def radical_index():    # P = J, so both radical indices read this one
+        return once("radical_index", lambda: nilpotency_index(
+            ring, jacobson_radical(ring, limits), limits))
+
+    def series(flavor):
+        return once(flavor, lambda: lie_series(ring, flavor, limits))
+
+    def ore():
+        return once("ore", lambda: ore_check(ring, limits))
+
     values["size"] = (ring.size, "")
     run("center_size", lambda: center(ring, limits).size)
     run("jacobson_size", lambda: jacobson_radical(ring, limits).size)
-    run("jacobson_index",
-        lambda: nilpotency_index(ring, jacobson_radical(ring, limits),
-                                 limits))
+    run("jacobson_index", radical_index)
     run("prime_radical_size", lambda: prime_radical(ring, limits).size)
-    run("prime_radical_index",
-        lambda: nilpotency_index(ring, prime_radical(ring, limits), limits))
+    run("prime_radical_index", radical_index)
     run("units", lambda: len(units_and_regulars(ring, limits).units))
     run("commutative", lambda: is_commutative(ring, limits),
         lambda v: (v.holds, "" if v.holds else "%s,%s"
@@ -655,23 +671,12 @@ def full_report(ring, limits=DEFAULT_LIMITS):
     run("semiprime", lambda: prime_radical(ring, limits),
         lambda p: (p.is_zero(), "" if p.is_zero()
                    else "radical_size=%d" % p.size))
-    run("lie_nilpotent", lambda: is_lie_nilpotent(ring, limits),
-        lambda v: (v.holds, ""))
-    run("lie_class", lambda: lie_class(ring, limits))
-    run("strongly_lie_nilpotent",
-        lambda: is_strongly_lie_nilpotent(ring, limits),
-        lambda v: (v.holds, ""))
-    run("strong_lie_class",
-        lambda: lie_series(ring, "ideal", limits).nilpotency_class)
-    ore = [None]
-
-    def get_ore():
-        if ore[0] is None:
-            ore[0] = ore_check(ring, limits)
-        return ore[0]
-
-    run("ore_right", lambda: get_ore().right_holds)
-    run("ore_left", lambda: get_ore().left_holds)
+    run("lie_nilpotent", lambda: series("bracket").terminates)
+    run("lie_class", lambda: series("bracket").nilpotency_class)
+    run("strongly_lie_nilpotent", lambda: series("ideal").terminates)
+    run("strong_lie_class", lambda: series("ideal").nilpotency_class)
+    run("ore_right", lambda: ore().right_holds)
+    run("ore_left", lambda: ore().left_holds)
     return PropertyReport(ring=ring, values=values, skipped=skipped)
 
 

@@ -5,15 +5,16 @@ deciders it replaced with principal ideals and the units, the CCE sweep
 over the whole two-sided lattice it replaced with a sweep by size bands,
 and the dictionary-backed quotient and element-by-element additive
 generators it replaced with index views on tables.  The lattice oracle
-closes sets by breadth-first search on the dense tables, not by the
-package's coset growth.  Differential tests compare against them.
+is the worklist enumerator, which now lives only here: one closure per
+element, then every pair of known ideals joined until nothing new
+appears.  It closes sets by breadth-first search on the dense tables,
+not by the package's coset growth.  Differential tests compare against
+them.
 """
 
 import numpy as np
 
-from ringbench.ideals import (
-    Ideal, _mask_elems, all_ideals, nilpotency_index, quotient,
-)
+from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
 from ringbench.props import CCEReport, centrally_essential, is_commutative
 
 
@@ -118,9 +119,9 @@ def uniserial(ring, lattices=None):
     return True, None
 
 
-def cce(ring):
+def cce(ring, two_sided):
     """Complete central essentiality over the whole two-sided lattice
-    (all_ideals), smallest ideal first."""
+    `two_sided` (as `lattice` gives it), smallest ideal first."""
     if is_commutative(ring):
         return CCEReport(True, ring.size)
     base = centrally_essential(ring)
@@ -128,7 +129,7 @@ def cce(ring):
         return CCEReport(False, base.center_size,
                          quotient_counterexample=base.counterexample)
     checked = 0
-    for ideal in all_ideals(ring, side="two"):
+    for ideal in two_sided:
         if ideal.is_zero() or ideal.is_whole():
             continue
         q = quotient(ring, ideal)

@@ -114,6 +114,16 @@ def test_resolve_gens_vectors():
         resolve_gens(r, ";")
 
 
+def test_least_ideal_needs_a_proper_nonzero_ideal(capsys):
+    # M2(Z2) is simple
+    with pytest.raises(InputError, match="no proper nonzero ideal"):
+        least_ideal(catalog("m2z2"))
+    assert main(["quotient", "m2z2", "--gens", "least", "report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no proper nonzero ideal" in captured.err
+
+
 def test_resolve_gens_group_sum_needs_group_algebra():
     with pytest.raises(Exception):
         resolve_gens(catalog("t2z2"), "group-sum")
@@ -203,6 +213,17 @@ def test_lattice_respects_limits(capsys):
     assert main(["--max-ideals", "2", "report", "ex52"]) == 0
     out = capsys.readouterr().out
     assert "completely_centrally_essential=skipped;limit=max_ideals" in out
+
+
+@pytest.mark.parametrize("flag", ["--max-ideals", "--max-elements"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_flags_reject_values_below_one(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, value, "report", "ex52"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= 1" in captured.err
 
 
 # -- claim suite ----------------------------------------------------------------

@@ -12,9 +12,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from ringbench.cli import least_ideal
 from ringbench.core import (
-    DomainError, LimitError, Limits, QuotientRing, SubRing, _outer_codes,
-    center, make_ring,
+    DomainError, InputError, LimitError, Limits, QuotientRing, SubRing,
+    _mask_elems, _outer_codes, center, make_ring,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
@@ -85,14 +86,32 @@ def _ideal_data(ideals):
     return [(i.elements, i.gens, i.side) for i in ideals]
 
 
+def _regenerates(ideal):
+    """Whether ideal.gens generate ideal.elements under the oracle's
+    breadth-first closure."""
+    t = ideal.ring.tables()
+    mask = oracles._ideal_mask(t, [t.index[g] for g in ideal.gens],
+                               ideal.side)
+    return _mask_elems(t, mask) == ideal.elements
+
+
 @pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
 def test_principal_deciders_match_lattice_oracles(key):
     ring = _ring(key)
     lattices = {side: oracles.lattice(ring, side)
                 for side in ("two", "left", "right")}
     for side, expected in lattices.items():
-        assert _ideal_data(all_ideals(ring, side=side)) == \
-            _ideal_data(expected), side
+        got = all_ideals(ring, side=side)
+        assert ([(i.elements, i.side) for i in got]
+                == [(i.elements, i.side) for i in expected]), side
+        # principal ideals keep their least generator; a join records the
+        # generators of the pair the sweep joined first, which need only
+        # generate it
+        for ideal, oracle in zip(got, expected):
+            if len(oracle.gens) == 1:
+                assert ideal.gens == oracle.gens, side
+            else:
+                assert _regenerates(ideal), (side, ideal.gens)
 
     holds, witness = oracles.uniserial(ring, lattices)
     v = is_uniserial(ring)
@@ -115,9 +134,11 @@ def test_principal_deciders_match_lattice_oracles(key):
 @pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
 def test_cce_by_size_bands_matches_lattice_oracle(key):
     ring = _ring(key)
+    two_sided = oracles.lattice(ring, "two")
     sweep = [i.elements for i in ideals_by_size(ring)]
-    assert sweep == [i.elements for i in all_ideals(ring)]
-    expected, rep = oracles.cce(ring), completely_centrally_essential(ring)
+    assert sweep == [i.elements for i in two_sided]
+    expected = oracles.cce(ring, two_sided)
+    rep = completely_centrally_essential(ring)
     assert ((rep.holds, rep.center_size, rep.checked_ideals,
              rep.quotient_counterexample)
             == (expected.holds, expected.center_size, expected.checked_ideals,
@@ -126,11 +147,24 @@ def test_cce_by_size_bands_matches_lattice_oracle(key):
             == (expected.failing_ideal and expected.failing_ideal.elements))
 
 
+@pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)"], ids=_key_id)
+def test_least_ideal_is_the_first_minimal_ideal(key):
+    ring = _ring(key)
+    mins = [i for i in ideal_lattice(ring).minimal_nonzero()
+            if not i.is_whole()]
+    if not mins:
+        with pytest.raises(InputError, match="no proper nonzero ideal"):
+            least_ideal(ring)
+        return
+    first = sorted(mins, key=lambda i: (i.size, i.elements))[0]
+    got = least_ideal(ring)
+    assert (got.elements, got.gens) == (first.elements, first.gens)
+
+
 def test_cce_sweep_leaves_the_lattice_cache_alone():
     ring = catalog("ex52")
     rep = completely_centrally_essential(ring)
     assert (rep.holds, rep.checked_ideals) == (False, 1)
-    assert getattr(ring, "_all_ideals_cache", None) is None
     fresh = catalog("ex52")
     for side in SIDES:
         assert (_ideal_data(all_ideals(ring, side=side))

@@ -9,6 +9,7 @@ from ringbench.construct import catalog, exterior_square_ring
 from ringbench.ideals import (
     all_ideals, jacobson_radical, nilpotency_index, prime_radical, quotient,
 )
+from ringbench import props
 from ringbench.props import (
     central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report, is_commutative, is_invariant,
@@ -436,6 +437,38 @@ def test_full_report_is_deterministic():
     assert "centrally_essential=true" in a
     assert "invariant=false;witness=ab+a3b" in a or any(
         line.startswith("invariant=false") for line in a)
+
+
+def test_full_report_computes_shared_values_once(monkeypatch):
+    # P = J, so both radical indices read one nilpotency index; two keys
+    # read each Lie series and the Ore check
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name if name != "lie_series" else args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    classes = {"bracket": 3, "ideal": 5}
+    monkeypatch.setattr(props, "lie_series", counted(
+        "lie_series", lambda ring, flavor, limits: props.LieSeries(
+            flavor, (), classes[flavor])))
+    for name in ("nilpotency_index", "ore_check"):
+        monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
+    lines = full_report(catalog("ex52")).lines()
+    assert sorted(calls) == ["bracket", "ideal", "nilpotency_index",
+                             "ore_check"]
+    assert {"jacobson_index=3", "prime_radical_index=3", "lie_class=3",
+            "strong_lie_class=5", "ore_right=true"} <= set(lines)
+
+
+def test_full_report_skips_every_key_of_a_shared_value():
+    # a LimitError is not kept, so each key that reads the value skips
+    lines = full_report(catalog("ex52"), limits=NO_TABLES).lines()
+    for key in ("jacobson_index", "prime_radical_index", "lie_nilpotent",
+                "lie_class", "strongly_lie_nilpotent", "strong_lie_class"):
+        assert "%s=skipped;limit=max_table" % key in lines
 
 
 def test_full_report_marks_skipped_properties():
