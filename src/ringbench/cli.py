@@ -120,8 +120,11 @@ def serialize_ring(ring, limits=DEFAULT_LIMITS):
 def load_ring(source, limits=DEFAULT_LIMITS):
     """Catalog name, or a path to a ring spec file."""
     if os.path.exists(source):
-        with open(source) as handle:
-            text = handle.read()
+        try:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError("cannot read %s: %s" % (source, exc))
         return parse_ring_text(text, name=os.path.basename(source))
     if os.sep in source or source.endswith(".ring"):
         raise InputError("no such file: %s" % source)
@@ -221,8 +224,11 @@ def cmd_lattice(args, limits):
     lattice = ideal_lattice(ring, side=side, limits=limits)
     dot = lattice.to_dot()
     if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(dot)
+        try:
+            with open(args.dot, "w") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.dot, exc))
     else:
         sys.stdout.write(dot)
     return 0

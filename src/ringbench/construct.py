@@ -8,14 +8,13 @@ closes iff products of the parameter generators stay inside the pattern,
 which the builder checks cell by cell and reports with witnesses.
 """
 
-import itertools
 import re
 
 import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, ConstructionError, DomainError, InputError, LimitError,
-    StructureRing,
+    StructureRing, _close_additive_mask, _tables_or_raise,
 )
 from ringbench.groups import dihedral, quaternion8
 from ringbench.ideals import Ideal, ideal_closure, principal_ideal
@@ -391,65 +390,72 @@ def integers_mod(n):
                          basis_names=("1",), name="Z%d" % n)
 
 
-def _additive_order(ring, x):
-    k, y = 1, x
-    while y != ring.zero:
-        y = ring.add(y, x)
-        k += 1
-    return k
-
-
 def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
     """Isomorphic copy of any finite ring as an explicit StructureRing.
 
-    Finds an additive basis by depth-first search over elements ordered by
-    decreasing additive order (deterministic), reads off the structure
-    constants, and revalidates.  Quotient and subring objects come out as
-    plain coefficient rings suitable for serialization.
+    Runs on the ring's dense tables (LimitError(max_table) without them),
+    where index order is element order.  Finds an additive basis by
+    depth-first search over the nonzero elements ordered by decreasing
+    additive order, then element (deterministic): an element joins when
+    its cyclic group meets the span only in 0, and a dead end backtracks.
+    The coefficient vector of every element comes from the table of basis
+    multiples, which gives the structure constants and `one`; the result
+    is revalidated.  Quotient and subring objects come out as plain
+    coefficient rings suitable for serialization.
     """
     if isinstance(ring, StructureRing):
         return ring
-    elems = sorted(ring.elements(limits))
-    total = len(elems)
-    orders = {x: _additive_order(ring, x) for x in elems}
-    candidates = sorted((x for x in elems if x != ring.zero),
-                        key=lambda x: (-orders[x], x))
+    t = _tables_or_raise(ring, limits)
+    n = len(t.elems)
+    # additive orders: step x, 2x, 3x, ... until each reaches 0
+    order = np.ones(n, dtype=np.int64)
+    live = cur = np.delete(np.arange(n), t.zero)
+    while live.size:
+        cur = t.add[cur, live]
+        order[live] += 1
+        keep = cur != t.zero
+        live, cur = live[keep], cur[keep]
+    candidates = [int(x) for x in np.argsort(-order, kind="stable")
+                  if x != t.zero]
 
     def extend(span, basis):
-        if len(span) == total:
+        size = span.sum()
+        if size == n:
             return basis
         for x in candidates:
-            if x in span:
+            if span[x]:
                 continue
-            cycle = [ring.zero]
-            for _ in range(orders[x] - 1):
-                cycle.append(ring.add(cycle[-1], x))
-            grown = {ring.add(s, c) for s in span for c in cycle}
-            if len(grown) != len(span) * orders[x]:
+            grown = _close_additive_mask(t, span.copy(), [x])
+            if grown.sum() != size * order[x]:
                 continue  # not independent of the span
             found = extend(grown, basis + [x])
             if found is not None:
                 return found
         return None
 
-    basis = extend({ring.zero}, [])
+    span = t.mask()
+    span[t.zero] = True
+    basis = extend(span, [])
     if basis is None:
         raise ConstructionError("no additive basis found")
-    moduli = [orders[b] for b in basis]
-    coeff_of = {}
-    for coeffs in itertools.product(*(range(m) for m in moduli)):
-        total_elem = ring.zero
-        for c, b in zip(coeffs, basis):
-            for _ in range(c):
-                total_elem = ring.add(total_elem, b)
-        coeff_of[total_elem] = coeffs
-    k = len(basis)
-    tensor = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            tensor[i, j] = coeff_of[ring.mul(basis[i], basis[j])]
-    names = tuple(ring.format_element(b) for b in basis)
-    return StructureRing(moduli, tensor, one=coeff_of[ring.one],
+    moduli = [int(order[b]) for b in basis]
+    # at[code] is the element whose coefficients have mixed-radix code
+    # `code`, the first basis element most significant
+    at = np.array([t.zero])
+    for b, m in zip(basis, moduli):
+        multiples = [t.zero]
+        for _ in range(m - 1):
+            multiples.append(t.add[multiples[-1], b])
+        at = t.add[np.ix_(at, multiples)].ravel()
+    code = np.empty(n, dtype=np.int64)
+    code[at] = np.arange(n)
+
+    def coeffs(idx):
+        return np.stack(np.unravel_index(code[idx], moduli), axis=-1)
+
+    tensor = coeffs(t.prods(basis, basis))
+    names = tuple(ring.format_element(t.elems[b]) for b in basis)
+    return StructureRing(moduli, tensor, one=coeffs(t.one),
                          basis_names=names,
                          name=name or getattr(ring, "name", None))
 

@@ -56,10 +56,6 @@ class Ideal:
     def is_whole(self):
         return len(self.elements) == self.ring.size
 
-    def describe(self):
-        g = ",".join(self.ring.format_element(x) for x in self.gens[:4])
-        return "%s-sided ideal, size %d, gens [%s]" % (self.side, self.size, g)
-
 
 # -- index-mask kernels ----------------------------------------------------------
 
@@ -112,13 +108,6 @@ def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
 
 def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):
     return ideal_closure(ring, [a], side=side, limits=limits)
-
-
-def additive_gens(ring, elems, limits=DEFAULT_LIMITS):
-    """Small additive generating set for a subgroup given by its elements."""
-    t = _tables_or_raise(ring, limits)
-    idx = sorted(t.index[e] for e in elems)
-    return tuple(t.elems[i] for i in _additive_gens_idx(t, idx))
 
 
 # -- the full lattice -------------------------------------------------------------
@@ -313,12 +302,10 @@ def quotient(ring, ideal, name=None, limits=DEFAULT_LIMITS):
 def ideal_product(ring, a, b, limits=DEFAULT_LIMITS):
     """I*K: additive span of pairwise products (via additive generators)."""
     t = _tables_or_raise(ring, limits)
-    ga = _additive_gens_idx(t, sorted(t.index[e] for e in a.elements))
-    gb = _additive_gens_idx(t, sorted(t.index[e] for e in b.elements))
-    prods = [int(t.mul[i, j]) for i in ga for j in gb]
-    mask = _additive_mask(t, sorted(set(prods)))
-    return Ideal(ring=ring, elements=_mask_elems(t, mask),
-                 gens=tuple(t.elems[p] for p in sorted(set(prods))), side="two")
+    prods = np.unique(t.prods(_additive_gens_idx(t, t.encode(a.elements)),
+                              _additive_gens_idx(t, t.encode(b.elements))))
+    return Ideal(ring=ring, elements=_mask_elems(t, _additive_mask(t, prods)),
+                 gens=t.decode(prods), side="two")
 
 
 def nilpotency_index(ring, ideal, limits=DEFAULT_LIMITS):

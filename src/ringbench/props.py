@@ -5,8 +5,10 @@ machine-checkable witness: a counterexample pair when the property fails,
 or a witness map when it holds and the ring is small enough to store one.
 The center and CE run on the same index-mask kernels as the closures: the
 dense tables up to max_table, and above it a structure ring's sums and
-products computed on demand.  Above the table limit units and the Ore
-check run as mod-p linear algebra; most other deciders skip on max_table.
+products computed on demand.  The Lie series and the central-series
+check gather their brackets from the dense tables, and no decider loops
+over elements in Python.  Above the table limit units and the Ore check
+run as mod-p linear algebra; most other deciders skip on max_table.
 One-sided questions (invariant, strongly bounded, uniserial) are decided
 on the principal one-sided ideals, which are the rows and columns of the
 multiplication table.  Complete central essentiality sweeps the two-sided
@@ -20,13 +22,13 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _OnDemandTables,
-    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
-    center, units_and_regulars,
+    _additive_gens_idx, _close_additive_mask, _kernel_tables, _mask_elems,
+    _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _additive_mask, additive_closure, additive_gens,
-    all_ideals, ideal_closure, ideal_power, ideals_by_size,
-    jacobson_radical, nilpotency_index, prime_radical, quotient,
+    Ideal, _additive_mask, _ideal_mask, all_ideals, ideal_closure,
+    ideal_power, ideals_by_size, jacobson_radical, nilpotency_index,
+    prime_radical, quotient,
 )
 
 WITNESS_MAP_LIMIT = 8192
@@ -344,43 +346,41 @@ class LieSeries:
 
 
 def lie_series(ring, flavor="bracket", limits=DEFAULT_LIMITS):
-    """Iterated commutator series.
+    """Iterated commutator series, on the dense tables.
 
     bracket: next term is the additive span of [x, y], x in the current
     term, y in R.  ideal: next term is the two-sided ideal generated by
-    those brackets (the stronger chain).  Both start at R itself.
+    those brackets (the stronger chain).  Both start at R itself.  The
+    bracket is bilinear, so x runs over additive generators of the current
+    term and y over those of R, and all brackets of a step are one gather.
     """
     if flavor not in ("bracket", "ideal"):
         raise ValueError("flavor must be 'bracket' or 'ideal'")
     t = _tables_or_raise(ring, limits)
-    ring_gens = ring.gens()
-    cur_gens = list(ring_gens)
+    cur = t.gen_idx
     sizes = [ring.size]
     terms = []
-    seen = ring.size
-    step = 0
     while True:
-        step += 1
-        brackets = []
-        for x in cur_gens:
-            for y in ring_gens:
-                c = ring.sub(ring.mul(x, y), ring.mul(y, x))
-                if c != ring.zero:
-                    brackets.append(c)
-        if not brackets:
+        brackets = np.unique(_brackets(t, cur, t.gen_idx))
+        brackets = brackets[brackets != t.zero]
+        if not brackets.size:
             sizes.append(1)
             terms.append((ring.zero,))
-            return LieSeries(flavor, tuple(sizes), step, tuple(terms))
+            return LieSeries(flavor, tuple(sizes), len(terms), tuple(terms))
         if flavor == "bracket":
-            elems = additive_closure(ring, brackets, limits)
+            mask = _additive_mask(t, brackets)
         else:
-            elems = ideal_closure(ring, brackets, limits=limits).elements
-        sizes.append(len(elems))
-        terms.append(tuple(elems))
-        if len(elems) == seen:
+            mask = _ideal_mask(t, brackets, "two")
+        terms.append(_mask_elems(t, mask))
+        sizes.append(len(terms[-1]))
+        if sizes[-1] == sizes[-2]:
             return LieSeries(flavor, tuple(sizes), None, tuple(terms))
-        seen = len(elems)
-        cur_gens = list(additive_gens(ring, elems, limits))
+        cur = _additive_gens_idx(t, np.nonzero(mask)[0])
+
+
+def _brackets(t, xs, ys):
+    """Indices of x*y - y*x for x in xs and y in ys, (len(xs), len(ys))."""
+    return t.add[t.prods(xs, ys), t.neg[t.prods(ys, xs).T]]
 
 
 def lie_class(ring, limits=DEFAULT_LIMITS):
@@ -484,14 +484,13 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
 def _brackets_inside(ring, elems, acc, limits=DEFAULT_LIMITS):
     """[x, g] in acc for all x in the additive group elems, g in R.
 
-    Exhaustive on additive generators of elems and of R, since the bracket
-    is bilinear and acc is an additive group.
+    Exhaustive on every x and on the additive generators of R, since the
+    bracket is additive in g and acc is an additive group.
     """
-    for x in additive_gens(ring, elems, limits):
-        for g in ring.gens():
-            if ring.sub(ring.mul(x, g), ring.mul(g, x)) not in acc:
-                return False
-    return True
+    t = _tables_or_raise(ring, limits)
+    inside = t.mask()
+    inside[t.encode(acc)] = True
+    return bool(inside[_brackets(t, t.encode(elems), t.gen_idx)].all())
 
 
 # -- Ore conditions and the classical ring of fractions -----------------------------------

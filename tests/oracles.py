@@ -8,14 +8,22 @@ generators it replaced with index views on tables.  The lattice oracle
 is the worklist enumerator, which now lives only here: one closure per
 element, then every pair of known ideals joined until nothing new
 appears.  It closes sets by breadth-first search on the dense tables,
-not by the package's coset growth.  Differential tests compare against
-them.
+not by the package's coset growth.  The structure-ring export and the
+Lie series are the element-by-element versions the package replaced
+with gathers on tables: set-based span growth and coefficients by
+repeated addition, and one ring.mul per bracket.  Differential tests
+compare against them.
 """
+
+import itertools
 
 import numpy as np
 
+from ringbench.core import ConstructionError, StructureRing
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
-from ringbench.props import CCEReport, centrally_essential, is_commutative
+from ringbench.props import (
+    CCEReport, LieSeries, centrally_essential, is_commutative,
+)
 
 
 def _close_additive_mask(t, mask, gidx):
@@ -270,3 +278,98 @@ def greedy_additive_gens(ring):
         if len(closure) == ring.size:
             break
     return tuple(gens)
+
+
+def _additive_order(ring, x):
+    k, y = 1, x
+    while y != ring.zero:
+        y = ring.add(y, x)
+        k += 1
+    return k
+
+
+def structure_ring(ring):
+    """Isomorphic copy of a finite ring as a StructureRing: an additive
+    basis by depth-first search over elements ordered by decreasing
+    additive order, then element, with set-based span growth; each
+    element's coefficients by repeated addition of the basis."""
+    if isinstance(ring, StructureRing):
+        return ring
+    elems = sorted(ring.elements())
+    total = len(elems)
+    orders = {x: _additive_order(ring, x) for x in elems}
+    candidates = sorted((x for x in elems if x != ring.zero),
+                        key=lambda x: (-orders[x], x))
+
+    def extend(span, basis):
+        if len(span) == total:
+            return basis
+        for x in candidates:
+            if x in span:
+                continue
+            cycle = [ring.zero]
+            for _ in range(orders[x] - 1):
+                cycle.append(ring.add(cycle[-1], x))
+            grown = {ring.add(s, c) for s in span for c in cycle}
+            if len(grown) != len(span) * orders[x]:
+                continue  # not independent of the span
+            found = extend(grown, basis + [x])
+            if found is not None:
+                return found
+        return None
+
+    basis = extend({ring.zero}, [])
+    if basis is None:
+        raise ConstructionError("no additive basis found")
+    moduli = [orders[b] for b in basis]
+    coeff_of = {}
+    for coeffs in itertools.product(*(range(m) for m in moduli)):
+        total_elem = ring.zero
+        for c, b in zip(coeffs, basis):
+            for _ in range(c):
+                total_elem = ring.add(total_elem, b)
+        coeff_of[total_elem] = coeffs
+    k = len(basis)
+    tensor = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            tensor[i, j] = coeff_of[ring.mul(basis[i], basis[j])]
+    names = tuple(ring.format_element(b) for b in basis)
+    return StructureRing(moduli, tensor, one=coeff_of[ring.one],
+                         basis_names=names, name=getattr(ring, "name", None))
+
+
+def lie_series(ring, flavor="bracket"):
+    """The bracket or ideal Lie series, one ring.mul per bracket of an
+    additive generator of the current term with one of R, closed by
+    breadth-first search."""
+    t = ring.tables()
+    ring_gens = ring.gens()
+    cur_gens = list(ring_gens)
+    sizes = [ring.size]
+    terms = []
+    while True:
+        brackets = []
+        for x in cur_gens:
+            for y in ring_gens:
+                c = ring.sub(ring.mul(x, y), ring.mul(y, x))
+                if c != ring.zero:
+                    brackets.append(c)
+        if not brackets:
+            sizes.append(1)
+            terms.append((ring.zero,))
+            return LieSeries(flavor, tuple(sizes), len(terms), tuple(terms))
+        gidx = sorted({t.index[c] for c in brackets})
+        if flavor == "bracket":
+            mask = np.zeros(len(t.elems), dtype=bool)
+            mask[t.zero] = True
+            mask = _close_additive_mask(t, mask, gidx)
+        else:
+            mask = _ideal_mask(t, gidx, "two")
+        elems = _mask_elems(t, mask)
+        sizes.append(len(elems))
+        terms.append(elems)
+        if sizes[-1] == sizes[-2]:
+            return LieSeries(flavor, tuple(sizes), None, tuple(terms))
+        cur_gens = [t.elems[i]
+                    for i in _additive_gens_idx(t, np.nonzero(mask)[0])]

@@ -150,6 +150,21 @@ def test_report_bad_file(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "{dir}"],
+    ["report", "{dir}/latin1.ring"],
+    ["lattice", "ex52", "--dot", "{dir}/absent/x.dot"],
+], ids=["directory", "not-utf8", "unwritable-dot"])
+def test_unreadable_and_unwritable_paths_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "latin1.ring").write_bytes(b"name caf\xe9\nshape 2\none 1\n")
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot ")
+    assert str(tmp_path) in lines[0]
+
+
 def test_report_pretty(capsys):
     assert main(["report", "z6", "--pretty"]) == 0
     out = capsys.readouterr().out

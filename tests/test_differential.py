@@ -1,10 +1,10 @@
-"""Principal-ideal deciders, the CCE sweep by size bands and the quotient
-and subring views against the oracles in tests/oracles.py, plus
-regressions for limit-gated caches, the central-series check and the
-complete ideal check of quotients.  Whole-ring tables built by additive
-recurrence are checked against the tensor contraction, the on-demand
-tables above max_table against dense tables of the same rings, and the
-sample streams against pinned digests."""
+"""Principal-ideal deciders, the CCE sweep by size bands, the quotient
+and subring views, the structure-ring export and the Lie series against
+the oracles in tests/oracles.py, plus regressions for limit-gated caches,
+the central-series check and the complete ideal check of quotients.
+Whole-ring tables built by additive recurrence are checked against the
+tensor contraction, the on-demand tables above max_table against dense
+tables of the same rings, and the sample streams against pinned digests."""
 
 import functools
 import hashlib
@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ringbench.cli import least_ideal
+from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, SubRing,
     _mask_elems, _outer_codes, center, make_ring,
@@ -30,7 +30,7 @@ from ringbench import props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report,
-    is_strongly_bounded, is_uniserial, sample_rings,
+    is_strongly_bounded, is_uniserial, lie_series, sample_rings,
 )
 from tests import oracles
 from tests.test_core import full_matrix_tensor
@@ -323,6 +323,39 @@ def test_quotients_match_dict_oracle(key):
             for b in q.elements():
                 assert q.mul(a, b) == old.mul(a, b)
                 assert q.add(a, b) == old.add(a, b)
+
+
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_structure_export_matches_scalar_oracle(key):
+    ring = _ring(key)
+    views = [quotient(ring, ideal) for ideal in all_ideals(ring)
+             if not ideal.is_whole()]
+    if isinstance(ring, SubRing):
+        views.append(ring)
+    for view in views:
+        assert (serialize_ring(view)
+                == serialize_ring(oracles.structure_ring(view)))
+
+
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_lie_series_matches_scalar_oracle(key):
+    ring = _ring(key)
+    for flavor in ("bracket", "ideal"):
+        assert lie_series(ring, flavor) == oracles.lie_series(ring, flavor)
+
+
+@pytest.mark.parametrize("view", ["center", "quotient"])
+def test_structure_export_needs_tables(view):
+    # a check=False subring is built without tables; the export gates on
+    # max_table like every other table decider
+    ring = catalog("z2q8")
+    sub = center(ring) if view == "center" else quotient(
+        ring, group_sum_ideal(ring))
+    tight = Limits(max_table=sub.size - 1)
+    with pytest.raises(LimitError) as err:
+        as_structure_ring(sub, limits=tight)
+    assert err.value.limit == "max_table"
+    assert as_structure_ring(sub).size == sub.size
 
 
 @pytest.mark.parametrize("seed, count, max_size", SAMPLES)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from ringbench.core import LimitError, Limits, SubRing, make_ring
+from ringbench.core import (
+    LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
+)
 from ringbench.ideals import (
-    Ideal, additive_closure, additive_gens, all_ideals, ideal_closure,
+    Ideal, additive_closure, all_ideals, ideal_closure,
     ideal_lattice, ideal_power, ideal_product, is_semiprime,
     jacobson_radical, nilpotency_index, prime_radical, principal_ideal,
     quotient,
@@ -61,7 +63,9 @@ def test_principal_ideal_sides():
 def test_additive_gens_regenerate():
     r = make_zn(12)
     ideal = ideal_closure(r, [(2,)])
-    gens = additive_gens(r, ideal.elements)
+    t = r.tables()
+    gens = t.decode(_additive_gens_idx(t, t.encode(ideal.elements)))
+    assert gens == ((2,),)
     assert additive_closure(r, gens) == ideal.elements
 
 
