@@ -2,9 +2,9 @@
 files, print property reports, quotient and export rings, emit ideal
 lattices as DOT, and run the bundled claim-verification suite.
 
-Exit codes: 0 success, 1 suite failure, 2 bad input, 3 resource limit
-(construction overruns always; skipped report properties only under
---strict).
+Exit codes: 0 success, 1 suite failure or a closed output pipe, 2 bad
+input, 3 resource limit (construction overruns always; skipped report
+properties only under --strict).
 """
 
 import argparse
@@ -547,7 +547,14 @@ def main(argv=None):
         "paper-suite": cmd_suite,
     }
     try:
-        return handlers[args.command](args, limits)
+        code = handlers[args.command](args, limits)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at exit stays quiet (the recipe in the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

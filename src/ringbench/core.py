@@ -6,12 +6,12 @@ additive generators is sum_m c[i][j][m] * b_m.  Elements are coefficient
 tuples reduced mod the shape moduli, ordered lexicographically.
 
 Structure rings carry the arithmetic.  Quotient rings and subrings are
-index views on their base: a label array maps base indices to their own,
-and their tables are gathers through it from the base's tables (a subring
-of a structure ring reads the structure tensor instead).  Each view checks
-the caller's set in full when it is built.  Deciders elsewhere in the
-package only use the element surface of Ring, so they never care how a
-ring was produced.  All realizations are immutable after construction;
+index views on their base.  A quotient gathers its tables from the
+base's tables through a label array; a subring reads the sums and
+products of its elements from its base and maps them to its own indices.
+Each view checks the caller's set in full when it is built.  Deciders
+elsewhere in the package only use the element surface of Ring, so they
+never care how a ring was produced.  All realizations are immutable after construction;
 caches are write-once, and every cached call checks its limit gates before
 it reuses cached work, so a verdict or a skip never depends on earlier
 calls.
@@ -19,9 +19,8 @@ calls.
 Deciders read dense index tables (Tables) up to max_table elements.  The
 set kernels (closures, the center, CE) read one lookup surface on every
 ring: the dense tables, or above max_table the sums and products of a
-whole structure ring computed on demand (_OnDemandTables).  Units and the
-Ore check above max_table work on structure rings over one prime p as F_p
-algebras.
+whole structure ring computed on demand (_OnDemandTables).  Units above
+max_table are found on structure rings over one prime p as F_p algebras.
 """
 
 import functools
@@ -359,7 +358,7 @@ class StructureRing(Ring):
                 np.einsum("nj,ijm->nim", rows, self.tensor))
 
     def _table_ops(self, limits):
-        return _tensor_ops(self, self.elements_array(limits))
+        return _recurrence_ops(self, self.elements_array(limits))
 
     def describe(self):
         label = self.name or "structure ring"
@@ -369,10 +368,12 @@ class StructureRing(Ring):
 class SubRing(Ring):
     """Multiplicatively closed additive subgroup of a base ring, with 1.
 
-    Its elements are base elements, in base order.  Its tables come from
-    the structure tensor when the base is a structure ring, and otherwise
-    by gathers from the base's tables through a label array; a sum or a
-    product that leaves the subset raises ConstructionError either way.
+    Its elements are base elements, in base order.  Its tables are its
+    base's sums and products of its elements, mapped to its own indices.
+    A structure base of any size computes them on demand from the tensor
+    (_OnDemandTables), so an ambient ring never builds dense tables; any
+    other base reads its own tables.  A sum or a product that leaves the
+    subset raises ConstructionError.
     With check (the default) every entry must be an element of the base
     and the tables are built at once, so closure is checked in full.
     check=False is for subsets the caller has closed (centers, samples).
@@ -411,14 +412,18 @@ class SubRing(Ring):
 
     def _table_ops(self, limits):
         if isinstance(self.base, StructureRing):
-            return _tensor_ops(self.base, np.array(self._elements, dtype=np.int64))
-        bt = self.base.tables(limits)
-        if bt is None:
-            return None
-        idx = _base_indices(bt, self._elements)
-        labels = np.full(len(bt.elems), -1, dtype=np.int32)
-        labels[idx] = np.arange(len(idx))
-        return _gather_ops(bt, labels, idx)
+            bt = _OnDemandTables(self.base, limits)
+        else:
+            bt = self.base.tables(limits)
+            if bt is None:
+                return None
+        idx = bt.encode(self._elements)   # ascending: base order
+
+        def lookup(c):
+            pos = np.minimum(np.searchsorted(idx, c), len(idx) - 1)
+            return np.where(idx[pos] == c, pos, -1).astype(np.int32)
+
+        return lookup(bt.sums(idx, idx)), lookup(bt.prods(idx, idx))
 
     def add(self, a, b):
         return self.base.add(a, b)
@@ -478,7 +483,6 @@ class QuotientRing(Ring):
         self.labels.setflags(write=False)
         self.base = base
         self._bt = bt
-        self._ideal = tuple(bt.elems[i] for i in ideal)
         self._elements = tuple(bt.elems[i] for i in self._reps)
         self.size = len(self._elements)
         self.zero = base.zero
@@ -487,11 +491,8 @@ class QuotientRing(Ring):
         self.basis_names = getattr(base, "basis_names", None)
 
     def _table_ops(self, limits):
-        return _gather_ops(self._bt, self.labels, self._reps)
-
-    @property
-    def ideal_elements(self):
-        return self._ideal
+        sub = np.ix_(self._reps, self._reps)
+        return self.labels[self._bt.add[sub]], self.labels[self._bt.mul[sub]]
 
     def project(self, elem):
         return self._elements[self.labels[self._bt.index[elem]]]
@@ -560,12 +561,13 @@ def _base_indices(bt, elems):
 class Tables:
     """Dense index tables: add/mul as (N, N) arrays of element indices.
 
-    Element order matches ring.elements().  A whole structure ring builds
-    each row from a lower one by additive recurrence (_recurrence_ops);
-    subrings of a structure ring contract their rows with the structure
-    tensor; quotients and other subrings gather them from the base's
-    tables through a label array.  None above limits.max_table, or when
-    a view's base has no tables.
+    Element order matches ring.elements().  ring._table_ops gives add and
+    mul: a whole structure ring builds each row from a lower one by
+    additive recurrence (_recurrence_ops), a quotient gathers them from
+    the base's tables through its labels, and a subring reads its base's
+    sums and products.  neg is derived from add once they are checked
+    closed.  None above limits.max_table, or when a view's base has no
+    tables.
     """
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
@@ -584,12 +586,14 @@ class Tables:
         t.index = {e: i for i, e in enumerate(t.elems)}
         t.zero = t.index[ring.zero]
         t.one = t.index[ring.one]
-        t.add, t.mul, t.neg = ops
+        t.add, t.mul = ops
         for what, table in (("additively", t.add), ("multiplicatively", t.mul)):
             if (table < 0).any():
                 a, b = np.argwhere(table < 0)[0]
                 raise ConstructionError("subset not %s closed" % what,
                                         witness=(t.elems[a], t.elems[b]))
+        # -a is where row a of add meets zero
+        t.neg = (t.add == t.zero).argmax(axis=1).astype(np.int32)
         if isinstance(ring, SubRing):
             gen_idx = _additive_gens_idx(t, range(len(t.elems)))
         else:
@@ -723,24 +727,6 @@ def _outer_codes(ring, A, B, op):
     return out
 
 
-def _tensor_ops(parent, X):
-    """add, mul, neg tables of the ascending rows X of a structure ring,
-    -1 where a result is not a row of X.  The whole ring, where codes are
-    the indices, takes them by additive recurrence (_recurrence_ops); a
-    proper subset contracts its rows with the tensor and looks codes up."""
-    neg = (-X) % parent._mods @ parent._weights
-    if len(X) == parent.size:
-        return _recurrence_ops(parent, X) + (neg.astype(np.int32),)
-    codes = X @ parent._weights
-
-    def lookup(c):
-        pos = np.minimum(np.searchsorted(codes, c), len(X) - 1)
-        return np.where(codes[pos] == c, pos, -1).astype(np.int32)
-
-    return (lookup(_outer_codes(parent, X, X, "add")),
-            lookup(_outer_codes(parent, X, X, "mul")), lookup(neg))
-
-
 def _recurrence_ops(ring, X):
     """add and mul tables of a whole structure ring, whose rows X are all
     its elements in order, each row built from a lower one.
@@ -772,13 +758,6 @@ def _recurrence_ops(ring, X):
     for i, lo, wi in blocks:
         mul[lo:lo + wi] = add[mul[lo - wi:lo], gen_mul[i]]
     return add, mul
-
-
-def _gather_ops(bt, labels, idx):
-    """add, mul, neg tables of a view: the base's tables on the rows and
-    columns idx, relabelled through labels (-1 outside the view)."""
-    sub = np.ix_(idx, idx)
-    return labels[bt.add[sub]], labels[bt.mul[sub]], labels[bt.neg[idx]]
 
 
 def _close_additive_mask(t, mask, gidx):

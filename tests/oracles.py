@@ -11,15 +11,17 @@ appears.  It closes sets by breadth-first search on the dense tables,
 not by the package's coset growth.  The structure-ring export and the
 Lie series are the element-by-element versions the package replaced
 with gathers on tables: set-based span growth and coefficients by
-repeated addition, and one ring.mul per bracket.  Differential tests
-compare against them.
+repeated addition, and one ring.mul per bracket.  The subring tables
+are the two sources the package replaced with reading the base's sums
+and products: the tensor contraction on a structure base and the gather
+from any other base's tables.  Differential tests compare against them.
 """
 
 import itertools
 
 import numpy as np
 
-from ringbench.core import ConstructionError, StructureRing
+from ringbench.core import ConstructionError, StructureRing, _outer_codes
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
 from ringbench.props import (
     CCEReport, LieSeries, centrally_essential, is_commutative,
@@ -244,6 +246,32 @@ class DictQuotient:
             proj[i] = pos[self.proj[x]]
         return (proj[bt.add[np.ix_(rid, rid)]], proj[bt.mul[np.ix_(rid, rid)]],
                 proj[bt.neg[rid]])
+
+
+def subring_tables(sub):
+    """(add, mul, neg) of a subring as they were built before subrings
+    read their base's sums and products: a structure base contracts the
+    subset's coefficient rows with the tensor and looks the codes up, any
+    other base is gathered from its dense tables through a label array.
+    -1 where a result leaves the subset."""
+    base = sub.base
+    if isinstance(base, StructureRing):
+        X = np.array(sub.elements(), dtype=np.int64)
+        codes = X @ base._weights
+
+        def lookup(c):
+            pos = np.minimum(np.searchsorted(codes, c), len(X) - 1)
+            return np.where(codes[pos] == c, pos, -1).astype(np.int32)
+
+        return (lookup(_outer_codes(base, X, X, "add")),
+                lookup(_outer_codes(base, X, X, "mul")),
+                lookup((-X) % base._mods @ base._weights))
+    bt = base.tables()
+    idx = np.array([bt.index[e] for e in sub.elements()], dtype=np.int64)
+    labels = np.full(len(bt.elems), -1, dtype=np.int32)
+    labels[idx] = np.arange(len(idx))
+    sub_ix = np.ix_(idx, idx)
+    return labels[bt.add[sub_ix]], labels[bt.mul[sub_ix]], labels[bt.neg[idx]]
 
 
 def greedy_additive_gens(ring):

@@ -1,8 +1,13 @@
 """Command line interface: spec files, reports, quotients, lattices, suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ringbench
 from ringbench.cli import (
     build_claims, least_ideal, load_ring, main, parse_ring_text,
     resolve_gens, serialize_ring,
@@ -272,3 +277,17 @@ def test_suite_output_is_byte_identical(capsys):
     first = capsys.readouterr().out
     main(["paper-suite"])
     assert capsys.readouterr().out == first
+
+
+def test_closed_output_pipe_exits_1_quietly():
+    # unbuffered, so the suite's second print meets the closed pipe
+    src = os.path.dirname(os.path.dirname(ringbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "ringbench.cli", "paper-suite"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"jet128-cardinality")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

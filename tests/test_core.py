@@ -461,16 +461,19 @@ def test_rank_path_matches_table_path_on_catalog(name):
     assert oa.regular_count == ob.regular_count
 
 
-def test_rank_path_ore_check_catches_a_wrong_inverse():
-    no_tables = Limits(max_table=1)
-    r = catalog("z2q8")
-    rep = units_and_regulars(r, no_tables)
-    assert ore_check(r, no_tables)
-    b = next(u for u in rep.units if rep.inverses[u] != u)
-    rep.inverses[b] = b  # b*b != 1 here, so b is not its own inverse
-    assert r.mul(b, b) != r.one
-    bad = ore_check(r, no_tables)
-    assert not bad.right_holds and not bad.left_holds  # b*b*x != x at x = 1
+@pytest.mark.parametrize("name, max_table", [
+    (name, m) for name in RANK_PATH_RINGS for m in (1024, 1)] + [
+    ("z3q8", 1024)])
+def test_recorded_inverses_are_two_sided(name, max_table):
+    # the premise of ore_check, in scalar arithmetic on both paths; z3q8
+    # is above max_table, so it takes the rank path
+    r = catalog(name)
+    limits = Limits(max_table=max_table)
+    assert (r.tables(limits) is None) == (r.size > max_table)
+    rep = units_and_regulars(r, limits)
+    assert sorted(rep.inverses) == sorted(rep.units)
+    for b, v in rep.inverses.items():
+        assert r.mul(b, v) == r.one == r.mul(v, b)
 
 
 def test_rank_path_limits_still_skip():

@@ -1,7 +1,8 @@
 """Principal-ideal deciders, the CCE sweep by size bands, the quotient
-and subring views, the structure-ring export and the Lie series against
-the oracles in tests/oracles.py, plus regressions for limit-gated caches,
-the central-series check and the complete ideal check of quotients.
+and subring views and their tables, the structure-ring export and the
+Lie series against the oracles in tests/oracles.py, plus regressions for
+limit-gated caches, the central-series check and the complete ideal
+check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, and the sample streams against pinned digests."""
@@ -364,6 +365,30 @@ def test_subring_gens_match_greedy_oracle(seed, count, max_size):
         assert ring.gens() == oracles.greedy_additive_gens(ring)
         z = center(ring)
         assert z.gens() == oracles.greedy_additive_gens(z)
+
+
+def _subrings(key):
+    if key == "one-sided":
+        return [one_sided_ring()]
+    if key in CATALOG:
+        ring = catalog(key)
+        # the center of each quotient is a subring of a view
+        return [center(ring)] + [center(quotient(ring, ideal))
+                                 for ideal in all_ideals(ring)
+                                 if not ideal.is_whole()]
+    return list(_samples(*key))
+
+
+@pytest.mark.parametrize("key", list(CATALOG) + ["one-sided"] + list(SAMPLES),
+                         ids=str)
+def test_subring_tables_match_oracle(key):
+    for sub in _subrings(key):
+        t = sub.tables()
+        for table, expected in zip((t.add, t.mul, t.neg),
+                                   oracles.subring_tables(sub)):
+            assert table.dtype == np.int32
+            assert np.array_equal(table, expected)
+        assert (t.add[np.arange(sub.size), t.neg] == t.zero).all()
 
 
 def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
