@@ -3,9 +3,10 @@
 
 Both constructions embed a rational function field into a matrix ring using
 formal derivatives, producing noncommutative rings whose commutators are
-pinned to a corner of the matrix.  All arithmetic is exact (polynomial gcd
-over a prime field), and every identity is checked on random samples drawn
-from a seeded generator, so the run is deterministic.
+pinned to a corner of the matrix.  All arithmetic is exact (unreduced
+fractions of polynomials over a prime field, compared by cross-multiplying),
+and every identity is checked on random samples drawn from a seeded
+generator, so the run is deterministic.
 """
 
 from ringbench import function_field, jet_verify, triangle_verify

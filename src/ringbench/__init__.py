@@ -26,7 +26,18 @@ from ringbench.props import (
     lie_series, ore_check, sample_rings, verify_ce_counterexample,
     zero_divisor_symmetry,
 )
-from ringbench.symbolic import function_field, jet_verify, triangle_verify
+
+# the symbolic layer imports sympy, which no finite-ring path needs, so its
+# names are looked up on ringbench.symbolic at each access
+_SYMBOLIC = ("function_field", "jet_verify", "triangle_verify")
+
+
+def __getattr__(name):
+    if name in _SYMBOLIC:
+        from ringbench import symbolic
+        return getattr(symbolic, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "AdditiveShape", "ConstructionError", "DomainError", "InputError",

@@ -26,7 +26,6 @@ from ringbench.ideals import (
     ideal_closure, ideal_lattice, ideals_by_size, prime_radical, quotient,
 )
 from ringbench import props
-from ringbench.symbolic import jet_verify, triangle_verify
 
 
 # -- ring spec files ---------------------------------------------------------------
@@ -442,6 +441,7 @@ def build_claims():
            "3x3 matrices carrying a function and its two partial "
            "derivatives close under products and fail to commute")
     def _triangle():
+        from ringbench.symbolic import triangle_verify
         rep = triangle_verify(p=5, samples=100, seed=0)
         assert rep.ok
         return "PASS", "%d checks over a two-variable function field" \
@@ -451,6 +451,7 @@ def build_claims():
            "the 4x4 derivation jet embeds a function field; the shift "
            "commutator escapes the shift-squared ideal")
     def _jet_symbolic():
+        from ringbench.symbolic import jet_verify
         rep = jet_verify(p=5, samples=60, seed=0)
         assert rep.ok
         return "PASS", "%d checks over a one-variable function field" \

@@ -6,50 +6,164 @@ a 3x3 matrix with its two partial derivatives on the superdiagonal and a
 free corner; products stay in the family precisely because derivatives
 obey the Leibniz rule.  The jet ring embeds a univariate function field
 into 4x4 matrices next to a nilpotent shift whose commutators surface the
-derivation.  Entries are sympy rational functions over a prime field, so
-every identity checked here is exact.
+derivation.  Entries are fractions of sympy polynomials over a prime
+field, so every identity checked here is exact.  Every identity is an
+equality, and a/b = c/d exactly when a*d = b*c, so fractions are never
+reduced: no polynomial gcd is taken except to print one.
 """
 
 import random
 from dataclasses import dataclass
 
 from sympy import GF
-from sympy.polys.fields import field as _fraction_field
+from sympy.polys.rings import ring as _polynomial_ring
+from sympy.printing.precedence import PRECEDENCE
+from sympy.printing.str import StrPrinter
 
 from ringbench.core import InputError
 
 
+class FunctionField:
+    """F_p(names), its elements held as unreduced RationalFunction pairs
+    over the sparse polynomial ring F_p[names]."""
+
+    def __init__(self, p, names):
+        self.ring, *gens = _polynomial_ring(names, GF(p))
+        one = self.ring.one
+        self.zero = RationalFunction(self, self.ring.zero, one)
+        self.one = RationalFunction(self, one, one)
+        self.gens = tuple(RationalFunction(self, g, one) for g in gens)
+
+    def __call__(self, value):
+        """The element for an integer, a polynomial or a fraction."""
+        if isinstance(value, RationalFunction):
+            if value.field is self:
+                return value
+            return RationalFunction(self, self.ring(value.num),
+                                    self.ring(value.den))
+        return RationalFunction(self, self.ring(value), self.ring.one)
+
+
+class RationalFunction:
+    """The fraction num/den of two polynomials, den non-zero, kept as the
+    pair it was computed as.  Equal values may be held as different pairs:
+    == cross-multiplies, and the value is zero exactly when num is."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    def _lift(self, other):
+        return other if isinstance(other, RationalFunction) \
+            else self.field(other)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
+
+    def __neg__(self):
+        return RationalFunction(self.field, -self.num, self.den)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den:
+            return RationalFunction(self.field, self.num + other.num, self.den)
+        return RationalFunction(self.field,
+                                self.num * other.den + other.num * self.den,
+                                self.den * other.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if not self.num or not other.num:
+            return self.field.zero
+        return RationalFunction(self.field, self.num * other.num,
+                                self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("rational function division by zero")
+        return RationalFunction(self.field, self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self.inverse()
+
+    def __pow__(self, n):
+        return RationalFunction(self.field, self.num ** n, self.den ** n)
+
+    def diff(self, var):
+        """Partial derivative in the generator var, by the quotient rule."""
+        dnum = _derivative(self.num, var.num)
+        dden = _derivative(self.den, var.num)
+        if not dden:
+            return RationalFunction(self.field, dnum, self.den)
+        return RationalFunction(self.field,
+                                dnum * self.den - self.num * dden,
+                                self.den ** 2)
+
+    def __str__(self):
+        """The fraction in lowest terms, the one place a gcd is taken."""
+        num, den = self.num.cancel(self.den)
+        printer = StrPrinter()
+        if den == 1:
+            return printer._print(num)
+        return "%s/%s" % (
+            printer.parenthesize(num, PRECEDENCE["Mul"], strict=True),
+            printer.parenthesize(den, PRECEDENCE["Atom"], strict=True))
+
+    __repr__ = __str__
+
+
+def _derivative(poly, x):
+    # PolyElement.diff keeps a zero coefficient where the exponent is a
+    # multiple of p; == and bool need those terms gone
+    out = poly.diff(x)
+    out.strip_zero()
+    return out
+
+
 def function_field(p, names):
     """Rational function field over F_p.  Returns (field, generator list)."""
-    made = _fraction_field(names, GF(p))
-    return made[0], list(made[1:])
-
-
-def normalized(f):
-    """Rescale so the denominator is monic; the fraction is unchanged."""
-    dom = f.field.domain
-    lc = f.denom.LC
-    if lc == dom.one:
-        return f
-    inv = dom.quo(dom.one, lc)
-    return f.field.raw_new(f.numer.mul_ground(inv), f.denom.mul_ground(inv))
-
-
-def rf_eq(f, g):
-    """Equality of rational functions regardless of representation."""
-    return (f - g) == 0
+    made = FunctionField(p, names)
+    return made, list(made.gens)
 
 
 def random_rational(rng, field_, degree=2, terms=2):
-    """Random sparse fraction; numerators and denominators stay small so
-    gcd cancellation in later products does not dominate the runtime."""
-    p = int(field_.domain.characteristic())
-    gens = field_.gens
+    """Random sparse fraction: numerator and denominator each a sum of
+    `terms` monomials of degree at most `degree`, so the degrees of the
+    unreduced fractions built from a few of them stay small."""
+    ring = field_.ring
+    p = ring.domain.characteristic()
+    gens = ring.gens
 
     def poly():
-        total = field_.zero
+        total = ring.zero
         for _ in range(terms):
-            term = field_(rng.randrange(1, p))
+            term = ring(rng.randrange(1, p))
             for _ in range(rng.randint(0, degree)):
                 term *= rng.choice(gens)
             total += term
@@ -57,11 +171,11 @@ def random_rational(rng, field_, degree=2, terms=2):
 
     num = poly()
     if rng.random() < 0.5:
-        return num
+        return field_(num)
     den = poly()
-    while den == field_.zero:
+    while not den:
         den = poly()
-    return num / den
+    return RationalFunction(field_, num, den)
 
 
 # -- small exact matrices ------------------------------------------------------
@@ -91,11 +205,11 @@ def mat_scale(c, a):
 
 
 def mat_eq(a, b):
-    return all(rf_eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
+    return not any(x for row in a for x in row)
 
 
 def solve_in_span(candidate, basis):
@@ -111,21 +225,20 @@ def solve_in_span(candidate, basis):
     pivots = []
     rank = 0
     for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                   None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = 1 / rows[rank][col]
         rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
+            if r != rank and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
     for r in range(rank, len(rows)):
-        if rows[r][-1] != 0:
+        if rows[r][-1]:
             return None
     coeffs = [field_.zero] * cols
     for r, col in enumerate(pivots):
@@ -156,6 +269,13 @@ def triangle_embed(field_, f, g):
             (z, z, f))
 
 
+def triangle_product(field_, f1, g1, f2, g2):
+    """The pair whose embedding is embed(f1, g1) * embed(f2, g2), by the
+    Leibniz rule: (f1*f2, f1*g2 + g1*f2 + df1/dx * df2/dy)."""
+    x, y = field_.gens[:2]
+    return f1 * f2, f1 * g2 + g1 * f2 + f1.diff(x) * f2.diff(y)
+
+
 def corner_matrix(field_, g):
     m = [[field_.zero] * 3 for _ in range(3)]
     m[0][2] = field_(g)
@@ -168,7 +288,7 @@ def triangle_verify(p=5, samples=100, seed=0):
 
     Closure is the Leibniz rule in matrix form: the product of the
     embeddings of (f1, g1) and (f2, g2) is the embedding of
-    (f1*f2, f1*g2 + g1*f2 + df1/dx * df2/dy).
+    triangle_product(f1, g1, f2, g2).
     """
     if p < 3:
         raise InputError("characteristic must be at least 3")
@@ -189,8 +309,7 @@ def triangle_verify(p=5, samples=100, seed=0):
         product = mat_mul(triangle_embed(field_, f1, g1),
                           triangle_embed(field_, f2, g2))
         expected = triangle_embed(
-            field_, f1 * f2,
-            f1 * g2 + g1 * f2 + f1.diff(x) * f2.diff(y))
+            field_, *triangle_product(field_, f1, g1, f2, g2))
         if not mat_eq(product, expected):
             return SymbolicReport(False, checked,
                                   "closure failed at f1=%s g1=%s f2=%s g2=%s"
@@ -200,7 +319,7 @@ def triangle_verify(p=5, samples=100, seed=0):
     a = triangle_embed(field_, x, 0)
     b = triangle_embed(field_, y, 0)
     commutator = mat_sub(mat_mul(a, b), mat_mul(b, a))
-    if mat_is_zero(commutator) or not rf_eq(commutator[0][2], field_.one):
+    if mat_is_zero(commutator) or commutator[0][2] != field_.one:
         return SymbolicReport(False, checked, "commutator corner is not 1")
     checked += 1
 
@@ -219,11 +338,11 @@ def triangle_verify(p=5, samples=100, seed=0):
         right = mat_mul(c, m)
         for prod in (left, right):
             stray = [prod[i][j] for i in range(3) for j in range(3)
-                     if (i, j) != (0, 2) and prod[i][j] != 0]
+                     if (i, j) != (0, 2) and prod[i][j]]
             if stray:
                 return SymbolicReport(False, checked,
                                       "corner line is not an ideal")
-        if not rf_eq(left[0][2], f * h) or not rf_eq(right[0][2], h * f):
+        if left[0][2] != f * h or right[0][2] != h * f:
             return SymbolicReport(False, checked, "corner product wrong")
         if not mat_is_zero(mat_mul(c, corner_matrix(field_, g))):
             return SymbolicReport(False, checked,
@@ -272,7 +391,7 @@ def jet_verify(p=5, samples=60, seed=0, witness=None):
         witness = field_(t)
     else:
         witness = field_(witness)
-    if witness.diff(t) == 0:
+    if not witness.diff(t):
         raise InputError("witness must have a non-zero derivative")
     rng = random.Random(seed)
     checked = 0

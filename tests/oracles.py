@@ -14,12 +14,17 @@ with gathers on tables: set-based span growth and coefficients by
 repeated addition, and one ring.mul per bracket.  The subring tables
 are the two sources the package replaced with reading the base's sums
 and products: the tensor contraction on a structure base and the gather
-from any other base's tables.  Differential tests compare against them.
+from any other base's tables.  The fraction field is sympy's FracField,
+which the symbolic verifiers used before they kept unreduced fraction
+pairs: it reduces every result by a multivariate gcd.  Differential tests
+compare against them.
 """
 
 import itertools
 
 import numpy as np
+from sympy import GF
+from sympy.polys.fields import field as _fraction_field
 
 from ringbench.core import ConstructionError, StructureRing, _outer_codes
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
@@ -401,3 +406,30 @@ def lie_series(ring, flavor="bracket"):
             return LieSeries(flavor, tuple(sizes), None, tuple(terms))
         cur_gens = [t.elems[i]
                     for i in _additive_gens_idx(t, np.nonzero(mask)[0])]
+
+
+def frac_field(p, names):
+    """Rational function field over F_p as sympy's FracField.  Returns
+    (field, generator list)."""
+    made = _fraction_field(names, GF(p))
+    return made[0], list(made[1:])
+
+
+def normalized(f):
+    """Rescale so the denominator is monic; the fraction is unchanged."""
+    dom = f.field.domain
+    lc = f.denom.LC
+    if lc == dom.one:
+        return f
+    inv = dom.quo(dom.one, lc)
+    return f.field.raw_new(f.numer.mul_ground(inv), f.denom.mul_ground(inv))
+
+
+def rf_eq(f, g):
+    """Equality of FracField elements regardless of representation."""
+    return (f - g) == 0
+
+
+def as_frac(field_, r):
+    """The FracField element of a symbolic.RationalFunction pair."""
+    return field_(r.num) / field_(r.den)

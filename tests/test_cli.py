@@ -279,6 +279,22 @@ def test_suite_output_is_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_import_leaves_sympy_unloaded():
+    # only the symbolic verifiers need sympy; their names on the package
+    # load it on first use and are the module's own objects
+    src = os.path.dirname(os.path.dirname(ringbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import ringbench, ringbench.cli, sys\n"
+        "assert 'sympy' not in sys.modules\n"
+        "verify = ringbench.triangle_verify\n"
+        "assert 'sympy' in sys.modules\n"
+        "assert verify is sys.modules['ringbench.symbolic'].triangle_verify\n"
+        "assert not hasattr(ringbench, 'no_such_name')\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120)
+
+
 def test_closed_output_pipe_exits_1_quietly():
     # unbuffered, so the suite's second print meets the closed pipe
     src = os.path.dirname(os.path.dirname(ringbench.__file__))
