@@ -4,9 +4,12 @@ Closures run as index-mask kernels on one kind of lookup: the dense index
 tables up to max_table (core.Tables), and above it the sums and products of
 a whole structure ring computed on demand (core._OnDemandTables).  There a
 closure is bounded by its own size, not the ring's, so small ideals of
-large group algebras are built as well.  Results come back as Ideal values
-holding sorted element tuples, so every downstream consumer sees one
-deterministic order.
+large group algebras are built as well.  The ideal generated by S is one
+additive span of products, g*s*h (s*h right, g*s left) over s in S and
+the additive generators g, h of R, with no closure loop; principal ideals
+are rows (aR) or columns (Ra) of the table, or such spans (RaR).  Results
+come back as Ideal values holding sorted element tuples, so every
+downstream consumer sees one deterministic order.
 
 One enumerator lists ideals: ideals_by_size, a lazy sweep by size band.
 Complete central essentiality and the least ideal stop it early; whole
@@ -64,25 +67,17 @@ def _additive_mask(t, gidx):
     mask[t.zero] = True
     return _close_additive_mask(t, mask, gidx)
 
-def _ideal_mask(t, gidx, side):
-    """Close under addition and one/two-sided multiplication by ring gens.
-
-    Products are taken of the elements passed as additive generators only,
-    each once: x -> x*g and x -> g*x are additive, so the span is closed
-    once every generator's products lie in it."""
-    rg = t.gen_idx
-    mask = _additive_mask(t, gidx)
-    new = np.asarray(gidx, dtype=np.int64)
-    while new.size:
-        prods = []
-        if side in ("two", "right"):
-            prods.append(t.prods(new, rg).ravel())
-        if side in ("two", "left"):
-            prods.append(t.prods(rg, new).ravel())
-        new = np.unique(np.concatenate(prods))
-        new = new[~mask[new]]
-        mask = _close_additive_mask(t, mask, new)
-    return mask
+def _ideal_gens(t, gidx, side):
+    """The products g*s*h (side "two"), s*h ("right") or g*s ("left") for s
+    in gidx and g, h additive generators of R, unique.  R has a 1, a sum of
+    those generators, and products are bilinear, so their additive span is
+    the ideal generated by gidx.  Reads only t.prods."""
+    gidx = np.asarray(gidx, dtype=np.int64)
+    if side != "left":
+        gidx = np.unique(t.prods(gidx, t.gen_idx))
+    if side != "right":
+        gidx = np.unique(t.prods(t.gen_idx, gidx))
+    return gidx
 
 
 # -- public closure operations ---------------------------------------------------
@@ -102,8 +97,8 @@ def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
     gens = tuple(ring.element(g) for g in gens)
     t = _kernel_tables(ring, limits)
     gidx = np.unique(t.encode(gens))
-    return Ideal(ring=ring, elements=_mask_elems(t, _ideal_mask(t, gidx, side)),
-                 gens=gens, side=side)
+    elems = _mask_elems(t, _additive_mask(t, _ideal_gens(t, gidx, side)))
+    return Ideal(ring=ring, elements=elems, gens=gens, side=side)
 
 
 def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):
@@ -114,11 +109,12 @@ def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):
 
 def _principal_ideals(ring, t, side, limits):
     """The principal ideals of one sidedness, keyed by mask bytes, each as
-    (mask, (generator index,), additive generator indices).
+    (mask, (least generator index,), additive generator indices).
 
-    Elements in one unit orbit (u*a*v for two-sided, u*a for left, a*v for
-    right ideals) generate the same ideal, so one closure per orbit does,
-    under the orbit's first index."""
+    A right ideal aR is row a of the table and a left one Ra column a; a
+    two-sided RaR is the span of _ideal_gens.  Elements in one unit orbit
+    (u*a*v for two-sided, u*a for left, a*v for right ideals) generate the
+    same ideal, so one is built per orbit, under the orbit's first index."""
     n = len(t.elems)
     units = np.array([t.index[u] for u in units_and_regulars(ring, limits).units])
     by_key = {}
@@ -128,16 +124,17 @@ def _principal_ideals(ring, t, side, limits):
             continue
         orbit = np.array([i])
         if side != "left":
-            orbit = t.mul[i, units]
+            orbit = np.unique(t.mul[i, units])
         if side != "right":
             orbit = t.mul[np.ix_(units, orbit)]
         seen[orbit.ravel()] = True
-        mask = _ideal_mask(t, [i], side)
-        key = mask.tobytes()
-        if key not in by_key:
-            addg = _additive_gens_idx(t, list(np.nonzero(mask)[0]))
-            by_key[key] = (mask, (i,), addg)
-    _check_ideal_count(len(by_key), limits)
+        gens = _ideal_gens(t, [i], side)
+        if side == "two":
+            mask = _additive_mask(t, gens)
+        else:
+            mask = t.mask()
+            mask[t.mul[i] if side == "right" else t.mul[:, i]] = True
+        by_key.setdefault(mask.tobytes(), (mask, (i,), gens))
     return by_key
 
 
@@ -150,7 +147,7 @@ def _join(t, a, b):
     """The join of two (mask, gens, additive gens) entries, as one."""
     mask = _close_additive_mask(t, a[0].copy(), b[2])
     return (mask, tuple(sorted(set(a[1]) | set(b[1]))),
-            sorted(set(a[2]) | set(b[2])))
+            np.union1d(a[2], b[2]))
 
 
 def _as_ideal(ring, t, entry, side):
@@ -187,6 +184,7 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
     t = _tables_or_raise(ring, limits)
     pending = _principal_ideals(ring, t, side, limits)
+    _check_ideal_count(len(pending), limits)
     done = []   # entries handed out, in order
     while pending:
         size = min(entry[0].sum() for entry in pending.values())

@@ -11,7 +11,9 @@ over elements in Python.  Above the table limit only units run as mod-p
 linear algebra, and the Ore check follows from them; most other
 deciders skip on max_table.  One-sided questions (invariant, strongly
 bounded, uniserial) are decided on the principal one-sided ideals, which
-are the rows and columns of the multiplication table.  Complete central
+are the rows and columns of the multiplication table, one per ideal from
+the principal pass of ideals.  Every other ideal, a Lie term included,
+is one additive span of products (ideals._ideal_gens).  Complete central
 essentiality sweeps the two-sided ideals by size and stops at the first
 failing quotient.
 """
@@ -23,13 +25,13 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _OnDemandTables,
-    _additive_gens_idx, _close_additive_mask, _kernel_tables, _mask_elems,
-    _tables_or_raise, center, units_and_regulars,
+    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
+    center, units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _additive_mask, _ideal_mask, all_ideals, ideal_closure,
-    ideal_power, ideals_by_size, jacobson_radical, nilpotency_index,
-    prime_radical, quotient,
+    _additive_mask, _as_ideal, _ideal_gens, _principal_ideals, all_ideals,
+    ideal_closure, ideal_power, ideals_by_size, jacobson_radical,
+    nilpotency_index, prime_radical, quotient,
 )
 
 WITNESS_MAP_LIMIT = 8192
@@ -206,15 +208,6 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
 
 # -- one-sided ideal symmetry: invariant, strongly bounded --------------------------
 
-def _principal_members(t, side):
-    """(n, n) mask whose row a is aR (side "right", row a of t.mul) or Ra
-    ("left", column a)."""
-    n = len(t.elems)
-    member = np.zeros((n, n), dtype=bool)
-    member[np.arange(n)[:, None], t.mul if side == "right" else t.mul.T] = True
-    return member
-
-
 def is_invariant(ring, limits=DEFAULT_LIMITS):
     """All one-sided ideals two-sided, i.e. aR = Ra for every a."""
     t = _tables_or_raise(ring, limits)
@@ -234,20 +227,21 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
     Checking principal one-sided ideals suffices: any nonzero one-sided
     ideal contains a principal one.  The largest two-sided ideal inside aR
     is {x in aR : g*x in aR for every generator g}: it is two-sided, and it
-    holds every two-sided ideal inside aR.  It is found for every a at
-    once; the witness is the first a != 0 where it is zero, right ideals
-    first (mirrored for Ra).
+    holds every two-sided ideal inside aR.  It is found for every principal
+    ideal at once (ideals._principal_ideals, in order of least generator);
+    the witness is the least a != 0 where it is zero, right ideals first
+    (mirrored for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        member = _principal_members(t, side)
-        keep = member.copy()
+        entries = list(_principal_ideals(ring, t, side, limits).values())
+        masks = np.array([entry[0] for entry in entries])
+        keep = masks.copy()
         for g in t.gen_idx:
-            keep &= member[:, t.mul[g] if side == "right" else t.mul[:, g]]
-        only_zero = keep.sum(axis=1) == 1
-        only_zero[t.zero] = False
+            keep &= masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
+        only_zero = (keep.sum(axis=1) == 1) & (masks.sum(axis=1) > 1)
         if only_zero.any():
-            a = t.elems[int(np.argmax(only_zero))]
+            a = t.elems[entries[int(np.argmax(only_zero))][1][0]]
             return Verdict(False, witness=(side, a),
                            detail="principal %s ideal of %s holds no "
                                   "nonzero two-sided ideal"
@@ -313,22 +307,17 @@ def is_uniserial(ring, limits=DEFAULT_LIMITS):
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        masks, first = np.unique(_principal_members(t, side), axis=0,
-                                 return_index=True)
-        # elements ascend with indices, so within one size the mask with
-        # the larger first differing entry has the smaller elements
-        order = np.lexsort((-np.arange(len(masks)), masks.sum(axis=1)))
-        masks, first = masks[order], first[order]
-        apart = (masks[:-1] & ~masks[1:]).any(axis=1)
-        if apart.any():
-            k = int(np.argmax(apart))
-            pair = tuple(Ideal(ring=ring, elements=_mask_elems(t, masks[j]),
-                               gens=(t.elems[first[j]],), side=side)
-                         for j in (k, k + 1))
-            return Verdict(False, witness=(side, pair),
-                           detail="%s ideals of sizes %d and %d are "
-                                  "incomparable" % (side, pair[0].size,
-                                                    pair[1].size))
+        # elements ascend with indices, so index tuples sort like elements
+        seq = sorted(_principal_ideals(ring, t, side, limits).values(),
+                     key=lambda e: (e[0].sum(), tuple(np.nonzero(e[0])[0])))
+        for low, high in zip(seq, seq[1:]):
+            if (low[0] & ~high[0]).any():
+                pair = (_as_ideal(ring, t, low, side),
+                        _as_ideal(ring, t, high, side))
+                return Verdict(False, witness=(side, pair),
+                               detail="%s ideals of sizes %d and %d are "
+                                      "incomparable" % (side, pair[0].size,
+                                                        pair[1].size))
     return Verdict(True)
 
 
@@ -351,9 +340,10 @@ def lie_series(ring, flavor="bracket", limits=DEFAULT_LIMITS):
 
     bracket: next term is the additive span of [x, y], x in the current
     term, y in R.  ideal: next term is the two-sided ideal generated by
-    those brackets (the stronger chain).  Both start at R itself.  The
-    bracket is bilinear, so x runs over additive generators of the current
-    term and y over those of R, and all brackets of a step are one gather.
+    those brackets (the stronger chain), the span of the products g*b*h
+    of ideals._ideal_gens.  Both start at R itself.  The bracket is
+    bilinear, so x runs over the generators of the last span and y over
+    those of R, and all brackets of a step are one gather.
     """
     if flavor not in ("bracket", "ideal"):
         raise ValueError("flavor must be 'bracket' or 'ideal'")
@@ -368,15 +358,13 @@ def lie_series(ring, flavor="bracket", limits=DEFAULT_LIMITS):
             sizes.append(1)
             terms.append((ring.zero,))
             return LieSeries(flavor, tuple(sizes), len(terms), tuple(terms))
-        if flavor == "bracket":
-            mask = _additive_mask(t, brackets)
-        else:
-            mask = _ideal_mask(t, brackets, "two")
-        terms.append(_mask_elems(t, mask))
+        cur = brackets
+        if flavor == "ideal":
+            cur = _ideal_gens(t, brackets, "two")
+        terms.append(_mask_elems(t, _additive_mask(t, cur)))
         sizes.append(len(terms[-1]))
         if sizes[-1] == sizes[-2]:
             return LieSeries(flavor, tuple(sizes), None, tuple(terms))
-        cur = _additive_gens_idx(t, np.nonzero(mask)[0])
 
 
 def _brackets(t, xs, ys):

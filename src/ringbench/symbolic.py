@@ -34,13 +34,22 @@ class FunctionField:
         self.one = RationalFunction(self, one, one)
         self.gens = tuple(RationalFunction(self, g, one) for g in gens)
 
+    def __str__(self):
+        return "F_%d(%s)" % (self.ring.domain.characteristic(),
+                             ", ".join(map(str, self.ring.symbols)))
+
     def __call__(self, value):
-        """The element for an integer, a polynomial or a fraction."""
+        """The element for an integer, a polynomial or a fraction.  A
+        fraction of other variables or characteristic is an InputError."""
         if isinstance(value, RationalFunction):
             if value.field is self:
                 return value
-            return RationalFunction(self, self.ring(value.num),
-                                    self.ring(value.den))
+            try:
+                return RationalFunction(self, self.ring(value.num),
+                                        self.ring(value.den))
+            except NotImplementedError:   # sympy's "conversion"
+                raise InputError("%s is an element of %s, not of %s"
+                                 % (value, value.field, self)) from None
         return RationalFunction(self, self.ring(value), self.ring.one)
 
 

@@ -8,9 +8,11 @@ generators it replaced with index views on tables.  The lattice oracle
 is the worklist enumerator, which now lives only here: one closure per
 element, then every pair of known ideals joined until nothing new
 appears.  It closes sets by breadth-first search on the dense tables,
-not by the package's coset growth.  The structure-ring export and the
-Lie series are the element-by-element versions the package replaced
-with gathers on tables: set-based span growth and coefficients by
+not by the package's coset growth.  Its ideal closure (_ideal_mask),
+which multiplies until nothing new appears, is the worklist closure the
+package replaced with one span of products; it too lives only here.
+The structure-ring export and the Lie series are the element-by-element
+versions the package replaced with gathers on tables: set-based span growth and coefficients by
 repeated addition, and one ring.mul per bracket.  The subring tables
 are the two sources the package replaced with reading the base's sums
 and products: the tensor contraction on a structure base and the gather

@@ -229,10 +229,13 @@ def test_lattice_command(tmp_path, capsys):
 def test_lattice_respects_limits(capsys):
     assert main(["--max-ideals", "2", "lattice", "ex52"]) == 3
     assert "max_ideals" in capsys.readouterr().err
-    # the CCE sweep gates its principal pass on max_ideals too
+    # the CCE sweep gates its principal pass on max_ideals too, but the
+    # one-sided deciders that read the same principal ideals do not
     assert main(["--max-ideals", "2", "report", "ex52"]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert "completely_centrally_essential=skipped;limit=max_ideals" in out
+    assert "uniserial=false;witness=right:2,2" in out
+    assert "strongly_bounded=true" in out
 
 
 @pytest.mark.parametrize("flag", ["--max-ideals", "--max-elements"])

@@ -1,14 +1,15 @@
-"""Principal-ideal deciders, the CCE sweep by size bands, the quotient
-and subring views and their tables, the structure-ring export and the
-Lie series against the oracles in tests/oracles.py, plus regressions for
-limit-gated caches, the central-series check and the complete ideal
-check of quotients.
+"""Ideal closures, principal-ideal deciders, the CCE sweep by size bands,
+the quotient and subring views and their tables, the structure-ring
+export and the Lie series against the oracles in tests/oracles.py, plus
+regressions for limit-gated caches, the central-series check and the
+complete ideal check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, and the sample streams against pinned digests."""
 
 import functools
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def _regenerates(ideal):
     mask = oracles._ideal_mask(t, [t.index[g] for g in ideal.gens],
                                ideal.side)
     return _mask_elems(t, mask) == ideal.elements
+
+
+def _gen_sets(ring, count=4):
+    """Seeded generator sets of 1-3 distinct elements of ring."""
+    rng = random.Random(0)
+    elems = ring.elements()
+    return [rng.sample(elems, rng.randint(1, min(3, len(elems))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_ideal_closure_matches_breadth_first_oracle(key):
+    # the span of the products g*s*h, s*h or g*s against the closure loop
+    ring = _ring(key)
+    t = ring.tables()
+    for gens in _gen_sets(ring):
+        for side in SIDES:
+            mask = oracles._ideal_mask(t, [t.index[g] for g in gens], side)
+            assert (ideal_closure(ring, gens, side).elements
+                    == _mask_elems(t, mask)), (gens, side)
 
 
 @pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
@@ -456,7 +477,7 @@ def test_on_demand_tables_match_dense_tables(name):
             == (ce_dense.holds, ce_dense.counterexample, ce_dense.witness_map))
     elems = lazy.elements()
     picks = [elems[i] for i in (1, 7, len(elems) // 3, len(elems) // 2, -1)]
-    for gens in [[g] for g in picks] + [picks[1:4]]:
+    for gens in [[g] for g in picks] + [picks[1:4]] + _gen_sets(lazy):
         assert additive_closure(lazy, gens) == additive_closure(dense, gens, DENSE)
         for side in SIDES:
             assert (ideal_closure(lazy, gens, side).elements

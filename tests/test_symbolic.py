@@ -233,6 +233,14 @@ def test_jet_rejects_flat_witness():
     assert jet_verify(p=5, samples=5, witness=t ** 2 + t).ok
 
 
+def test_jet_rejects_a_witness_from_another_field():
+    _, (t7,) = function_field(7, "t")
+    _, (s,) = function_field(5, "s")
+    for witness, other in ((t7 ** 2 + t7, r"F_7\(t\)"), (s, r"F_5\(s\)")):
+        with pytest.raises(InputError, match=other + r", not of F_5\(t\)"):
+            jet_verify(p=5, samples=1, witness=witness)
+
+
 # -- the equality is not weaker than the field's --------------------------------
 
 def test_triangle_rejects_a_product_without_the_derivative_term(monkeypatch):
