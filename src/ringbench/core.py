@@ -20,7 +20,9 @@ Deciders read dense index tables (Tables) up to max_table elements.  The
 set kernels (closures, the center, CE) read one lookup surface on every
 ring: the dense tables, or above max_table the sums and products of a
 whole structure ring computed on demand (_OnDemandTables).  Units above
-max_table are found on structure rings over one prime p as F_p algebras.
+max_table are found on structure rings over one prime p: block by block
+on the tables of the blocks e*R, one per primitive central idempotent e,
+or as F_p algebras when the ring is one block or a block is too large.
 """
 
 import functools
@@ -380,10 +382,12 @@ class SubRing(Ring):
 
     `one` defaults to the base identity; passing a different element makes
     a corner ring (for an ideal that is unital under a central idempotent).
-    It is checked on the tables, with or without check.
+    It is checked on the tables, with or without check.  Those tables are
+    built under limits.
     """
 
-    def __init__(self, base, elems, name=None, check=True, one=None):
+    def __init__(self, base, elems, name=None, check=True, one=None,
+                 limits=DEFAULT_LIMITS):
         self.base = base
         elems = list(elems)
         if check:
@@ -403,7 +407,7 @@ class SubRing(Ring):
         self.name = name
         self.basis_names = getattr(base, "basis_names", None)
         if check or one is not None:
-            t = _tables_or_raise(self, DEFAULT_LIMITS)
+            t = _tables_or_raise(self, limits)
             ar = np.arange(self.size)
             fails = (t.mul[t.one] != ar) | (t.mul[:, t.one] != ar)
             if fails.any():
@@ -865,7 +869,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
     it is a unit; the report exposes that comparison.  Above max_table only
-    structure rings over one prime modulus are decided (_units_by_rank).
+    structure rings over one prime modulus are decided: on the tables of
+    their blocks when they have two or more, each within max_table
+    (_units_by_blocks), otherwise by linear algebra mod p (_units_by_rank).
     """
     t = ring.tables(limits)
     if t is None:
@@ -885,7 +891,10 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
     else:
-        unit, inverses, l_full, r_full = _units_by_rank(ring, p, limits)
+        found = _units_by_blocks(ring, limits)
+        if found is None:
+            found = _units_by_rank(ring, p, limits)
+        unit, inverses, l_full, r_full = found
     rep = UnitReport(tuple(elems[i] for i in unit), inverses,
                      tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
                      l_full, r_full)
@@ -893,6 +902,133 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         raise RingError("internal: regulars differ from units in a finite ring")
     ring._units = rep
     return rep
+
+
+def _paired_products(ring, A, B):
+    """Coefficient rows of a_i * b_i for the paired rows of A and B of a
+    structure ring, in chunks of about _CHUNK_BYTES of work."""
+    k = len(ring._mods)
+    out = np.empty((len(A), k), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * k * k))
+    for s in range(0, len(A), step):
+        L = np.einsum("ni,ijm->njm", A[s:s + step], ring.tensor)
+        out[s:s + step] = np.einsum("nj,njm->nm", B[s:s + step], L)
+    return out % ring._mods
+
+
+def _left_null_mod_p(M, p):
+    """A basis of {x : x @ M = 0 mod p}, as rows: Gauss-Jordan on [M | 1],
+    whose rows stay (x @ M, x)."""
+    r, c = M.shape
+    A = np.concatenate([M % p, np.eye(r, dtype=np.int64)], axis=1)
+    row = 0
+    for col in range(c):
+        nz = np.nonzero(A[row:, col])[0]
+        if len(nz) == 0:
+            continue
+        A[[row, row + nz[0]]] = A[[row + nz[0], row]]
+        A[row] = A[row] * pow(int(A[row, col]), -1, p) % p
+        others = np.arange(r) != row
+        A[others] = (A[others] - np.outer(A[others, col], A[row])) % p
+        row += 1
+        if row == r:
+            break
+    return A[row:, c:]
+
+
+def _central_blocks(ring, limits):
+    """The primitive central idempotents of a structure ring over one prime
+    p, as sorted codes.
+
+    The center Z is the F_p-space of x with x*g = g*x for every basis
+    element g.  On the commutative Z, x -> x^p is F_p-linear; its fixed
+    points S form a subring with x^p = x, so S is F_p^b, spanned by the b
+    primitive central idempotents, and it holds every central idempotent.
+    Both are found by linear algebra on k x k matrices; only S, p^b of
+    the at most |Z| elements, is listed and squared.  The primitive
+    idempotents refine the partition {1}: each round multiplies the blocks
+    by every idempotent of S and splits each block e at its least product
+    g not in {0, e}, into g and e - g, until none splits; the blocks never
+    number more than b.  Idempotents are never multiplied pairwise: on
+    F_2^k every element is one.
+    """
+    p = _rank_prime(ring, limits)
+    T, k = ring.tensor % p, len(ring._mods)
+    Z = _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
+    F, base, power = np.tile(np.array(ring.one), (len(Z), 1)), Z, p
+    while power:   # F = Z^p, row by row, by repeated squaring
+        if power & 1:
+            F = _paired_products(ring, F, base)
+        base, power = _paired_products(ring, base, base), power >> 1
+    S = _left_null_mod_p(F - Z, p) @ Z % p
+    X = np.indices((p,) * len(S)).reshape(len(S), -1).T @ S % p
+    idem = X[(_paired_products(ring, X, X) == X).all(axis=1)] @ ring._weights
+    t = _OnDemandTables(ring, limits)
+    blocks = t.encode([ring.one])
+    while True:
+        prods = t.prods(blocks, idem)
+        split = (prods != 0) & (prods != blocks[:, None])
+        has = split.any(axis=1)
+        if not has.any():
+            return np.sort(blocks)
+        g = np.where(split, prods, prods.max() + 1).min(axis=1)[has]
+        rest = (t._rows(blocks[has]) - t._rows(g)) % ring._mods @ ring._weights
+        blocks = np.concatenate([blocks[~has], g, rest])
+        if len(blocks) > len(S):   # so the refinement ends, and stays small
+            raise RingError("internal: more blocks than primitive central "
+                            "idempotents")
+
+
+def _units_by_blocks(ring, limits):
+    """Units of a structure ring read off the unit reports of its blocks.
+
+    R is the product of its blocks e*R, one per primitive central
+    idempotent e (_central_blocks; Lam, A First Course in Noncommutative
+    Rings, 22), and a acts on each block by its component a*e.  So a is a
+    unit, or has L_a or R_a bijective, exactly when every component is so
+    in its block, and the inverse of a unit is the sum of its components'
+    inverses.  Each block is a SubRing on its own tables; each composed
+    inverse is checked in R.  Returns what _units_by_rank returns, or None
+    when R is one block, a block is above max_table, or the blocks' tables
+    would cost more than the rank path.
+    """
+    idem = _central_blocks(ring, limits)
+    if len(idem) < 2:
+        return None
+    t = _OnDemandTables(ring, limits)
+    X = ring.elements_array(limits)
+    n, k = X.shape
+    comp = t.prods(np.arange(n), idem)   # the code of a*e, per block
+    parts = [np.unique(col) for col in comp.T]
+    sizes = np.array([len(codes) for codes in parts])
+    # the rank path takes about n k^3 steps and an entry of the blocks'
+    # tables costs about k of them: a calibration from timings of both
+    # paths for k from 4 to 14, not a figure any benchmark workload checks
+    if sizes.max() > limits.max_table or (sizes ** 2).sum() > n * k * k:
+        return None
+    l_full, r_full = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    V = np.zeros_like(X)   # the sum of the components' inverses
+    for e, codes, col in zip(idem, parts, comp.T):
+        block = SubRing(ring, t.decode(codes), one=t.decode([e])[0],
+                        check=False, limits=limits)
+        bt, rep = block.tables(limits), units_and_regulars(block, limits)
+        u = bt.encode(rep.units)
+        inv = np.zeros(len(codes), dtype=np.int64)
+        inv[u] = codes[bt.encode([rep.inverses[x] for x in rep.units])]
+        loc = np.searchsorted(codes, col)
+        l_full &= rep.l_full[loc]
+        r_full &= rep.r_full[loc]
+        V += t._rows(inv)[loc]
+    # each block's report passed regulars_equal_units, so its units are
+    # the components with l_full and r_full both
+    unit = np.nonzero(l_full & r_full)[0]
+    A, V = X[unit], V[unit] % ring._mods
+    if not ((_paired_products(ring, A, V) == ring.one).all()
+            and (_paired_products(ring, V, A) == ring.one).all()):
+        raise RingError("internal: a block inverse fails in the ring")
+    elems = ring.elements(limits)
+    inverses = {elems[i]: v for i, v in zip(unit, map(tuple, V.tolist()))}
+    return unit, inverses, l_full, r_full
 
 
 def _rank_prime(ring, limits):

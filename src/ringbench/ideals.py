@@ -138,6 +138,17 @@ def _principal_ideals(ring, t, side, limits):
     return by_key
 
 
+def _principal_entries(ring, t, side, limits):
+    """_principal_ideals of one side, built once per ring and kept on it.
+    Callers run their own gates first, and copy the dict to change it."""
+    cached = getattr(ring, "_principal", None)
+    if cached is None:
+        cached = ring._principal = {}
+    if side not in cached:
+        cached[side] = _principal_ideals(ring, t, side, limits)
+    return cached[side]
+
+
 def _apart(mask, masks):
     """Which rows of masks are incomparable with mask."""
     return (mask & ~masks).any(axis=1) & (masks & ~mask).any(axis=1)
@@ -166,7 +177,7 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
 
     Built one size band at a time, so a caller that stops early (the CCE
     sweep, the least ideal) does not pay for the rest of the lattice.
-    Principal ideals seed the bands (_principal_ideals).  Once a band is
+    Principal ideals seed the bands (_principal_entries).  Once a band is
     handed out, each of its ideals is joined with every earlier ideal it
     is incomparable with; |K + L| = |K||L| / |K & L| >= 2 max(|K|, |L|),
     so the join falls in a later band.  Complete: an ideal that is a sum
@@ -183,7 +194,7 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     if ring.size > limits.max_lattice:
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
     t = _tables_or_raise(ring, limits)
-    pending = _principal_ideals(ring, t, side, limits)
+    pending = dict(_principal_entries(ring, t, side, limits))
     _check_ideal_count(len(pending), limits)
     done = []   # entries handed out, in order
     while pending:

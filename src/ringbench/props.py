@@ -29,7 +29,7 @@ from ringbench.core import (
     center, units_and_regulars,
 )
 from ringbench.ideals import (
-    _additive_mask, _as_ideal, _ideal_gens, _principal_ideals, all_ideals,
+    _additive_mask, _as_ideal, _ideal_gens, _principal_entries, all_ideals,
     ideal_closure, ideal_power, ideals_by_size, jacobson_radical,
     nilpotency_index, prime_radical, quotient,
 )
@@ -228,13 +228,13 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
     ideal contains a principal one.  The largest two-sided ideal inside aR
     is {x in aR : g*x in aR for every generator g}: it is two-sided, and it
     holds every two-sided ideal inside aR.  It is found for every principal
-    ideal at once (ideals._principal_ideals, in order of least generator);
+    ideal at once (ideals._principal_entries, in order of least generator);
     the witness is the least a != 0 where it is zero, right ideals first
     (mirrored for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        entries = list(_principal_ideals(ring, t, side, limits).values())
+        entries = list(_principal_entries(ring, t, side, limits).values())
         masks = np.array([entry[0] for entry in entries])
         keep = masks.copy()
         for g in t.gen_idx:
@@ -308,7 +308,7 @@ def is_uniserial(ring, limits=DEFAULT_LIMITS):
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
         # elements ascend with indices, so index tuples sort like elements
-        seq = sorted(_principal_ideals(ring, t, side, limits).values(),
+        seq = sorted(_principal_entries(ring, t, side, limits).values(),
                      key=lambda e: (e[0].sum(), tuple(np.nonzero(e[0])[0])))
         for low, high in zip(seq, seq[1:]):
             if (low[0] & ~high[0]).any():

@@ -1,20 +1,26 @@
 """Ring realizations: construction, validation, arithmetic, tables."""
 
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from ringbench import core
 from ringbench.core import (
     AdditiveShape, ConstructionError, DomainError, InputError, LimitError,
-    Limits, QuotientRing, StructureRing, SubRing, center, elem_arith,
-    _outer_codes, enumerate_elements, make_ring, units_and_regulars,
+    Limits, QuotientRing, RingError, StructureRing, SubRing, center,
+    elem_arith, _OnDemandTables, _central_blocks, _outer_codes,
+    _units_by_rank, enumerate_elements, make_ring, units_and_regulars,
     validate_ring,
 )
-from ringbench.construct import catalog, full_matrix_ring
+from ringbench.construct import (
+    as_structure_ring, catalog, full_matrix_ring, group_algebra,
+)
+from ringbench.groups import cyclic, dihedral, direct_product
 from ringbench.ideals import additive_closure, quotient
-from ringbench.props import full_report, ore_check
+from ringbench.props import full_report, ore_check, sample_rings
 
 
 def make_zn(n):
@@ -489,6 +495,213 @@ def test_rank_path_limits_still_skip():
     lines = full_report(make_mat(2, 4), no_tables).lines()
     for key in ("units", "ore_right", "ore_left"):
         assert "%s=skipped;limit=max_table" % key in lines
+
+
+# -- units by central blocks ----------------------------------------------------
+
+def _fields(rep):
+    return (rep.units, rep.inverses, rep.l_full.tolist(), rep.r_full.tolist())
+
+
+def _rank_fields(ring, p):
+    """_fields of the report the rank path gives on ring."""
+    unit, inverses, l_full, r_full = _units_by_rank(ring, p, Limits())
+    elems = ring.elements()
+    return (tuple(elems[i] for i in unit), inverses, l_full.tolist(),
+            r_full.tolist())
+
+
+def _count_rank_calls(monkeypatch):
+    """The rings core._units_by_rank is called on, from now on."""
+    calls = []
+
+    def counted(ring, p, limits):
+        calls.append(ring)
+        return _units_by_rank(ring, p, limits)
+
+    monkeypatch.setattr(core, "_units_by_rank", counted)
+    return calls
+
+
+def _block_sizes(ring):
+    comp = _OnDemandTables(ring).prods(np.arange(ring.size),
+                                       _central_blocks(ring, Limits()))
+    return sorted(len(np.unique(col)) for col in comp.T)
+
+
+def c2_cubed():
+    return direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+
+BLOCK_RINGS = {   # name: (ring constructor, block sizes)
+    "z3q8": (lambda: catalog("z3q8"), [3, 3, 3, 3, 81]),
+    "z3d4": (lambda: group_algebra(3, dihedral(4)), [3, 3, 3, 3, 81]),
+    "z3[c2^3]": (lambda: group_algebra(3, c2_cubed()), [3] * 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RINGS))
+def test_block_path_matches_rank_path(name, monkeypatch):
+    build, sizes = BLOCK_RINGS[name]
+    r = build()
+    assert r.tables() is None and _block_sizes(r) == sizes
+    calls = _count_rank_calls(monkeypatch)
+    rep = units_and_regulars(r)
+    assert calls == []
+    assert _fields(rep) == _rank_fields(build(), 3)
+
+
+def test_block_path_matches_table_path_on_samples(monkeypatch):
+    # the sampled rings over one prime field with two or more blocks,
+    # forced onto the block path by a max_table of their largest block
+    calls = _count_rank_calls(monkeypatch)
+    checked = 0
+    for i, ring in enumerate(sample_rings(0, 100, max_size=256)):
+        s = as_structure_ring(ring)
+        mods = set(s.shape.moduli)
+        if mods not in ({2}, {3}) or len(_central_blocks(s, Limits())) < 2:
+            continue
+        limits = Limits(max_table=_block_sizes(s)[-1])
+        forced = as_structure_ring(ring)
+        assert forced.tables(limits) is None
+        assert _fields(units_and_regulars(forced, limits)) == \
+            _fields(units_and_regulars(s)), "sample %d" % i
+        checked += 1
+    assert checked == 22 and calls == []
+
+
+def test_central_blocks_match_brute_force_on_samples():
+    # the minimal nonzero idempotents of the center, e <= f meaning e*f = e;
+    # over F_5 and F_7 too: F_5[C4] is F_5^4, F_5[C3] is F_5 x F_25 and
+    # F_7[C3] is F_7^3
+    rings = list(sample_rings(0, 100, max_size=256)) + [
+        group_algebra(5, cyclic(4)), group_algebra(5, cyclic(3)),
+        group_algebra(7, cyclic(3))]
+    checked = 0
+    for i, ring in enumerate(rings):
+        s = as_structure_ring(ring)
+        if len(set(s.shape.moduli)) > 1 or s.shape.moduli[0] == 4:
+            continue
+        t = s.tables()
+        z = t.encode(center(s).elements())
+        idem = [e for e in z if t.mul[e, e] == e and e != t.zero]
+        prim = [e for e in idem
+                if all(t.mul[e, f] in (e, t.zero) for f in idem)]
+        codes = _OnDemandTables(s).encode([t.elems[e] for e in prim])
+        assert _central_blocks(s, Limits()).tolist() == sorted(codes), \
+            "sample %d" % i
+        checked += 1
+    assert checked == 78
+
+
+def test_central_blocks_list_only_the_frobenius_fixed_points(monkeypatch):
+    # F_2[x]/(x^11) is commutative and local: its center is all 2048
+    # elements, but only 0 and 1 have x^2 = x
+    k = 11
+    c = np.zeros((k, k, k), dtype=np.int64)
+    for i, j in itertools.product(range(k), repeat=2):
+        if i + j < k:
+            c[i, j, i + j] = 1
+    r = make_ring([2] * k, c, (1,) + (0,) * (k - 1))
+    rows, real = [], core._paired_products
+
+    def recorded(ring, A, B):
+        rows.append(len(A))
+        return real(ring, A, B)
+
+    monkeypatch.setattr(core, "_paired_products", recorded)
+    one = _OnDemandTables(r).encode([r.one]).tolist()
+    assert _central_blocks(r, Limits()).tolist() == one
+    assert 0 < max(rows) <= k
+
+
+def test_block_path_falls_back_to_rank_path(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    ext = catalog("ext2(7)")
+    assert _block_sizes(ext) == [ext.size]
+    rep = units_and_regulars(ext)
+    assert calls == [ext] and len(rep.units) == 2058
+    tabled = catalog("ext2(7)")
+    assert _fields(rep) == _fields(units_and_regulars(
+        tabled, Limits(max_table=tabled.size)))
+    # z3q8's block of 81 elements is above this max_table
+    r = catalog("z3q8")
+    rep = units_and_regulars(r, Limits(max_table=80))
+    assert calls == [ext, r]
+    assert _fields(rep) == _fields(units_and_regulars(catalog("z3q8")))
+    # F_2 x F_2[x]/(x^10): tables of the 1024-element block would cost
+    # more than the rank path's 2048 eliminations of 11 x 11 systems
+    k = 11
+    c = np.zeros((k, k, k), dtype=np.int64)
+    c[0, 0, 0] = 1
+    for i, j in itertools.product(range(k - 1), repeat=2):
+        if i + j < k - 1:
+            c[1 + i, 1 + j, 1 + i + j] = 1
+    split = make_ring([2] * k, c, (1, 1) + (0,) * (k - 2))
+    assert _block_sizes(split) == [2, 1024]
+    rep = units_and_regulars(split)
+    assert calls == [ext, r, split] and len(rep.units) == 512
+
+
+def test_block_tables_are_built_under_the_callers_limits():
+    base = BLOCK_RINGS["z3[c2^3]"][0]()
+    e = _OnDemandTables(base).decode(_central_blocks(base, Limits())[:1])[0]
+    block = [tuple(x * c % 3 for c in e) for x in range(3)]
+    assert SubRing(base, block, one=e, check=False).size == 3
+    with pytest.raises(LimitError):
+        SubRing(base, block, one=e, check=False, limits=Limits(max_table=2))
+
+
+def test_blocks_of_a_ring_of_idempotents(monkeypatch):
+    # F_2^11, diagonal: all 2048 elements are idempotent, and pairwise
+    # products of them would be 2048 x 2048 codes
+    k = 11
+    c = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        c[i, i, i] = 1
+    r, copy = (make_ring([2] * k, c, (1,) * k) for _ in range(2))
+    widest, einsum_bytes = [], []
+    einsum = np.einsum
+
+    def recorded(ring, A, B, op):
+        widest.append(len(A) * len(B))
+        return _outer_codes(ring, A, B, op)
+
+    def sized(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        einsum_bytes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(core, "_outer_codes", recorded)
+    # the squares of all 2048 elements at once would be (2048, k, k)
+    # products, about 2 MB
+    monkeypatch.setattr(np, "einsum", sized)
+    assert _central_blocks(r, Limits()).tolist() == [2 ** i for i in range(k)]
+    assert max(widest) <= r.size * k
+    rep = units_and_regulars(r)
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert 0 < max(einsum_bytes) <= core._CHUNK_BYTES
+    assert rep.units == (r.one,)
+    assert _fields(rep) == _rank_fields(copy, 2)
+
+
+def test_a_wrong_block_inverse_raises(monkeypatch):
+    real = core.units_and_regulars
+    corrupted = []
+
+    def corrupt(ring, limits=Limits()):
+        rep = real(ring, limits)
+        if isinstance(ring, SubRing) and len(rep.units) > 2:
+            u, w = rep.units[:2]
+            corrupted.append(ring)
+            return dataclasses.replace(
+                rep, inverses={**rep.inverses, u: rep.inverses[w]})
+        return rep
+
+    monkeypatch.setattr(core, "units_and_regulars", corrupt)
+    with pytest.raises(RingError, match="internal"):
+        core.units_and_regulars(catalog("z3q8"))
+    assert len(corrupted) == 1
 
 
 def test_units_of_product_ring():

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from ringbench.core import Limits, center, units_and_regulars, validate_ring
+from ringbench.core import (
+    LimitError, Limits, center, units_and_regulars, validate_ring,
+)
 from ringbench.construct import catalog, exterior_square_ring
 from ringbench.ideals import (
     all_ideals, jacobson_radical, nilpotency_index, prime_radical, quotient,
 )
-from ringbench import props
+from ringbench import ideals, props
 from ringbench.props import (
     central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report, is_commutative, is_invariant,
@@ -461,6 +463,29 @@ def test_full_report_computes_shared_values_once(monkeypatch):
                              "ore_check"]
     assert {"jacobson_index=3", "prime_radical_index=3", "lie_class=3",
             "strong_lie_class=5", "ore_right=true"} <= set(lines)
+
+
+def test_full_report_builds_principal_ideals_once_per_side(monkeypatch):
+    # strongly bounded and uniserial read the one-sided principal ideals,
+    # and the CCE sweep the two-sided ones; each side is built once
+    calls = []
+    real = ideals._principal_ideals
+
+    def counted(ring, t, side, limits):
+        calls.append(side)
+        return real(ring, t, side, limits)
+
+    monkeypatch.setattr(ideals, "_principal_ideals", counted)
+    ring = catalog("ext2(4)")
+    full_report(ring)
+    assert sorted(calls) == ["left", "right", "two"]
+    # the kept ideals are read only after each caller's gates
+    for decider in (is_uniserial, is_strongly_bounded):
+        with pytest.raises(LimitError):
+            decider(ring, NO_TABLES)
+    # a second report on the ring builds none; a fresh ring builds its own
+    assert full_report(ring).lines() == full_report(catalog("ext2(4)")).lines()
+    assert len(calls) == 6
 
 
 def test_full_report_skips_every_key_of_a_shared_value():
