@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, DomainError, InputError, LimitError, StructureRing,
-    SubRing, units_and_regulars,
+    DEFAULT_LIMITS, ConstructionError, DomainError, InputError, LimitError,
+    StructureRing, SubRing, units_and_regulars,
 )
 from ringbench.construct import (
     as_structure_ring, catalog, catalog_names, group_sum_ideal,
@@ -556,7 +556,7 @@ def main(argv=None):
         # at exit stays quiet (the recipe in the signal module's docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InputError, DomainError) as exc:
+    except (InputError, DomainError, ConstructionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except LimitError as exc:

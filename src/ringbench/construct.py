@@ -356,8 +356,8 @@ def ex52_ring(limits=DEFAULT_LIMITS):
 def ex51_ring(m=3, limits=DEFAULT_LIMITS):
     """Upper triangular 2x2: a mod 2^m free, far corner congruent to a mod 2,
     off-diagonal mod 4.  Needs m >= 2 so the corner reduction is well defined."""
-    if m < 1:
-        raise InputError("parameter m must be positive")
+    if m < 2:
+        raise InputError("parameter m must be at least 2")
     pattern = MatrixPattern(2, {
         (0, 0): Free(2 ** m),
         (0, 1): Free(4),

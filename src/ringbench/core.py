@@ -20,9 +20,9 @@ Deciders read dense index tables (Tables) up to max_table elements.  The
 set kernels (closures, the center, CE) read one lookup surface on every
 ring: the dense tables, or above max_table the sums and products of a
 whole structure ring computed on demand (_OnDemandTables).  Units above
-max_table are found on structure rings over one prime p: block by block
-on the tables of the blocks e*R, one per primitive central idempotent e,
-or as F_p algebras when the ring is one block or a block is too large.
+max_table are found on structure rings over one prime p by linear algebra
+mod p, one system per distinct component a*e of an element in a block
+e*R, one block per primitive central idempotent e.
 """
 
 import functools
@@ -382,12 +382,10 @@ class SubRing(Ring):
 
     `one` defaults to the base identity; passing a different element makes
     a corner ring (for an ideal that is unital under a central idempotent).
-    It is checked on the tables, with or without check.  Those tables are
-    built under limits.
+    It is checked on the tables, with or without check.
     """
 
-    def __init__(self, base, elems, name=None, check=True, one=None,
-                 limits=DEFAULT_LIMITS):
+    def __init__(self, base, elems, name=None, check=True, one=None):
         self.base = base
         elems = list(elems)
         if check:
@@ -407,7 +405,7 @@ class SubRing(Ring):
         self.name = name
         self.basis_names = getattr(base, "basis_names", None)
         if check or one is not None:
-            t = _tables_or_raise(self, limits)
+            t = _tables_or_raise(self, DEFAULT_LIMITS)
             ar = np.arange(self.size)
             fails = (t.mul[t.one] != ar) | (t.mul[:, t.one] != ar)
             if fails.any():
@@ -465,7 +463,8 @@ class QuotientRing(Ring):
     the base's coordinates.  The constructor checks the ideal in full:
     every entry is a base element, 0 is in I, I + I lies in I, and so do
     I*g and g*I for every additive generator g of the base, which covers
-    all of R since products are bilinear.  A base without tables raises
+    all of R since products are bilinear.  I must be proper: the zero ring
+    is no ring here (validate_ring).  A base without tables raises
     LimitError(max_table).
     """
 
@@ -481,6 +480,9 @@ class QuotientRing(Ring):
         if not (inside[bt.mul[np.ix_(ideal, bt.gen_idx)]].all()
                 and inside[bt.mul[np.ix_(bt.gen_idx, ideal)]].all()):
             raise DomainError("subset is not a two-sided ideal")
+        if inside.all():
+            raise DomainError("the ideal is the whole ring; the quotient "
+                              "would be the zero ring")
         least = bt.add[:, ideal].min(axis=1)   # index order is element order
         self._reps = np.unique(least)
         self.labels = np.searchsorted(self._reps, least).astype(np.int32)
@@ -869,9 +871,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
     it is a unit; the report exposes that comparison.  Above max_table only
-    structure rings over one prime modulus are decided: on the tables of
-    their blocks when they have two or more, each within max_table
-    (_units_by_blocks), otherwise by linear algebra mod p (_units_by_rank).
+    structure rings over one prime modulus are decided, by linear algebra
+    mod p on the components of the elements in the ring's blocks
+    (_units_by_components).
     """
     t = ring.tables(limits)
     if t is None:
@@ -891,10 +893,7 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
     else:
-        found = _units_by_blocks(ring, limits)
-        if found is None:
-            found = _units_by_rank(ring, p, limits)
-        unit, inverses, l_full, r_full = found
+        unit, inverses, l_full, r_full = _units_by_components(ring, p, limits)
     rep = UnitReport(tuple(elems[i] for i in unit), inverses,
                      tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
                      l_full, r_full)
@@ -979,58 +978,6 @@ def _central_blocks(ring, limits):
                             "idempotents")
 
 
-def _units_by_blocks(ring, limits):
-    """Units of a structure ring read off the unit reports of its blocks.
-
-    R is the product of its blocks e*R, one per primitive central
-    idempotent e (_central_blocks; Lam, A First Course in Noncommutative
-    Rings, 22), and a acts on each block by its component a*e.  So a is a
-    unit, or has L_a or R_a bijective, exactly when every component is so
-    in its block, and the inverse of a unit is the sum of its components'
-    inverses.  Each block is a SubRing on its own tables; each composed
-    inverse is checked in R.  Returns what _units_by_rank returns, or None
-    when R is one block, a block is above max_table, or the blocks' tables
-    would cost more than the rank path.
-    """
-    idem = _central_blocks(ring, limits)
-    if len(idem) < 2:
-        return None
-    t = _OnDemandTables(ring, limits)
-    X = ring.elements_array(limits)
-    n, k = X.shape
-    comp = t.prods(np.arange(n), idem)   # the code of a*e, per block
-    parts = [np.unique(col) for col in comp.T]
-    sizes = np.array([len(codes) for codes in parts])
-    # the rank path takes about n k^3 steps and an entry of the blocks'
-    # tables costs about k of them: a calibration from timings of both
-    # paths for k from 4 to 14, not a figure any benchmark workload checks
-    if sizes.max() > limits.max_table or (sizes ** 2).sum() > n * k * k:
-        return None
-    l_full, r_full = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-    V = np.zeros_like(X)   # the sum of the components' inverses
-    for e, codes, col in zip(idem, parts, comp.T):
-        block = SubRing(ring, t.decode(codes), one=t.decode([e])[0],
-                        check=False, limits=limits)
-        bt, rep = block.tables(limits), units_and_regulars(block, limits)
-        u = bt.encode(rep.units)
-        inv = np.zeros(len(codes), dtype=np.int64)
-        inv[u] = codes[bt.encode([rep.inverses[x] for x in rep.units])]
-        loc = np.searchsorted(codes, col)
-        l_full &= rep.l_full[loc]
-        r_full &= rep.r_full[loc]
-        V += t._rows(inv)[loc]
-    # each block's report passed regulars_equal_units, so its units are
-    # the components with l_full and r_full both
-    unit = np.nonzero(l_full & r_full)[0]
-    A, V = X[unit], V[unit] % ring._mods
-    if not ((_paired_products(ring, A, V) == ring.one).all()
-            and (_paired_products(ring, V, A) == ring.one).all()):
-        raise RingError("internal: a block inverse fails in the ring")
-    elems = ring.elements(limits)
-    inverses = {elems[i]: v for i, v in zip(unit, map(tuple, V.tolist()))}
-    return unit, inverses, l_full, r_full
-
-
 def _rank_prime(ring, limits):
     """The one prime p of a structure ring's moduli; the rank path's gate."""
     mods = set(ring.shape.moduli)
@@ -1040,39 +987,65 @@ def _rank_prime(ring, limits):
     return p
 
 
-def _units_by_rank(ring, p, limits):
-    """Solve a*z = 1 and y*a = 1 mod p for every element a, in chunks.
+def _units_by_components(ring, p, limits):
+    """Solve c*z = e and y*c = e mod p for each distinct block component c.
 
-    p is the ring's one prime modulus (_rank_prime).  Returns the indices
-    of the units (both solved, solutions checked), their inverses, and
-    whether L_a and R_a have full rank, per element.
+    R is the product of its blocks e*R, one per primitive central
+    idempotent e (_central_blocks; Lam, A First Course in Noncommutative
+    Rings, 22), and a acts on the block e*R by its component c = a*e.  So
+    a is a unit exactly when every component is a unit of its block, and
+    L_a (R_a) is bijective exactly when every L_c (R_c) has the rank of
+    L_e (R_e), which is dim e*R and the largest in the block.  The
+    inverse of a unit is the sum of the projections z*e of its
+    components' solutions, and it is checked in R.  A ring of one block
+    has e = 1 and c = a.  p is the ring's one prime modulus (_rank_prime).
+    Returns the indices of the units, their inverses, and whether L_a and
+    R_a are bijective, per element.
     """
-    elems, X = ring.elements(limits), ring.elements_array(limits)
+    X = ring.elements_array(limits)
     n, k = X.shape
-    one = np.array(ring.one, dtype=np.int64)
-    Z = np.zeros((n, k), dtype=np.int64)   # z with a*z = 1
-    solved = np.zeros((2, n), dtype=bool)  # a*z = 1, y*a = 1 solved
-    full = np.zeros((2, n), dtype=bool)    # L_a, R_a nonsingular
+    t = _OnDemandTables(ring, limits)
+    idem = _central_blocks(ring, limits)
+    b = len(idem)
+    comp = t.prods(np.arange(n), idem) if b > 1 else np.arange(n)[:, None]
+    # key c*b + j: component c of block j; the blocks share only c = 0
+    keys, loc = np.unique(comp * b + np.arange(b), return_inverse=True)
+    loc = loc.reshape(n, b)
+    C, E = t._rows(keys // b), t._rows(idem)[keys % b]
+    m = len(keys)
+    Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
+    solved = np.zeros((2, m), dtype=bool)  # c*z = e, y*c = e solved
+    rank = np.zeros((2, m), dtype=np.int64)  # of L_c, R_c
     # the systems of a chunk and one temporary of the same size
     chunk = max(1, _CHUNK_BYTES // (32 * k * (k + 1)))
-    for s in range(0, n, chunk):
-        LR = np.stack(ring.mul_matrices(X[s:s + chunk]))   # (2, m, k, k)
-        m = LR.shape[1]
-        # a*z = z @ L_a and y*a = y @ R_a: augmented [L_a^T | 1] and
-        # [R_a^T | 1], stored as (row, column, system)
-        M = np.empty((k, k + 1, 2 * m), dtype=np.int64)
+    for s in range(0, m, chunk):
+        LR = np.stack(ring.mul_matrices(C[s:s + chunk]))   # (2, h, k, k)
+        h, e = LR.shape[1], E[s:s + chunk]
+        # c*z = z @ L_c and y*c = y @ R_c: augmented [L_c^T | e] and
+        # [R_c^T | e], stored as (row, column, system)
+        M = np.empty((k, k + 1, 2 * h), dtype=np.int64)
         M[:, :k] = LR.reshape(-1, k, k).transpose(2, 1, 0) % p
-        M[:, k] = one[:, None]
-        x, nonsingular = _eliminate_mod_p(M, p)
-        x = x.reshape(2, m, k)
-        Z[s:s + m] = x[0]
-        # a solution stands only if it checks out: z @ L_a = 1, y @ R_a = 1
+        M[:, k] = np.tile(e.T, 2)
+        x, r = _eliminate_mod_p(M, p)
+        x = x.reshape(2, h, k)
+        Z[s:s + h] = x[0]
+        # a solution stands only if it checks out: z @ L_c = e, y @ R_c = e
         check = np.einsum("snj,snjm->snm", x, LR) % p
-        solved[:, s:s + m] = (check == one).all(axis=2)
-        full[:, s:s + m] = nonsingular.reshape(2, m)
-    unit = np.nonzero(solved.all(axis=0))[0]
-    inverses = {elems[i]: tuple(Z[i].tolist()) for i in unit}
-    return unit, inverses, full[0], full[1]
+        solved[:, s:s + h] = (check == e).all(axis=2)
+        rank[:, s:s + h] = r.reshape(2, h)
+    # e is the component of 1 in its block
+    top = rank[:, np.searchsorted(keys, idem * b + np.arange(b))]
+    l_full, r_full = (rank == top[:, keys % b])[:, loc].all(axis=2)
+    unit = np.nonzero(solved[:, loc].all(axis=(0, 2)))[0]
+    if b > 1:   # z*e lies in e*R and still solves c*z = e
+        Z = _paired_products(ring, Z, E)
+    A, V = X[unit], Z[loc[unit]].sum(axis=1) % ring._mods
+    if not ((_paired_products(ring, A, V) == ring.one).all()
+            and (_paired_products(ring, V, A) == ring.one).all()):
+        raise RingError("internal: a composed inverse fails in the ring")
+    elems = ring.elements(limits)
+    inverses = {elems[i]: v for i, v in zip(unit, map(tuple, V.tolist()))}
+    return unit, inverses, l_full, r_full
 
 
 def _eliminate_mod_p(M, p):
@@ -1080,7 +1053,7 @@ def _eliminate_mod_p(M, p):
 
     M is (k, k + 1, m): row, column, system, augmented, entries in [0, p).
     Returns a candidate solution (m, k) per system, free variables at 0,
-    to be checked by the caller, and whether its matrix is nonsingular.
+    to be checked by the caller, and the rank of its matrix.
     """
     k, _, m = M.shape
     inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
@@ -1100,4 +1073,4 @@ def _eliminate_mod_p(M, p):
         used[sel[has], systems[has]] = True
         pivot[col, has] = sel[has]
     x = np.where(pivot >= 0, M[pivot, k, systems], 0).T
-    return x, used.all(axis=0)
+    return x, used.sum(axis=0)

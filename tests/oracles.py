@@ -16,10 +16,12 @@ versions the package replaced with gathers on tables: set-based span growth and 
 repeated addition, and one ring.mul per bracket.  The subring tables
 are the two sources the package replaced with reading the base's sums
 and products: the tensor contraction on a structure base and the gather
-from any other base's tables.  The fraction field is sympy's FracField,
-which the symbolic verifiers used before they kept unreduced fraction
-pairs: it reduces every result by a multivariate gcd.  Differential tests
-compare against them.
+from any other base's tables.  The rank units solve a*z = 1 and y*a = 1
+for every element, the path the package replaced above max_table with
+one solve per distinct component of an element in a block.  The
+fraction field is sympy's FracField, which the symbolic verifiers used
+before they kept unreduced fraction pairs: it reduces every result by a
+multivariate gcd.  Differential tests compare against them.
 """
 
 import itertools
@@ -28,7 +30,9 @@ import numpy as np
 from sympy import GF
 from sympy.polys.fields import field as _fraction_field
 
-from ringbench.core import ConstructionError, StructureRing, _outer_codes
+from ringbench.core import (
+    ConstructionError, StructureRing, _eliminate_mod_p, _outer_codes,
+)
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
 from ringbench.props import (
     CCEReport, LieSeries, centrally_essential, is_commutative,
@@ -279,6 +283,26 @@ def subring_tables(sub):
     labels[idx] = np.arange(len(idx))
     sub_ix = np.ix_(idx, idx)
     return labels[bt.add[sub_ix]], labels[bt.mul[sub_ix]], labels[bt.neg[idx]]
+
+
+def units_by_rank(ring, p):
+    """(units, inverses, l_full, r_full) of a structure ring over the prime
+    p, as the unit report gives them: a*z = 1 and y*a = 1 solved mod p for
+    every element a, one system per element and side."""
+    elems, X = ring.elements(), ring.elements_array()
+    n, k = X.shape
+    LR = np.stack(ring.mul_matrices(X))   # (2, n, k, k)
+    M = np.empty((k, k + 1, 2 * n), dtype=np.int64)
+    M[:, :k] = LR.reshape(-1, k, k).transpose(2, 1, 0) % p
+    M[:, k] = np.array(ring.one)[:, None]
+    x, rank = _eliminate_mod_p(M, p)
+    x = x.reshape(2, n, k)
+    check = np.einsum("snj,snjm->snm", x, LR) % p
+    unit = np.nonzero((check == ring.one).all(axis=2).all(axis=0))[0]
+    full = rank.reshape(2, n) == k
+    return (tuple(elems[i] for i in unit),
+            {elems[i]: tuple(x[0, i].tolist()) for i in unit},
+            full[0], full[1])
 
 
 def greedy_additive_gens(ring):

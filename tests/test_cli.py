@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import ringbench
+from ringbench import cli
 from ringbench.cli import (
     build_claims, least_ideal, load_ring, main, parse_ring_text,
     resolve_gens, serialize_ring,
 )
-from ringbench.core import InputError
+from ringbench.core import ConstructionError, InputError
 from ringbench.construct import catalog
 from ringbench.ideals import quotient
 
@@ -206,6 +207,34 @@ def test_quotient_export_parses_back(capsys):
 
 def test_quotient_bad_gens(capsys):
     assert main(["quotient", "ex52", "--gens", "1,2", "report"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "ex51(1)"], "at least 2"),
+    (["quotient", "z2q8", "--gens", "0,0,0,0,0,0,0,1", "report"],
+     "whole ring"),
+    (["quotient", "z2q8", "--gens", "0,0,0,0,0,0,0,1", "export"],
+     "whole ring"),
+], ids=["ex51-m1", "quotient-whole-report", "quotient-whole-export"])
+def test_no_zero_ring_and_no_bad_parameter_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+def test_construction_error_exits_2(monkeypatch, capsys):
+    # input data that fails to define a ring is bad input
+    def broken(name, limits):
+        raise ConstructionError("pattern is not closed under products")
+
+    monkeypatch.setattr(cli, "load_ring", broken)
+    assert main(["report", "ex52"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern is not closed under products\n"
 
 
 def test_quotient_above_max_table_exits_3(capsys):

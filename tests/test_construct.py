@@ -224,7 +224,7 @@ def test_ex51_family():
 
 
 def test_ex51_needs_m_at_least_2():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="at least 2"):
         ex51_ring(1)
 
 

@@ -1,6 +1,5 @@
 """Ring realizations: construction, validation, arithmetic, tables."""
 
-import dataclasses
 import itertools
 import random
 
@@ -12,7 +11,7 @@ from ringbench.core import (
     AdditiveShape, ConstructionError, DomainError, InputError, LimitError,
     Limits, QuotientRing, RingError, StructureRing, SubRing, center,
     elem_arith, _OnDemandTables, _central_blocks, _outer_codes,
-    _units_by_rank, enumerate_elements, make_ring, units_and_regulars,
+    enumerate_elements, make_ring, units_and_regulars,
     validate_ring,
 )
 from ringbench.construct import (
@@ -21,6 +20,7 @@ from ringbench.construct import (
 from ringbench.groups import cyclic, dihedral, direct_product
 from ringbench.ideals import additive_closure, quotient
 from ringbench.props import full_report, ore_check, sample_rings
+from tests import oracles
 
 
 def make_zn(n):
@@ -311,9 +311,10 @@ def test_views_reject_entries_that_are_not_base_elements():
         SubRing(m2z2, [zero, one, (2, 0, 0, 0), (3, 0, 0, 1)])
     with pytest.raises(InputError, match=r"\(0, 1\)"):
         QuotientRing(m2z2, [zero, (0, 1)])
-    q = quotient(m2z2, m2z2.elements())
-    with pytest.raises(InputError, match=r"\(1, 0, 0, 1\)"):
-        SubRing(q, [q.zero, (1, 0, 0, 1)])   # a base element, not a coset
+    z6 = catalog("z6")
+    q = quotient(z6, [(0,), (2,), (4,)])
+    with pytest.raises(InputError, match=r"\(3,\)"):
+        SubRing(q, [q.zero, (3,)])   # a base element, not a coset's least
 
 
 def test_views_need_tables_and_no_scalar_paths_remain():
@@ -435,14 +436,11 @@ def test_units_rank_path_matches_table_path():
     r1 = make_mat(2, 3)
     rep_table = units_and_regulars(r1)
     r2 = make_mat(2, 3)
-    from ringbench.core import _units_by_rank
-    unit, inverses, l_full, r_full = _units_by_rank(r2, 3, Limits())
-    elems = r2.elements()
-    units = {elems[i] for i in unit}
-    regulars = {elems[i] for i in np.nonzero(l_full & r_full)[0]}
-    assert units == set(rep_table.units)
-    assert regulars == set(rep_table.regulars)
-    for u, v in inverses.items():
+    rep_rank = units_and_regulars(r2, Limits(max_table=1))
+    assert r2.tables(Limits(max_table=1)) is None
+    assert set(rep_rank.units) == set(rep_table.units)
+    assert set(rep_rank.regulars) == set(rep_table.regulars)
+    for u, v in rep_rank.inverses.items():
         assert r2.mul(u, v) == r2.one and r2.mul(v, u) == r2.one
 
 
@@ -504,23 +502,22 @@ def _fields(rep):
 
 
 def _rank_fields(ring, p):
-    """_fields of the report the rank path gives on ring."""
-    unit, inverses, l_full, r_full = _units_by_rank(ring, p, Limits())
-    elems = ring.elements()
-    return (tuple(elems[i] for i in unit), inverses, l_full.tolist(),
-            r_full.tolist())
+    """_fields of the report that one solve per element gives on ring."""
+    units, inverses, l_full, r_full = oracles.units_by_rank(ring, p)
+    return units, inverses, l_full.tolist(), r_full.tolist()
 
 
-def _count_rank_calls(monkeypatch):
-    """The rings core._units_by_rank is called on, from now on."""
-    calls = []
+def _count_systems(monkeypatch):
+    """The number of systems core._eliminate_mod_p solves, from now on, as
+    a one-entry list."""
+    count, real = [0], core._eliminate_mod_p
 
-    def counted(ring, p, limits):
-        calls.append(ring)
-        return _units_by_rank(ring, p, limits)
+    def counted(M, p):
+        count[0] += M.shape[2]
+        return real(M, p)
 
-    monkeypatch.setattr(core, "_units_by_rank", counted)
-    return calls
+    monkeypatch.setattr(core, "_eliminate_mod_p", counted)
+    return count
 
 
 def _block_sizes(ring):
@@ -531,6 +528,17 @@ def _block_sizes(ring):
 
 def c2_cubed():
     return direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+
+def split_ring():
+    """F_2 x F_2[x]/(x^10): blocks of 2 and 1024 elements."""
+    k = 11
+    c = np.zeros((k, k, k), dtype=np.int64)
+    c[0, 0, 0] = 1
+    for i, j in itertools.product(range(k - 1), repeat=2):
+        if i + j < k - 1:
+            c[1 + i, 1 + j, 1 + i + j] = 1
+    return make_ring([2] * k, c, (1, 1) + (0,) * (k - 2))
 
 
 BLOCK_RINGS = {   # name: (ring constructor, block sizes)
@@ -545,17 +553,52 @@ def test_block_path_matches_rank_path(name, monkeypatch):
     build, sizes = BLOCK_RINGS[name]
     r = build()
     assert r.tables() is None and _block_sizes(r) == sizes
-    calls = _count_rank_calls(monkeypatch)
+    systems = _count_systems(monkeypatch)
     rep = units_and_regulars(r)
-    assert calls == []
+    assert systems == [2 * sum(sizes)]
     assert _fields(rep) == _rank_fields(build(), 3)
+
+
+@pytest.mark.parametrize("build, per_side", [
+    (lambda: catalog("z3q8"), 93),
+    (split_ring, 1026),
+    (lambda: catalog("ext2(7)"), 2401),
+], ids=["z3q8", "split", "ext2(7)"])
+def test_units_solve_one_system_per_distinct_component(build, per_side,
+                                                       monkeypatch):
+    # z3q8's 6561 elements have 81 + 4 * 3 distinct block components; the
+    # split ring's 2048 have 2 + 1024; ext2(7) is one block
+    r = build()
+    assert sum(_block_sizes(r)) == per_side
+    systems = _count_systems(monkeypatch)
+    units_and_regulars(r)
+    assert systems == [2 * per_side]
+
+
+def test_units_above_max_table_build_no_tables(monkeypatch):
+    r = catalog("z3q8")
+    built = []
+    real_build, real_init = core.Tables.build, core.SubRing.__init__
+
+    def build(ring, limits=Limits()):
+        built.append(ring)
+        return real_build(ring, limits)
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.Tables, "build", staticmethod(build))
+    monkeypatch.setattr(core.SubRing, "__init__", init)
+    assert len(units_and_regulars(r).units) == 768
+    assert built == []
 
 
 def test_block_path_matches_table_path_on_samples(monkeypatch):
     # the sampled rings over one prime field with two or more blocks,
-    # forced onto the block path by a max_table of their largest block
-    calls = _count_rank_calls(monkeypatch)
+    # with a max_table of their largest block, so none has tables
     checked = 0
+    systems = _count_systems(monkeypatch)
     for i, ring in enumerate(sample_rings(0, 100, max_size=256)):
         s = as_structure_ring(ring)
         mods = set(s.shape.moduli)
@@ -564,10 +607,12 @@ def test_block_path_matches_table_path_on_samples(monkeypatch):
         limits = Limits(max_table=_block_sizes(s)[-1])
         forced = as_structure_ring(ring)
         assert forced.tables(limits) is None
+        before = systems[0]
         assert _fields(units_and_regulars(forced, limits)) == \
             _fields(units_and_regulars(s)), "sample %d" % i
+        assert systems[0] - before == 2 * sum(_block_sizes(s)), "sample %d" % i
         checked += 1
-    assert checked == 22 and calls == []
+    assert checked == 22
 
 
 def test_central_blocks_match_brute_force_on_samples():
@@ -615,41 +660,23 @@ def test_central_blocks_list_only_the_frobenius_fixed_points(monkeypatch):
     assert 0 < max(rows) <= k
 
 
-def test_block_path_falls_back_to_rank_path(monkeypatch):
-    calls = _count_rank_calls(monkeypatch)
+def test_units_of_one_block_and_large_block_rings():
     ext = catalog("ext2(7)")
     assert _block_sizes(ext) == [ext.size]
     rep = units_and_regulars(ext)
-    assert calls == [ext] and len(rep.units) == 2058
+    assert len(rep.units) == 2058
     tabled = catalog("ext2(7)")
     assert _fields(rep) == _fields(units_and_regulars(
         tabled, Limits(max_table=tabled.size)))
     # z3q8's block of 81 elements is above this max_table
-    r = catalog("z3q8")
-    rep = units_and_regulars(r, Limits(max_table=80))
-    assert calls == [ext, r]
+    rep = units_and_regulars(catalog("z3q8"), Limits(max_table=80))
     assert _fields(rep) == _fields(units_and_regulars(catalog("z3q8")))
-    # F_2 x F_2[x]/(x^10): tables of the 1024-element block would cost
-    # more than the rank path's 2048 eliminations of 11 x 11 systems
-    k = 11
-    c = np.zeros((k, k, k), dtype=np.int64)
-    c[0, 0, 0] = 1
-    for i, j in itertools.product(range(k - 1), repeat=2):
-        if i + j < k - 1:
-            c[1 + i, 1 + j, 1 + i + j] = 1
-    split = make_ring([2] * k, c, (1, 1) + (0,) * (k - 2))
+    assert _fields(rep) == _rank_fields(catalog("z3q8"), 3)
+    split = split_ring()
     assert _block_sizes(split) == [2, 1024]
     rep = units_and_regulars(split)
-    assert calls == [ext, r, split] and len(rep.units) == 512
-
-
-def test_block_tables_are_built_under_the_callers_limits():
-    base = BLOCK_RINGS["z3[c2^3]"][0]()
-    e = _OnDemandTables(base).decode(_central_blocks(base, Limits())[:1])[0]
-    block = [tuple(x * c % 3 for c in e) for x in range(3)]
-    assert SubRing(base, block, one=e, check=False).size == 3
-    with pytest.raises(LimitError):
-        SubRing(base, block, one=e, check=False, limits=Limits(max_table=2))
+    assert len(rep.units) == 512
+    assert _fields(rep) == _rank_fields(split_ring(), 2)
 
 
 def test_blocks_of_a_ring_of_idempotents(monkeypatch):
@@ -686,22 +713,26 @@ def test_blocks_of_a_ring_of_idempotents(monkeypatch):
 
 
 def test_a_wrong_block_inverse_raises(monkeypatch):
-    real = core.units_and_regulars
-    corrupted = []
+    # drop the projection z*e: the first product after the eliminations
+    # returns z itself, which solves c*z = e but is not inside e*R
+    solving, mutated = [], []
+    real_solve, real_products = core._eliminate_mod_p, core._paired_products
 
-    def corrupt(ring, limits=Limits()):
-        rep = real(ring, limits)
-        if isinstance(ring, SubRing) and len(rep.units) > 2:
-            u, w = rep.units[:2]
-            corrupted.append(ring)
-            return dataclasses.replace(
-                rep, inverses={**rep.inverses, u: rep.inverses[w]})
-        return rep
+    def solve(M, p):
+        solving.append(True)
+        return real_solve(M, p)
 
-    monkeypatch.setattr(core, "units_and_regulars", corrupt)
+    def products(ring, A, B):
+        if solving and not mutated:
+            mutated.append(len(A))
+            return A
+        return real_products(ring, A, B)
+
+    monkeypatch.setattr(core, "_eliminate_mod_p", solve)
+    monkeypatch.setattr(core, "_paired_products", products)
     with pytest.raises(RingError, match="internal"):
-        core.units_and_regulars(catalog("z3q8"))
-    assert len(corrupted) == 1
+        units_and_regulars(catalog("z3q8"))
+    assert mutated == [93]
 
 
 def test_units_of_product_ring():

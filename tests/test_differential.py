@@ -332,6 +332,10 @@ def test_quotients_match_dict_oracle(key):
     ring = _ring(key)
     elems = ring.elements()
     for ideal in all_ideals(ring):
+        if ideal.is_whole():   # its quotient would be the zero ring
+            with pytest.raises(DomainError, match="whole ring"):
+                quotient(ring, ideal)
+            continue
         q = quotient(ring, ideal)
         old = oracles.DictQuotient(ring, ideal.elements)
         assert q.elements() == old.reps
