@@ -19,10 +19,11 @@ calls.
 Deciders read dense index tables (Tables) up to max_table elements.  The
 set kernels (closures, the center, CE) read one lookup surface on every
 ring: the dense tables, or above max_table the sums and products of a
-whole structure ring computed on demand (_OnDemandTables).  Units above
-max_table are found on structure rings over one prime p by linear algebra
-mod p, one system per distinct component a*e of an element in a block
-e*R, one block per primitive central idempotent e.
+whole structure ring computed on demand (_OnDemandTables).  On structure
+rings over one prime p above max_table, linear algebra mod p gives the
+center as the span of its basis, and the units by one system per distinct
+component a*e of an element in a block e*R, one block per primitive
+central idempotent e.
 """
 
 import functools
@@ -331,10 +332,10 @@ class StructureRing(Ring):
         return cached
 
     def elements_array(self, limits=DEFAULT_LIMITS):
-        elems = self.elements(limits)
+        self.elements(limits)   # the max_elements gate
         cached = getattr(self, "_elements_array", None)
         if cached is None:
-            cached = np.array(elems, dtype=np.int64)
+            cached = np.arange(self.size)[:, None] // self._weights % self._mods
             cached.setflags(write=False)
             self._elements_array = cached
         return cached
@@ -837,15 +838,22 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 
 def center(ring, limits=DEFAULT_LIMITS):
     """The center Z(R) as a SubRing (commutative, contains 0 and 1): the
-    elements that commute with every additive generator."""
-    n = len(ring.elements(limits))   # the max_elements gate of the scan
+    elements that commute with every additive generator.  Above max_table
+    the center of a structure ring over one prime p is the span of its
+    F_p basis (_center_basis); every other ring scans its elements."""
+    n = len(ring.elements(limits))   # the max_elements gate
     t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
-    every = np.arange(n)
-    mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
-    sub = SubRing(ring, _mask_elems(t, mask), name="center", check=False)
+    p = _one_prime(ring) if isinstance(t, _OnDemandTables) else None
+    if p is None:
+        every = np.arange(n)
+        mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
+        idx = mask.nonzero()[0]
+    else:
+        idx = np.sort(_span_mod_p(_center_basis(ring, p), p) @ ring._weights)
+    sub = SubRing(ring, t.decode(idx), name="center", check=False)
     ring._center = sub
     return sub
 
@@ -877,9 +885,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     """
     t = ring.tables(limits)
     if t is None:
-        if not isinstance(ring, StructureRing):
+        p = _one_prime(ring) if isinstance(ring, StructureRing) else None
+        if p is None:
             raise LimitError("max_table", limits.max_table, ring.size)
-        p = _rank_prime(ring, limits)
     elems = ring.elements(limits)   # the max_elements gate of the rank path
     cached = getattr(ring, "_units", None)
     if cached is not None:
@@ -935,14 +943,27 @@ def _left_null_mod_p(M, p):
     return A[row:, c:]
 
 
+def _span_mod_p(B, p):
+    """All p^d F_p-combinations of the d rows of B, as rows mod p."""
+    return np.indices((p,) * len(B)).reshape(len(B), -1).T @ B % p
+
+
+def _center_basis(ring, p):
+    """The center's basis over one prime p, as rows: x*g = g*x for every
+    basis element g is x @ (T - T^t) = 0, T the k x k^2 tensor mod p."""
+    T, k = ring.tensor % p, len(ring._mods)
+    return _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
+
+
 def _central_blocks(ring, limits):
     """The primitive central idempotents of a structure ring over one prime
     p, as sorted codes.
 
     The center Z is the F_p-space of x with x*g = g*x for every basis
-    element g.  On the commutative Z, x -> x^p is F_p-linear; its fixed
-    points S form a subring with x^p = x, so S is F_p^b, spanned by the b
-    primitive central idempotents, and it holds every central idempotent.
+    element g (_center_basis).  On the commutative Z, x -> x^p is
+    F_p-linear; its fixed points S form a subring with x^p = x, so S is
+    F_p^b, spanned by the b primitive central idempotents, and it holds
+    every central idempotent.
     Both are found by linear algebra on k x k matrices; only S, p^b of
     the at most |Z| elements, is listed and squared.  The primitive
     idempotents refine the partition {1}: each round multiplies the blocks
@@ -951,16 +972,15 @@ def _central_blocks(ring, limits):
     number more than b.  Idempotents are never multiplied pairwise: on
     F_2^k every element is one.
     """
-    p = _rank_prime(ring, limits)
-    T, k = ring.tensor % p, len(ring._mods)
-    Z = _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
+    p = _one_prime(ring)
+    Z = _center_basis(ring, p)
     F, base, power = np.tile(np.array(ring.one), (len(Z), 1)), Z, p
     while power:   # F = Z^p, row by row, by repeated squaring
         if power & 1:
             F = _paired_products(ring, F, base)
         base, power = _paired_products(ring, base, base), power >> 1
     S = _left_null_mod_p(F - Z, p) @ Z % p
-    X = np.indices((p,) * len(S)).reshape(len(S), -1).T @ S % p
+    X = _span_mod_p(S, p)
     idem = X[(_paired_products(ring, X, X) == X).all(axis=1)] @ ring._weights
     t = _OnDemandTables(ring, limits)
     blocks = t.encode([ring.one])
@@ -978,12 +998,12 @@ def _central_blocks(ring, limits):
                             "idempotents")
 
 
-def _rank_prime(ring, limits):
-    """The one prime p of a structure ring's moduli; the rank path's gate."""
+def _one_prime(ring):
+    """The one prime p of a structure ring's moduli, or None."""
     mods = set(ring.shape.moduli)
     p = mods.pop()
     if mods or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise LimitError("max_table", limits.max_table, ring.size)
+        return None
     return p
 
 
@@ -998,7 +1018,7 @@ def _units_by_components(ring, p, limits):
     L_e (R_e), which is dim e*R and the largest in the block.  The
     inverse of a unit is the sum of the projections z*e of its
     components' solutions, and it is checked in R.  A ring of one block
-    has e = 1 and c = a.  p is the ring's one prime modulus (_rank_prime).
+    has e = 1 and c = a.  p is the ring's one prime modulus (_one_prime).
     Returns the indices of the units, their inverses, and whether L_a and
     R_a are bijective, per element.
     """

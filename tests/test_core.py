@@ -639,6 +639,22 @@ def test_central_blocks_match_brute_force_on_samples():
     assert checked == 78
 
 
+def test_central_blocks_of_z3q8():
+    # M2(F3) x F3^4: five orthogonal central idempotents that sum to 1
+    r = catalog("z3q8")
+    blocks = _central_blocks(r, Limits())
+    assert blocks.tolist() == [4617, 5738, 5794, 6448, 6560]
+    assert _block_sizes(r) == [3, 3, 3, 3, 81]
+    idem = _OnDemandTables(r).decode(blocks)
+    total = r.zero
+    for e in idem:
+        assert r.mul(e, e) == e
+        assert all(r.mul(e, g) == r.mul(g, e) for g in r.gens())
+        assert all(r.mul(e, f) == r.zero for f in idem if f != e)
+        total = r.add(total, e)
+    assert total == r.one
+
+
 def test_central_blocks_list_only_the_frobenius_fixed_points(monkeypatch):
     # F_2[x]/(x^11) is commutative and local: its center is all 2048
     # elements, but only 0 and 1 have x^2 = x

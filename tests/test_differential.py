@@ -5,7 +5,8 @@ regressions for limit-gated caches, the central-series check and the
 complete ideal check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
-tables of the same rings, and the sample streams against pinned digests."""
+tables of the same rings, the center from its F_p basis against the
+table center, and the sample streams against pinned digests."""
 
 import functools
 import hashlib
@@ -17,7 +18,8 @@ import pytest
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, SubRing,
-    _mask_elems, _outer_codes, center, make_ring,
+    _OnDemandTables, _mask_elems, _one_prime, _outer_codes, center,
+    make_ring,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
@@ -35,7 +37,7 @@ from ringbench.props import (
     is_strongly_bounded, is_uniserial, lie_series, sample_rings,
 )
 from tests import oracles
-from tests.test_core import full_matrix_tensor
+from tests.test_core import RANK_PATH_RINGS, full_matrix_tensor
 
 CATALOG = ("z2q8", "z2d4", "ex52", "ex51(3)", "ext2(3)", "ext2(4)", "m2z2",
            "t2z2")
@@ -470,6 +472,14 @@ def test_recurrence_tables_match_tensor_contraction(name):
     assert np.array_equal(t.neg, (-X) % ring._mods @ ring._weights)
 
 
+@pytest.mark.parametrize("name", TABLE_RINGS)
+def test_elements_array_decodes_the_element_list(name):
+    ring = TABLE_RINGS[name]()
+    X = ring.elements_array()
+    assert X.dtype == np.int64 and not X.flags.writeable
+    assert np.array_equal(X, np.array(ring.elements()))
+
+
 @pytest.mark.parametrize("name", ("ext2(6)", "ex51(5)"))
 def test_on_demand_tables_match_dense_tables(name):
     # composite moduli: 6 = 2 * 3, and 32, 4, 16
@@ -486,6 +496,66 @@ def test_on_demand_tables_match_dense_tables(name):
         for side in SIDES:
             assert (ideal_closure(lazy, gens, side).elements
                     == ideal_closure(dense, gens, side, DENSE).elements)
+
+
+def _no_on_demand_products(monkeypatch):
+    def prods(self, rows, cols):
+        raise AssertionError("the center scanned the ring")
+
+    monkeypatch.setattr(_OnDemandTables, "prods", prods)
+
+
+@pytest.mark.parametrize("key", list(RANK_PATH_RINGS) + list(SAMPLES),
+                         ids=lambda key: "sample%d" % key[0]
+                         if isinstance(key, tuple) else key)
+def test_basis_center_matches_table_center(key, monkeypatch):
+    # every catalog ring up to max_table over one prime, and every ring of
+    # the sample streams over one prime, without tables: from its basis
+    if isinstance(key, str):
+        pairs = [(catalog(key), catalog(key))]
+    else:
+        pairs = [(as_structure_ring(r), as_structure_ring(r))
+                 for r in _samples(*key)]
+    pairs = [(a, b) for a, b in pairs if _one_prime(a) is not None]
+    assert len(pairs) == {(5, 60, 256): 46, (11, 40, 512): 30}.get(key, 1)
+    dense = [center(a).elements() for a, _ in pairs]
+    _no_on_demand_products(monkeypatch)
+    for (_, b), want in zip(pairs, dense):
+        assert b.tables(Limits(max_table=1)) is None
+        assert center(b, Limits(max_table=1)).elements() == want
+
+
+def test_basis_center_scans_nothing(monkeypatch):
+    ring = catalog("z3q8")
+    _no_on_demand_products(monkeypatch)
+    z = center(ring)
+    # F_3[Q8] has a center of dimension 5, one class sum per conjugacy
+    # class, so 243 central elements are all of it
+    assert z.size == 243
+    assert all(ring.mul(x, g) == ring.mul(g, x)
+               for x in z.elements() for g in ring.gens())
+
+
+def test_center_over_composite_moduli_still_scans(monkeypatch):
+    # ext2(6) has modulus 6, which is no prime: no F_p basis
+    lazy, dense = catalog("ext2(6)"), catalog("ext2(6)")
+    scanned, real = [], _OnDemandTables.prods
+
+    def prods(self, rows, cols):
+        scanned.append(len(rows) * len(cols))
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(_OnDemandTables, "prods", prods)
+    z = center(lazy)
+    assert sum(scanned) == 2 * lazy.size * len(lazy.gens())
+    assert z.size == 144 and z.elements() == center(dense, DENSE).elements()
+
+
+def test_center_above_max_elements_is_skipped():
+    # the basis would give Z5[Q8]'s center, but the max_elements gate
+    # comes first: a skip stays a skip
+    with pytest.raises(LimitError, match="max_elements"):
+        center(group_algebra(5, quaternion8()))
 
 
 def test_z3q8_ideals_on_demand_are_the_augmentation_kernels():
