@@ -21,9 +21,10 @@ set kernels (closures, the center, CE) read one lookup surface on every
 ring: the dense tables, or above max_table the sums and products of a
 whole structure ring computed on demand (_OnDemandTables).  On structure
 rings over one prime p above max_table, linear algebra mod p gives the
-center as the span of its basis, and the units by one system per distinct
-component a*e of an element in a block e*R, one block per primitive
-central idempotent e.
+center as the span of its basis, the Jacobson radical J by trace
+functionals, and the units on R/J: one system per element of each block
+e*(R/J), one block per primitive central idempotent e, with the inverses
+lifted to R by a geometric series in J.
 """
 
 import functools
@@ -239,6 +240,10 @@ class Ring:
         """All elements, lexicographic, starting at zero.  Deterministic."""
         raise NotImplementedError
 
+    def _size_gate(self, limits):
+        """The limit check of elements(limits), without listing them.  A
+        view lists the elements it holds, so it has none."""
+
     def gens(self):
         """An additive generating set (small, deterministic)."""
         raise NotImplementedError
@@ -322,9 +327,12 @@ class StructureRing(Ring):
     def element(self, coeffs):
         return self.shape.reduce(coeffs)
 
-    def elements(self, limits=DEFAULT_LIMITS):
+    def _size_gate(self, limits):
         if self.size > limits.max_elements:
             raise LimitError("max_elements", limits.max_elements, self.size)
+
+    def elements(self, limits=DEFAULT_LIMITS):
+        self._size_gate(limits)
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = tuple(self.shape.iter_elements())
@@ -332,7 +340,7 @@ class StructureRing(Ring):
         return cached
 
     def elements_array(self, limits=DEFAULT_LIMITS):
-        self.elements(limits)   # the max_elements gate
+        self._size_gate(limits)
         cached = getattr(self, "_elements_array", None)
         if cached is None:
             cached = np.arange(self.size)[:, None] // self._weights % self._mods
@@ -841,14 +849,14 @@ def center(ring, limits=DEFAULT_LIMITS):
     elements that commute with every additive generator.  Above max_table
     the center of a structure ring over one prime p is the span of its
     F_p basis (_center_basis); every other ring scans its elements."""
-    n = len(ring.elements(limits))   # the max_elements gate
+    ring._size_gate(limits)
     t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
     p = _one_prime(ring) if isinstance(t, _OnDemandTables) else None
     if p is None:
-        every = np.arange(n)
+        every = np.arange(ring.size)
         mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
         idx = mask.nonzero()[0]
     else:
@@ -879,9 +887,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
     it is a unit; the report exposes that comparison.  Above max_table only
-    structure rings over one prime modulus are decided, by linear algebra
-    mod p on the components of the elements in the ring's blocks
-    (_units_by_components).
+    structure rings over one prime modulus p are decided, by linear algebra
+    mod p: on the blocks of R/J, J the radical from trace functionals, with
+    inverses lifted to R by a geometric series (_units_through_radical).
     """
     t = ring.tables(limits)
     if t is None:
@@ -901,7 +909,7 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
     else:
-        unit, inverses, l_full, r_full = _units_by_components(ring, p, limits)
+        unit, inverses, l_full, r_full = _units_through_radical(ring, p, limits)
     rep = UnitReport(tuple(elems[i] for i in unit), inverses,
                      tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
                      l_full, r_full)
@@ -928,8 +936,17 @@ def _left_null_mod_p(M, p):
     whose rows stay (x @ M, x)."""
     r, c = M.shape
     A = np.concatenate([M % p, np.eye(r, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(c):
+    return A[_row_reduce_mod_p(A, p, c):, c:]
+
+
+def _row_reduce_mod_p(A, p, cols):
+    """Gauss-Jordan mod p on the first cols columns of A, in place, entries
+    in [0, p).  Returns the rank r: rows [0, r) hold the pivots, each 1
+    with zeros above and below, and the later rows are zero there."""
+    r, row = len(A), 0
+    for col in range(cols):
+        if row == r:
+            break
         nz = np.nonzero(A[row:, col])[0]
         if len(nz) == 0:
             continue
@@ -938,14 +955,12 @@ def _left_null_mod_p(M, p):
         others = np.arange(r) != row
         A[others] = (A[others] - np.outer(A[others, col], A[row])) % p
         row += 1
-        if row == r:
-            break
-    return A[row:, c:]
+    return row
 
 
 def _span_mod_p(B, p):
     """All p^d F_p-combinations of the d rows of B, as rows mod p."""
-    return np.indices((p,) * len(B)).reshape(len(B), -1).T @ B % p
+    return np.indices((p,) * len(B)).reshape(len(B), p ** len(B)).T @ B % p
 
 
 def _center_basis(ring, p):
@@ -1007,40 +1022,50 @@ def _one_prime(ring):
     return p
 
 
-def _units_by_components(ring, p, limits):
-    """Solve c*z = e and y*c = e mod p for each distinct block component c.
+def _units_through_radical(ring, p, limits):
+    """Units of a structure ring over one prime p, decided on R/J and lifted.
 
-    R is the product of its blocks e*R, one per primitive central
-    idempotent e (_central_blocks; Lam, A First Course in Noncommutative
-    Rings, 22), and a acts on the block e*R by its component c = a*e.  So
-    a is a unit exactly when every component is a unit of its block, and
-    L_a (R_a) is bijective exactly when every L_c (R_c) has the rank of
-    L_e (R_e), which is dim e*R and the largest in the block.  The
-    inverse of a unit is the sum of the projections z*e of its
-    components' solutions, and it is checked in R.  A ring of one block
-    has e = 1 and c = a.  p is the ring's one prime modulus (_one_prime).
+    a is a unit exactly when its image in R/J is (J the Jacobson radical,
+    _radical_quotient), and x -> a*x is bijective exactly when a is a unit,
+    R being finite.  R/J is the product of its blocks e*(R/J), one per
+    primitive central idempotent e (_central_blocks; Lam, A First Course
+    in Noncommutative Rings, 22), and an image is a unit exactly when each
+    of its block components is a unit of its block.  Each block gets a
+    reduced echelon basis; c*z = e and y*c = e are solved once for every
+    element c of every block, and L_c (R_c) is bijective on the block when
+    its rank is the block's dimension.  The stacked block bases are one
+    change of basis of R/J, so each element of R reads its flags at the
+    block codes of its image.  The inverse v of the image, the sum of the
+    projections z*e, lifts to R (_geometric_lift) and is checked there.
     Returns the indices of the units, their inverses, and whether L_a and
     R_a are bijective, per element.
     """
     X = ring.elements_array(limits)
-    n, k = X.shape
-    t = _OnDemandTables(ring, limits)
-    idem = _central_blocks(ring, limits)
-    b = len(idem)
-    comp = t.prods(np.arange(n), idem) if b > 1 else np.arange(n)[:, None]
-    # key c*b + j: component c of block j; the blocks share only c = 0
-    keys, loc = np.unique(comp * b + np.arange(b), return_inverse=True)
-    loc = loc.reshape(n, b)
-    C, E = t._rows(keys // b), t._rows(idem)[keys % b]
-    m = len(keys)
+    Q, to_q, free = _radical_quotient(ring, p)
+    k = len(Q._mods)
+    E = _OnDemandTables(Q, limits)._rows(_central_blocks(Q, limits))
+    bases = [L[:_row_reduce_mod_p(L, p, k)] for L in Q.mul_matrices(E)[0] % p]
+    dims = np.array([len(B) for B in bases])
+    # block coordinates: y = c @ stack(bases), so c = y @ its inverse, and
+    # block j's part of c has its index in _span_mod_p as its code
+    G = np.concatenate([np.concatenate(bases), np.eye(k, dtype=np.int64)], axis=1)
+    _row_reduce_mod_p(G, p, k)
+    block = np.repeat(np.arange(len(dims)), dims)
+    place = np.zeros((k, len(dims)), dtype=np.int64)
+    place[np.arange(k), block] = p ** (np.cumsum(dims)[block] - 1 - np.arange(k))
+    sizes = p ** dims
+    loc = (X @ (to_q @ G[:, k:] % p) % p) @ place + np.cumsum(sizes) - sizes
+    C = np.concatenate([_span_mod_p(B, p) for B in bases])
+    e_rows = np.repeat(E, sizes, axis=0)
+    m = len(C)
     Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
     solved = np.zeros((2, m), dtype=bool)  # c*z = e, y*c = e solved
     rank = np.zeros((2, m), dtype=np.int64)  # of L_c, R_c
     # the systems of a chunk and one temporary of the same size
     chunk = max(1, _CHUNK_BYTES // (32 * k * (k + 1)))
     for s in range(0, m, chunk):
-        LR = np.stack(ring.mul_matrices(C[s:s + chunk]))   # (2, h, k, k)
-        h, e = LR.shape[1], E[s:s + chunk]
+        LR = np.stack(Q.mul_matrices(C[s:s + chunk]))   # (2, h, k, k)
+        h, e = LR.shape[1], e_rows[s:s + chunk]
         # c*z = z @ L_c and y*c = y @ R_c: augmented [L_c^T | e] and
         # [R_c^T | e], stored as (row, column, system)
         M = np.empty((k, k + 1, 2 * h), dtype=np.int64)
@@ -1053,19 +1078,96 @@ def _units_by_components(ring, p, limits):
         check = np.einsum("snj,snjm->snm", x, LR) % p
         solved[:, s:s + h] = (check == e).all(axis=2)
         rank[:, s:s + h] = r.reshape(2, h)
-    # e is the component of 1 in its block
-    top = rank[:, np.searchsorted(keys, idem * b + np.arange(b))]
-    l_full, r_full = (rank == top[:, keys % b])[:, loc].all(axis=2)
+    l_full, r_full = (rank == np.repeat(dims, sizes))[:, loc].all(axis=2)
     unit = np.nonzero(solved[:, loc].all(axis=(0, 2)))[0]
-    if b > 1:   # z*e lies in e*R and still solves c*z = e
-        Z = _paired_products(ring, Z, E)
-    A, V = X[unit], Z[loc[unit]].sum(axis=1) % ring._mods
+    if len(dims) > 1:   # z*e lies in e*(R/J) and still solves c*z = e
+        Z = _paired_products(Q, Z, e_rows)
+    A, V = X[unit], np.zeros((len(unit), len(ring._mods)), dtype=np.int64)
+    V[:, free] = Z[loc[unit]].sum(axis=1) % p
+    V = _geometric_lift(ring, A, V, (len(ring._mods) - k).bit_length())
     if not ((_paired_products(ring, A, V) == ring.one).all()
             and (_paired_products(ring, V, A) == ring.one).all()):
-        raise RingError("internal: a composed inverse fails in the ring")
+        raise RingError("internal: a lifted inverse fails in the ring")
     elems = ring.elements(limits)
     inverses = {elems[i]: v for i, v in zip(unit, map(tuple, V.tolist()))}
     return unit, inverses, l_full, r_full
+
+
+def _geometric_lift(ring, A, V, rounds):
+    """Inverses in R of the units A, from the rows V whose images are the
+    inverses in R/J: j = 1 - a*v lies in J, so a^-1 = v*(1 - j)^-1 =
+    v*(1 + j)(1 + j^2)(1 + j^4)..., exact once 2^rounds reaches J's
+    nilpotency index, or once j^(2^i) = 0 for every row.  rounds = the
+    bit length of dim J suffices, as J^(dim J + 1) = 0."""
+    if not rounds:   # J = 0
+        return V
+    S = (np.array(ring.one) - _paired_products(ring, A, V)) % ring._mods
+    for i in range(rounds):
+        if i:
+            S = _paired_products(ring, S, S)
+        if not S.any():
+            break
+        V = (V + _paired_products(ring, V, S)) % ring._mods
+    return V
+
+
+def _radical_basis(ring, p):
+    """The Jacobson radical J of a structure ring over one prime p, as the
+    rows of its reduced echelon basis.
+
+    Rónyai, Computing the structure of finite algebras (J. Symb. Comput. 9,
+    1990), and Cohen, Ivanyos and Wales (JPAA 117-118, 1997): set I_-1 = R
+    and, for q = p^i <= k, I_i = {x in I_(i-1) : g_i(x*b) = 0 for every
+    basis element b}, with g_i(a) = (Tr(L^q) mod p*q) / q for L the left
+    multiplication matrix of a, lifted to the integers.  g_i is F_p-linear
+    on the ideal I_(i-1), so each step is one left null space, and the
+    last I_i is J.
+    """
+    k = len(ring._mods)
+    X, q = np.eye(k, dtype=np.int64), 1
+    while q <= k and len(X):
+        X = _left_null_mod_p(_trace_functional(ring, X, p, q), p) @ X % p
+        q *= p
+    return X[:_row_reduce_mod_p(X, p, k)]
+
+
+def _trace_functional(ring, X, p, q):
+    """g(x*b) = (Tr(L^q) mod p*q) / q for every row x of X and basis
+    element b, (len(X), k), with L the left multiplication matrix of x*b
+    over the ring's one prime p."""
+    T, k = ring.tensor, len(ring._mods)
+    prods = np.einsum("ri,ijm->rjm", X, T).reshape(-1, k) % p   # x*b
+    base = np.einsum("ni,ijm->njm", prods, T) % p
+    power, e = np.broadcast_to(np.eye(k, dtype=np.int64), base.shape), q
+    while e:   # L^q mod p*q by repeated squaring
+        if e & 1:
+            power = power @ base % (p * q)
+        base, e = base @ base % (p * q), e >> 1
+    tr = np.trace(power, axis1=1, axis2=2) % (p * q)
+    if (tr % q).any():
+        raise RingError("internal: a trace on I_(i-1) is not divisible by p^i")
+    return (tr // q).reshape(len(X), k)
+
+
+def _radical_quotient(ring, p):
+    """R/J for a structure ring over one prime p (_radical_basis).
+
+    Its coordinates are those that are not pivots of J's reduced echelon
+    basis, and the image of x is x - x[pivots] @ J, zero at the pivots,
+    read at the others.  Returns R/J as a structure ring, the k x k' matrix
+    of the image, and the free coordinates.  When J = 0 that is R itself.
+    """
+    J, k = _radical_basis(ring, p), len(ring._mods)
+    if not len(J):
+        return ring, np.eye(k, dtype=np.int64), np.arange(k)
+    pivots = (J != 0).argmax(axis=1)
+    free = np.delete(np.arange(k), pivots)
+    image = np.eye(k, dtype=np.int64)
+    image[pivots] -= J
+    to_q = image[:, free] % p
+    T = ring.tensor[np.ix_(free, free)] @ to_q % p
+    return (StructureRing([p] * len(free), T, np.array(ring.one) @ to_q % p),
+            to_q, free)
 
 
 def _eliminate_mod_p(M, p):

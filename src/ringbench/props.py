@@ -8,10 +8,10 @@ dense tables up to max_table, and above it a structure ring's sums and
 products computed on demand.  The Lie series and the central-series
 check gather their brackets from the dense tables, and no decider loops
 over elements in Python.  Above the table limit only units run as mod-p
-linear algebra, one elimination per distinct block component of the
-elements, and the Ore check follows from them; most other deciders skip
-on max_table.  One-sided questions (invariant, strongly bounded,
-uniserial) are decided on the principal one-sided ideals, which
+linear algebra, decided on the blocks of R/J and lifted to R, and the
+Ore check follows from them; most other deciders skip on max_table.
+One-sided questions (invariant, strongly bounded, uniserial) are decided
+on the principal one-sided ideals, which
 are the rows and columns of the multiplication table, one per ideal from
 the principal pass of ideals.  Every other ideal, a Lie term included,
 is one additive span of products (ideals._ideal_gens).  Complete central

@@ -1,5 +1,6 @@
 """Ring realizations: construction, validation, arithmetic, tables."""
 
+import functools
 import itertools
 import random
 
@@ -17,8 +18,8 @@ from ringbench.core import (
 from ringbench.construct import (
     as_structure_ring, catalog, full_matrix_ring, group_algebra,
 )
-from ringbench.groups import cyclic, dihedral, direct_product
-from ringbench.ideals import additive_closure, quotient
+from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
+from ringbench.ideals import additive_closure, jacobson_radical, quotient
 from ringbench.props import full_report, ore_check, sample_rings
 from tests import oracles
 
@@ -526,8 +527,23 @@ def _block_sizes(ring):
     return sorted(len(np.unique(col)) for col in comp.T)
 
 
+def _radical_block_sizes(ring):
+    """The block sizes of R/J, whose elements units solve one system for
+    each, on each side (J is pinned by test_radical_basis_is_jacobson)."""
+    return _block_sizes(core._radical_quotient(ring, ring.shape.moduli[0])[0])
+
+
 def c2_cubed():
     return direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+
+
+def truncated_polynomials(k):
+    """F_2[x]/(x^k): commutative and local, J = (x) of index k."""
+    c = np.zeros((k, k, k), dtype=np.int64)
+    for i, j in itertools.product(range(k), repeat=2):
+        if i + j < k:
+            c[i, j, i + j] = 1
+    return make_ring([2] * k, c, (1,) + (0,) * (k - 1))
 
 
 def split_ring():
@@ -550,9 +566,11 @@ BLOCK_RINGS = {   # name: (ring constructor, block sizes)
 
 @pytest.mark.parametrize("name", sorted(BLOCK_RINGS))
 def test_block_path_matches_rank_path(name, monkeypatch):
+    # semisimple: J = 0, so the blocks of R/J are those of R
     build, sizes = BLOCK_RINGS[name]
     r = build()
     assert r.tables() is None and _block_sizes(r) == sizes
+    assert len(core._radical_basis(r, 3)) == 0
     systems = _count_systems(monkeypatch)
     rep = units_and_regulars(r)
     assert systems == [2 * sum(sizes)]
@@ -561,22 +579,23 @@ def test_block_path_matches_rank_path(name, monkeypatch):
 
 @pytest.mark.parametrize("build, per_side", [
     (lambda: catalog("z3q8"), 93),
-    (split_ring, 1026),
-    (lambda: catalog("ext2(7)"), 2401),
+    (split_ring, 4),
+    (lambda: catalog("ext2(7)"), 7),
 ], ids=["z3q8", "split", "ext2(7)"])
 def test_units_solve_one_system_per_distinct_component(build, per_side,
                                                        monkeypatch):
-    # z3q8's 6561 elements have 81 + 4 * 3 distinct block components; the
-    # split ring's 2048 have 2 + 1024; ext2(7) is one block
+    # one system per element of each block of R/J: z3q8 is semisimple,
+    # with blocks of 81 + 4 * 3 elements; the split ring's R/J is F_2 x F_2
+    # and ext2(7)'s is F_7
     r = build()
-    assert sum(_block_sizes(r)) == per_side
+    assert sum(_radical_block_sizes(r)) == per_side
     systems = _count_systems(monkeypatch)
     units_and_regulars(r)
     assert systems == [2 * per_side]
 
 
 def test_units_above_max_table_build_no_tables(monkeypatch):
-    r = catalog("z3q8")
+    # ext2(7)'s R/J is F_7, of 7 elements, decided without its tables
     built = []
     real_build, real_init = core.Tables.build, core.SubRing.__init__
 
@@ -590,7 +609,8 @@ def test_units_above_max_table_build_no_tables(monkeypatch):
 
     monkeypatch.setattr(core.Tables, "build", staticmethod(build))
     monkeypatch.setattr(core.SubRing, "__init__", init)
-    assert len(units_and_regulars(r).units) == 768
+    for name, units in (("z3q8", 768), ("ext2(7)", 2058)):
+        assert len(units_and_regulars(catalog(name)).units) == units
     assert built == []
 
 
@@ -610,7 +630,8 @@ def test_block_path_matches_table_path_on_samples(monkeypatch):
         before = systems[0]
         assert _fields(units_and_regulars(forced, limits)) == \
             _fields(units_and_regulars(s)), "sample %d" % i
-        assert systems[0] - before == 2 * sum(_block_sizes(s)), "sample %d" % i
+        assert systems[0] - before == 2 * sum(_radical_block_sizes(s)), \
+            "sample %d" % i
         checked += 1
     assert checked == 22
 
@@ -659,11 +680,7 @@ def test_central_blocks_list_only_the_frobenius_fixed_points(monkeypatch):
     # F_2[x]/(x^11) is commutative and local: its center is all 2048
     # elements, but only 0 and 1 have x^2 = x
     k = 11
-    c = np.zeros((k, k, k), dtype=np.int64)
-    for i, j in itertools.product(range(k), repeat=2):
-        if i + j < k:
-            c[i, j, i + j] = 1
-    r = make_ring([2] * k, c, (1,) + (0,) * (k - 1))
+    r = truncated_polynomials(k)
     rows, real = [], core._paired_products
 
     def recorded(ring, A, B):
@@ -749,6 +766,101 @@ def test_a_wrong_block_inverse_raises(monkeypatch):
     with pytest.raises(RingError, match="internal"):
         units_and_regulars(catalog("z3q8"))
     assert mutated == [93]
+
+
+# -- the radical and the lift ------------------------------------------------
+
+# one-prime structure rings up to max_table, 179 in all: RANK_PATH_RINGS
+# and three sample streams (seed, count, max_size)
+RADICAL_SOURCES = {"catalog": 7, (0, 100, 256): 75, (7919, 100, 256): 67,
+                   (11, 40, 512): 30}
+
+
+@functools.lru_cache(maxsize=None)
+def _stream(seed, count, max_size):
+    return tuple(sample_rings(seed, count, max_size=max_size))
+
+
+def _one_prime_rings(key):
+    """Fresh structure rings of a RADICAL_SOURCES key, without cached
+    reports."""
+    if key == "catalog":
+        rings = [catalog(name) for name in RANK_PATH_RINGS]
+    else:
+        rings = [as_structure_ring(r) for r in _stream(*key)]
+    rings = [r for r in rings
+             if r.size <= Limits().max_table and core._one_prime(r)]
+    assert len(rings) == RADICAL_SOURCES[key]
+    return rings
+
+
+def _span_codes(ring, basis):
+    span = core._span_mod_p(basis, ring.shape.moduli[0])
+    return sorted((span @ ring._weights).tolist())
+
+
+@pytest.mark.parametrize("key", list(RADICAL_SOURCES), ids=str)
+def test_radical_basis_is_jacobson(key):
+    # units stay right for any nilpotent ideal inside J, so this is the
+    # test that pins J itself
+    for i, r in enumerate(_one_prime_rings(key)):
+        want = _OnDemandTables(r).encode(jacobson_radical(r).elements)
+        basis = core._radical_basis(r, r.shape.moduli[0])
+        assert _span_codes(r, basis) == sorted(want.tolist()), i
+
+
+def test_trace_of_l_a_alone_is_not_the_radical(monkeypatch):
+    # keep only g_0(a) = Tr(L_a): every later functional reads 0, so the
+    # chain stops at I_0, which is larger than J on these rings
+    real = core._trace_functional
+
+    def first_only(ring, X, p, q):
+        if q == 1:
+            return real(ring, X, p, q)
+        return np.zeros((len(X), ring.shape.width), dtype=np.int64)
+
+    monkeypatch.setattr(core, "_trace_functional", first_only)
+    for name, dim, dim_j in (("m2z2", 4, 0), ("z2q8", 8, 7), ("t2z2", 2, 1)):
+        r = catalog(name)
+        assert len(core._radical_basis(r, 2)) == dim
+        assert jacobson_radical(r).size == 2 ** dim_j
+
+
+def test_a_short_geometric_lift_raises(monkeypatch):
+    # F_2[x]/(x^11): J = (x), of dimension 10 and index 11, so the lift
+    # takes 4 rounds (2^4 >= 11); with 3, (1 + x)^-1 misses x^8, x^9, x^10
+    r = truncated_polynomials(11)
+    rep = units_and_regulars(r)
+    assert r.tables() is None and len(rep.units) == 1024
+    assert _fields(rep) == _rank_fields(truncated_polynomials(11), 2)
+    real, rounds = core._geometric_lift, []
+
+    def short(ring, A, V, n):
+        rounds.append(n)
+        return real(ring, A, V, n - 1)
+
+    monkeypatch.setattr(core, "_geometric_lift", short)
+    with pytest.raises(RingError, match="internal"):
+        units_and_regulars(truncated_polynomials(11))
+    assert rounds == [4]
+
+
+@pytest.mark.parametrize("key", list(RADICAL_SOURCES)[1:], ids=str)
+def test_radical_units_match_rank_oracle(key):
+    no_tables = Limits(max_table=1)
+    for i, r in enumerate(_one_prime_rings(key)):
+        assert _fields(units_and_regulars(r, no_tables)) == \
+            _rank_fields(r, r.shape.moduli[0]), i
+
+
+def test_units_of_a_large_local_group_algebra():
+    # F_2[Q8 x C2], 65536 elements and local: the units are the elements
+    # of augmentation 1, their inverses lifted through J of dimension 15
+    r = group_algebra(2, direct_product(quaternion8(), cyclic(2)))
+    rep = units_and_regulars(r)
+    assert len(rep.units) == 32768
+    odd = r.elements_array().sum(axis=1) % 2 == 1
+    assert rep.units == tuple(e for e, u in zip(r.elements(), odd) if u)
 
 
 def test_units_of_product_ring():
