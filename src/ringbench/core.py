@@ -16,19 +16,20 @@ caches are write-once, and every cached call checks its limit gates before
 it reuses cached work, so a verdict or a skip never depends on earlier
 calls.
 
-Deciders read dense index tables (Tables) up to max_table elements.  The
-set kernels (closures, the center, CE) read one lookup surface on every
-ring: the dense tables, or above max_table the sums and products of a
-whole structure ring computed on demand (_OnDemandTables).  On structure
-rings over one prime p above max_table, linear algebra mod p gives the
-center as the span of its basis, the Jacobson radical J by trace
-functionals, and the units on R/J: one system per element of each block
-e*(R/J), one block per primitive central idempotent e, with the inverses
-lifted to R by a geometric series in J.
+Deciders read dense index tables (Tables) up to max_table elements.  The set
+kernels (closures, the center, CE) read one lookup surface on every ring:
+the dense tables, or above max_table the sums and products of a whole
+structure ring computed on demand (_OnDemandTables).  On structure rings
+over one prime p above max_table, linear algebra mod p gives the center as
+the span of its basis, the Jacobson radical J by trace functionals, and the
+units on R/J: one system per element of each block e*(R/J), one block per
+primitive central idempotent e, with the inverses lifted to R by a geometric
+series in J.  Each elimination mod p is one batched _row_reduce_mod_p.
 """
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -940,22 +941,41 @@ def _left_null_mod_p(M, p):
 
 
 def _row_reduce_mod_p(A, p, cols):
-    """Gauss-Jordan mod p on the first cols columns of A, in place, entries
-    in [0, p).  Returns the rank r: rows [0, r) hold the pivots, each 1
-    with zeros above and below, and the later rows are zero there."""
-    r, row = len(A), 0
-    for col in range(cols):
-        if row == r:
-            break
-        nz = np.nonzero(A[row:, col])[0]
-        if len(nz) == 0:
-            continue
-        A[[row, row + nz[0]]] = A[[row + nz[0], row]]
-        A[row] = A[row] * pow(int(A[row, col]), -1, p) % p
-        others = np.arange(r) != row
-        A[others] = (A[others] - np.outer(A[others, col], A[row])) % p
-        row += 1
-    return row
+    """Gauss-Jordan mod p, in place, on the first cols columns of each
+    matrix of a C-contiguous stack A, (..., r, c), entries in [0, p).
+    Returns the ranks, shaped A.shape[:-2]: rows [0, rank) hold the
+    pivots, each 1 with zeros above and below, and the later rows are zero
+    there.  Rows from the rank on are zero left of the current column."""
+    *lead, r, c = A.shape
+    S = A.reshape(math.prod(lead), r, c)   # a view, also when r*c = 0
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    rank, col = np.zeros(len(S), dtype=np.int64), 0
+    free = np.ones((len(S), r), dtype=bool)   # the rows from the rank on
+    while True:   # to the next column with a nonzero entry in a free row
+        ahead = ((S[:, :, col:cols] != 0) & free[:, :, None]).any(axis=(0, 1))
+        if not ahead.any():
+            return rank.reshape(lead)
+        col += ahead.argmax()
+        live = (S[:, :, col] != 0) & free
+        has = live.any(axis=1)
+        s = np.nonzero(has)[0]
+        row, sel = rank[s], live[s].argmax(axis=1)   # the first live row
+        pivot, P = np.zeros((len(S), c), dtype=np.int64), S[s, sel]
+        pivot[s] = P = P * inv[P[:, col]][:, None] % p
+        S[s, sel] = S[s, row]
+        S[:] = (S - S[:, :, col, None] * pivot[:, None]) % p   # whole rows
+        S[s, row], free[s, row] = P, False
+        rank += has
+
+
+def _reduced_solutions(M):
+    """A solution of each system [A | b] of a stack (m, r, c + 1) reduced on
+    its first c columns: b at the pivot rows, the free variables 0.  Only a
+    consistent system is solved."""
+    s, i = np.nonzero(M[:, :, :-1].any(axis=2))   # the pivot rows
+    x = np.zeros((len(M), M.shape[2] - 1), dtype=np.int64)
+    x[s, (M[s, i, :-1] != 0).argmax(axis=1)] = M[s, i, -1]
+    return x
 
 
 def _span_mod_p(B, p):
@@ -970,7 +990,7 @@ def _center_basis(ring, p):
     return _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
 
 
-def _central_blocks(ring, limits):
+def _central_blocks(ring):
     """The primitive central idempotents of a structure ring over one prime
     p, as sorted codes.
 
@@ -997,7 +1017,7 @@ def _central_blocks(ring, limits):
     S = _left_null_mod_p(F - Z, p) @ Z % p
     X = _span_mod_p(S, p)
     idem = X[(_paired_products(ring, X, X) == X).all(axis=1)] @ ring._weights
-    t = _OnDemandTables(ring, limits)
+    t = _OnDemandTables(ring)
     blocks = t.encode([ring.one])
     while True:
         prods = t.prods(blocks, idem)
@@ -1043,19 +1063,20 @@ def _units_through_radical(ring, p, limits):
     X = ring.elements_array(limits)
     Q, to_q, free = _radical_quotient(ring, p)
     k = len(Q._mods)
-    E = _OnDemandTables(Q, limits)._rows(_central_blocks(Q, limits))
-    bases = [L[:_row_reduce_mod_p(L, p, k)] for L in Q.mul_matrices(E)[0] % p]
-    dims = np.array([len(B) for B in bases])
-    # block coordinates: y = c @ stack(bases), so c = y @ its inverse, and
+    E = _OnDemandTables(Q)._rows(_central_blocks(Q))
+    L = Q.mul_matrices(E)[0] % p
+    dims = _row_reduce_mod_p(L, p, k)
+    rows = np.arange(k) < dims[:, None]   # block j's basis: L[j, :dims[j]]
+    # block coordinates: y = c @ L[rows], so c = y @ its inverse, and
     # block j's part of c has its index in _span_mod_p as its code
-    G = np.concatenate([np.concatenate(bases), np.eye(k, dtype=np.int64)], axis=1)
+    G = np.concatenate([L[rows], np.eye(k, dtype=np.int64)], axis=1)
     _row_reduce_mod_p(G, p, k)
     block = np.repeat(np.arange(len(dims)), dims)
     place = np.zeros((k, len(dims)), dtype=np.int64)
     place[np.arange(k), block] = p ** (np.cumsum(dims)[block] - 1 - np.arange(k))
     sizes = p ** dims
     loc = (X @ (to_q @ G[:, k:] % p) % p) @ place + np.cumsum(sizes) - sizes
-    C = np.concatenate([_span_mod_p(B, p) for B in bases])
+    C = np.concatenate([_span_mod_p(B[:d], p) for B, d in zip(L, dims)])
     e_rows = np.repeat(E, sizes, axis=0)
     m = len(C)
     Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
@@ -1066,18 +1087,17 @@ def _units_through_radical(ring, p, limits):
     for s in range(0, m, chunk):
         LR = np.stack(Q.mul_matrices(C[s:s + chunk]))   # (2, h, k, k)
         h, e = LR.shape[1], e_rows[s:s + chunk]
-        # c*z = z @ L_c and y*c = y @ R_c: augmented [L_c^T | e] and
-        # [R_c^T | e], stored as (row, column, system)
-        M = np.empty((k, k + 1, 2 * h), dtype=np.int64)
-        M[:, :k] = LR.reshape(-1, k, k).transpose(2, 1, 0) % p
-        M[:, k] = np.tile(e.T, 2)
-        x, r = _eliminate_mod_p(M, p)
-        x = x.reshape(2, h, k)
+        # c*z = z @ L_c and y*c = y @ R_c: the augmented systems
+        # [L_c^T | e] and [R_c^T | e], as (system, row, column)
+        M = np.empty((2 * h, k, k + 1), dtype=np.int64)
+        M[:, :, :k] = LR.reshape(-1, k, k).transpose(0, 2, 1) % p
+        M[:, :, k] = np.tile(e, (2, 1))
+        rank[:, s:s + h] = _row_reduce_mod_p(M, p, k).reshape(2, h)
+        x = _reduced_solutions(M).reshape(2, h, k)
         Z[s:s + h] = x[0]
         # a solution stands only if it checks out: z @ L_c = e, y @ R_c = e
         check = np.einsum("snj,snjm->snm", x, LR) % p
         solved[:, s:s + h] = (check == e).all(axis=2)
-        rank[:, s:s + h] = r.reshape(2, h)
     l_full, r_full = (rank == np.repeat(dims, sizes))[:, loc].all(axis=2)
     unit = np.nonzero(solved[:, loc].all(axis=(0, 2)))[0]
     if len(dims) > 1:   # z*e lies in e*(R/J) and still solves c*z = e
@@ -1169,30 +1189,3 @@ def _radical_quotient(ring, p):
     return (StructureRing([p] * len(free), T, np.array(ring.one) @ to_q % p),
             to_q, free)
 
-
-def _eliminate_mod_p(M, p):
-    """Gauss-Jordan elimination mod p, in place, on a batch of systems.
-
-    M is (k, k + 1, m): row, column, system, augmented, entries in [0, p).
-    Returns a candidate solution (m, k) per system, free variables at 0,
-    to be checked by the caller, and the rank of its matrix.
-    """
-    k, _, m = M.shape
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    used = np.zeros((k, m), dtype=bool)      # rows holding a pivot
-    pivot = np.full((k, m), -1)              # pivot row of each column
-    systems = np.arange(m)
-    for col in range(k):
-        cand = (M[:, col] != 0) & ~used
-        has = cand.any(axis=0)
-        sel = cand.argmax(axis=0)
-        # a row that holds no pivot yet is zero left of col
-        row = M[sel, col:, systems].T * inv[M[sel, col, systems]] % p
-        # clears column col in every row, the pivot row too; it is put back
-        M[:, col:] -= np.where(has, M[:, col], 0)[:, None] * row
-        M[:, col:] %= p
-        M[sel[has], col:, systems[has]] = row[:, has].T
-        used[sel[has], systems[has]] = True
-        pivot[col, has] = sel[has]
-    x = np.where(pivot >= 0, M[pivot, k, systems], 0).T
-    return x, used.sum(axis=0)

@@ -420,12 +420,7 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
         return CentralSeriesReport(True, (), reason="semiprime: empty chain")
     acc = frozenset({ring.zero})
     sizes = [1]
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 64:
-            return CentralSeriesReport(False, tuple(sizes),
-                                       reason="chain failed to terminate")
+    while True:   # acc strictly grows, so at most log2 |R| stages run
         q = ring if len(acc) == 1 else quotient(ring, sorted(acc),
                                                 limits=limits)
         p = prime_radical(q, limits)

@@ -18,7 +18,10 @@ are the two sources the package replaced with reading the base's sums
 and products: the tensor contraction on a structure base and the gather
 from any other base's tables.  The rank units solve a*z = 1 and y*a = 1
 for every element, the path the package replaced above max_table with
-one solve per distinct component of an element in a block.  The
+one solve per element of each block of R/J.  They run their own
+eliminator, _eliminate_mod_p, the batched Gauss-Jordan the package
+replaced with its kernel _row_reduce_mod_p, so the rank oracle shares no
+elimination code with the path it checks.  The
 fraction field is sympy's FracField, which the symbolic verifiers used
 before they kept unreduced fraction pairs: it reduces every result by a
 multivariate gcd.  Differential tests compare against them.
@@ -31,7 +34,7 @@ from sympy import GF
 from sympy.polys.fields import field as _fraction_field
 
 from ringbench.core import (
-    ConstructionError, StructureRing, _eliminate_mod_p, _outer_codes,
+    ConstructionError, StructureRing, _outer_codes,
 )
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
 from ringbench.props import (
@@ -283,6 +286,34 @@ def subring_tables(sub):
     labels[idx] = np.arange(len(idx))
     sub_ix = np.ix_(idx, idx)
     return labels[bt.add[sub_ix]], labels[bt.mul[sub_ix]], labels[bt.neg[idx]]
+
+
+def _eliminate_mod_p(M, p):
+    """Gauss-Jordan elimination mod p, in place, on a batch of systems.
+
+    M is (k, k + 1, m): row, column, system, augmented, entries in [0, p).
+    Returns a candidate solution (m, k) per system, free variables at 0,
+    to be checked by the caller, and the rank of its matrix.
+    """
+    k, _, m = M.shape
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    used = np.zeros((k, m), dtype=bool)      # rows holding a pivot
+    pivot = np.full((k, m), -1)              # pivot row of each column
+    systems = np.arange(m)
+    for col in range(k):
+        cand = (M[:, col] != 0) & ~used
+        has = cand.any(axis=0)
+        sel = cand.argmax(axis=0)
+        # a row that holds no pivot yet is zero left of col
+        row = M[sel, col:, systems].T * inv[M[sel, col, systems]] % p
+        # clears column col in every row, the pivot row too; it is put back
+        M[:, col:] -= np.where(has, M[:, col], 0)[:, None] * row
+        M[:, col:] %= p
+        M[sel[has], col:, systems[has]] = row[:, has].T
+        used[sel[has], systems[has]] = True
+        pivot[col, has] = sel[has]
+    x = np.where(pivot >= 0, M[pivot, k, systems], 0).T
+    return x, used.sum(axis=0)
 
 
 def units_by_rank(ring, p):

@@ -508,22 +508,29 @@ def _rank_fields(ring, p):
     return units, inverses, l_full.tolist(), r_full.tolist()
 
 
+def _augmented(A, cols):
+    """Whether core._row_reduce_mod_p got a stack of augmented systems
+    (system, row, column), as the unit path passes them."""
+    return A.ndim == 3 and cols < A.shape[2]
+
+
 def _count_systems(monkeypatch):
-    """The number of systems core._eliminate_mod_p solves, from now on, as
-    a one-entry list."""
-    count, real = [0], core._eliminate_mod_p
+    """The number of augmented systems core._row_reduce_mod_p reduces, from
+    now on, as a one-entry list."""
+    count, real = [0], core._row_reduce_mod_p
 
-    def counted(M, p):
-        count[0] += M.shape[2]
-        return real(M, p)
+    def counted(A, p, cols):
+        if _augmented(A, cols):
+            count[0] += len(A)
+        return real(A, p, cols)
 
-    monkeypatch.setattr(core, "_eliminate_mod_p", counted)
+    monkeypatch.setattr(core, "_row_reduce_mod_p", counted)
     return count
 
 
 def _block_sizes(ring):
     comp = _OnDemandTables(ring).prods(np.arange(ring.size),
-                                       _central_blocks(ring, Limits()))
+                                       _central_blocks(ring))
     return sorted(len(np.unique(col)) for col in comp.T)
 
 
@@ -622,7 +629,7 @@ def test_block_path_matches_table_path_on_samples(monkeypatch):
     for i, ring in enumerate(sample_rings(0, 100, max_size=256)):
         s = as_structure_ring(ring)
         mods = set(s.shape.moduli)
-        if mods not in ({2}, {3}) or len(_central_blocks(s, Limits())) < 2:
+        if mods not in ({2}, {3}) or len(_central_blocks(s)) < 2:
             continue
         limits = Limits(max_table=_block_sizes(s)[-1])
         forced = as_structure_ring(ring)
@@ -654,7 +661,7 @@ def test_central_blocks_match_brute_force_on_samples():
         prim = [e for e in idem
                 if all(t.mul[e, f] in (e, t.zero) for f in idem)]
         codes = _OnDemandTables(s).encode([t.elems[e] for e in prim])
-        assert _central_blocks(s, Limits()).tolist() == sorted(codes), \
+        assert _central_blocks(s).tolist() == sorted(codes), \
             "sample %d" % i
         checked += 1
     assert checked == 78
@@ -663,7 +670,7 @@ def test_central_blocks_match_brute_force_on_samples():
 def test_central_blocks_of_z3q8():
     # M2(F3) x F3^4: five orthogonal central idempotents that sum to 1
     r = catalog("z3q8")
-    blocks = _central_blocks(r, Limits())
+    blocks = _central_blocks(r)
     assert blocks.tolist() == [4617, 5738, 5794, 6448, 6560]
     assert _block_sizes(r) == [3, 3, 3, 3, 81]
     idem = _OnDemandTables(r).decode(blocks)
@@ -689,7 +696,7 @@ def test_central_blocks_list_only_the_frobenius_fixed_points(monkeypatch):
 
     monkeypatch.setattr(core, "_paired_products", recorded)
     one = _OnDemandTables(r).encode([r.one]).tolist()
-    assert _central_blocks(r, Limits()).tolist() == one
+    assert _central_blocks(r).tolist() == one
     assert 0 < max(rows) <= k
 
 
@@ -736,7 +743,7 @@ def test_blocks_of_a_ring_of_idempotents(monkeypatch):
     # the squares of all 2048 elements at once would be (2048, k, k)
     # products, about 2 MB
     monkeypatch.setattr(np, "einsum", sized)
-    assert _central_blocks(r, Limits()).tolist() == [2 ** i for i in range(k)]
+    assert _central_blocks(r).tolist() == [2 ** i for i in range(k)]
     assert max(widest) <= r.size * k
     rep = units_and_regulars(r)
     monkeypatch.setattr(np, "einsum", einsum)
@@ -749,11 +756,12 @@ def test_a_wrong_block_inverse_raises(monkeypatch):
     # drop the projection z*e: the first product after the eliminations
     # returns z itself, which solves c*z = e but is not inside e*R
     solving, mutated = [], []
-    real_solve, real_products = core._eliminate_mod_p, core._paired_products
+    real_solve, real_products = core._row_reduce_mod_p, core._paired_products
 
-    def solve(M, p):
-        solving.append(True)
-        return real_solve(M, p)
+    def solve(A, p, cols):
+        if _augmented(A, cols):
+            solving.append(True)
+        return real_solve(A, p, cols)
 
     def products(ring, A, B):
         if solving and not mutated:
@@ -761,7 +769,7 @@ def test_a_wrong_block_inverse_raises(monkeypatch):
             return A
         return real_products(ring, A, B)
 
-    monkeypatch.setattr(core, "_eliminate_mod_p", solve)
+    monkeypatch.setattr(core, "_row_reduce_mod_p", solve)
     monkeypatch.setattr(core, "_paired_products", products)
     with pytest.raises(RingError, match="internal"):
         units_and_regulars(catalog("z3q8"))
@@ -870,3 +878,74 @@ def test_units_of_product_ring():
     r = make_ring([2, 3], c, (1, 1))  # Z2 x Z3
     rep = units_and_regulars(r)
     assert set(rep.units) == {(1, 1), (1, 2)}
+
+
+# -- the Gauss-Jordan kernel mod p -------------------------------------------
+
+def _oracle_ranks(A, p, cols):
+    """Ranks of the first cols columns of each matrix of a stack, by the
+    rank oracle's own eliminator, on the matrices padded with zeros to
+    square systems."""
+    *lead, r, c = A.shape
+    k, m = max(r, cols), int(np.prod(lead))
+    M = np.zeros((k, k + 1, m), dtype=np.int64)
+    M[:r, :cols] = A.reshape(m, r, c)[:, :, :cols].transpose(1, 2, 0)
+    return oracles._eliminate_mod_p(M, p)[1].reshape(lead)
+
+
+def _assert_reduced(A, rank, cols):
+    """Each matrix of the stack A is in reduced row echelon form on its
+    first cols columns, with rank pivot rows."""
+    for B, n in zip(A.reshape(rank.size, *A.shape[-2:]), np.ravel(rank)):
+        B = B[:, :cols]
+        assert not B[n:].any()
+        pivots = [np.flatnonzero(row)[0] for row in B[:n]]
+        assert pivots == sorted(set(pivots))
+        assert (B[np.arange(n), pivots] == 1).all()
+        assert (np.count_nonzero(B[:, pivots], axis=0) == 1).all()
+
+
+def _random_systems(rng, p, m, k):
+    """m augmented systems [A | b], (m, k, k + 1) mod p, each A of a random
+    rank; b is A @ x for the first half and random for the rest."""
+    d = rng.integers(0, k + 1, size=m)
+    U = rng.integers(0, p, size=(m, k, k)) * (np.arange(k) < d[:, None, None])
+    A = U @ rng.integers(0, p, size=(m, k, k)) % p
+    b = rng.integers(0, p, size=(m, k))
+    b[:m // 2] = np.einsum("mij,mj->mi", A, b)[:m // 2] % p
+    return np.concatenate([A, b[:, :, None]], axis=2)
+
+
+# per prime: the random systems that are consistent, inconsistent, and of
+# a rank below their size
+SYSTEM_COUNTS = {2: [121, 59, 173], 3: [123, 57, 158], 5: [110, 70, 147],
+                 7: [116, 64, 139]}
+
+
+@pytest.mark.parametrize("p", sorted(SYSTEM_COUNTS))
+def test_row_reduce_mod_p_matches_the_oracle_eliminator(p):
+    rng = np.random.default_rng(p)
+    stacks = [(rng.integers(0, p, size=(3, 4, 5, 7)), 4),
+              (rng.integers(0, p, size=(6, 9)), 5),   # a plain matrix
+              (rng.integers(0, p, size=(5, 0, 4)), 4),   # 0-row matrices
+              (rng.integers(0, p, size=(0, 3, 4)), 3)]
+    stacks += [(_random_systems(rng, p, 60, k), k) for k in (1, 3, 6)]
+    counts = [0, 0, 0]
+    for A, cols in stacks:
+        before = A.copy()
+        rank = core._row_reduce_mod_p(A, p, cols)
+        assert rank.shape == A.shape[:-2]
+        assert (rank == _oracle_ranks(before, p, cols)).all()
+        _assert_reduced(A, rank, cols)
+        if A.ndim == 3 and A.shape[2] == cols + 1:   # the systems
+            x = core._reduced_solutions(A)
+            solves = (np.einsum("mij,mj->mi", before[:, :, :cols], x) % p
+                      == before[:, :, cols]).all(axis=1)
+            systems = before.transpose(1, 2, 0).copy()   # row, column, system
+            y, _ = oracles._eliminate_mod_p(systems, p)
+            oracle = (np.einsum("mij,mj->mi", before[:, :, :cols], y) % p
+                      == before[:, :, cols]).all(axis=1)
+            assert (solves == oracle).all()
+            counts = np.add(counts, [solves.sum(), (~solves).sum(),
+                                     (rank < cols).sum()]).tolist()
+    assert counts == SYSTEM_COUNTS[p]

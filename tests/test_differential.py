@@ -6,7 +6,9 @@ complete ideal check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, the center from its F_p basis against the
-table center, and the sample streams against pinned digests."""
+table center, and the sample streams against pinned digests.  The F_p
+path is checked to be blind to a change of basis and, up to the sides
+of the Ore keys, to passing to the opposite ring."""
 
 import functools
 import hashlib
@@ -14,6 +16,7 @@ import random
 
 import numpy as np
 import pytest
+from sympy import Matrix
 
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
@@ -25,7 +28,7 @@ from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
     group_algebra, group_sum_ideal, relative_augmentation_ideal,
 )
-from ringbench.groups import cyclic, direct_product, quaternion8
+from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
     SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
     ideals_by_size, jacobson_radical, prime_radical, quotient,
@@ -611,3 +614,56 @@ def test_sample_stream_is_pinned(seed, count, max_size):
                  for ring in _samples(seed, count, max_size)])
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == SAMPLE_DIGESTS[(seed, count, max_size)]
+
+
+# -- metamorphic checks on the F_p path ---------------------------------------
+
+def change_of_basis(ring, rng):
+    """ring over one prime p in the basis b'_i = sum_a P[i, a] b_a, for P
+    random in GL_k(F_p): T'[i, j] = (sum_ab P[i, a] P[j, b] T[a, b]) P^-1
+    and 1' = 1 P^-1, coordinates being rows."""
+    s = as_structure_ring(ring)
+    p, k = s.shape.moduli[0], len(s.shape.moduli)
+    while True:
+        P = rng.integers(0, p, size=(k, k))
+        if Matrix(P).det() % p:
+            break
+    P_inv = np.array(Matrix(P).inv_mod(p).tolist(), dtype=np.int64)
+    T = np.einsum("ia,jb,abm->ijm", P, P, s.tensor) @ P_inv % p
+    return make_ring(s.shape.moduli, T,
+                     tuple((np.array(s.one) @ P_inv % p).tolist()))
+
+
+FP_RINGS = {   # name: (ring constructor, limits), all over one prime
+    "z3q8": (lambda: catalog("z3q8"), Limits()),
+    "z3d4": (lambda: group_algebra(3, dihedral(4)), Limits()),
+    "ext2(7)": (lambda: catalog("ext2(7)"), Limits()),
+}
+FP_RINGS.update(   # the one-prime catalog rings up to 1024 elements
+    (name, (functools.partial(catalog, name), Limits(max_table=1)))
+    for name in RANK_PATH_RINGS + ("ext2(2)", "z(2)", "z(3)", "z(5)", "z(7)"))
+
+
+def _report_values(ring, limits):
+    """full_report's values, without the witnesses, and its skips."""
+    rep = full_report(as_structure_ring(ring), limits)
+    return {key: val for key, (val, _) in rep.values.items()}, rep.skipped
+
+
+@pytest.mark.parametrize("transform", ["basis", "opposite"])
+def test_fp_path_values_survive_basis_change_and_opposite(transform):
+    # z2q8, z2d4 and ex52 skip the CCE sweep and answer 7 keys, the other
+    # twelve rings 8
+    rng = np.random.default_rng(17)
+    compared = 0
+    for name, (build, limits) in FP_RINGS.items():
+        values, skipped = _report_values(build(), limits)
+        if transform == "basis":
+            moved = _report_values(change_of_basis(build(), rng), limits)
+        else:
+            moved = _report_values(opposite(build()), limits)
+            values["ore_left"], values["ore_right"] = \
+                values["ore_right"], values["ore_left"]
+        assert moved == (values, skipped), name
+        compared += len(values)
+    assert (len(FP_RINGS), compared) == (15, 117)
