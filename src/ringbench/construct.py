@@ -14,7 +14,7 @@ import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, ConstructionError, DomainError, InputError, LimitError,
-    StructureRing, _close_additive_mask, _tables_or_raise,
+    StructureRing, _tables_or_raise,
 )
 from ringbench.groups import dihedral, quaternion8
 from ringbench.ideals import Ideal, ideal_closure, principal_ideal
@@ -394,61 +394,40 @@ def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
     """Isomorphic copy of any finite ring as an explicit StructureRing.
 
     Runs on the ring's dense tables (LimitError(max_table) without them),
-    where index order is element order.  Finds an additive basis by
-    depth-first search over the nonzero elements ordered by decreasing
-    additive order, then element (deterministic): an element joins when
-    its cyclic group meets the span only in 0, and a dead end backtracks.
-    The coefficient vector of every element comes from the table of basis
-    multiples, which gives the structure constants and `one`; the result
-    is revalidated.  Quotient and subring objects come out as plain
-    coefficient rings suitable for serialization.
+    where index order is element order.  One pass over the nonzero
+    elements, ordered by decreasing additive order, then element, builds
+    an additive basis: x joins unless a nonzero multiple j*x already lies
+    in the span of the earlier basis.  The pass never needs to undo a
+    choice, because a cyclic subgroup of largest order in a finite abelian
+    group is a direct summand.  If (R, +) = S + H, a direct sum, and x has
+    the largest order among the elements whose cyclic group meets S only
+    in 0, then x's image has the largest order in R/S, which is H, so
+    S + <x> is again a direct summand.  Each x that joins extends the
+    table of elements by mixed-radix coefficient code, the first basis
+    element most significant, which gives the structure constants and
+    `one`; the result is revalidated.  Quotient and subring objects come
+    out as plain coefficient rings suitable for serialization.
     """
     if isinstance(ring, StructureRing):
         return ring
     t = _tables_or_raise(ring, limits)
     n = len(t.elems)
-    # additive orders: step x, 2x, 3x, ... until each reaches 0
-    order = np.ones(n, dtype=np.int64)
-    live = cur = np.delete(np.arange(n), t.zero)
-    while live.size:
-        cur = t.add[cur, live]
-        order[live] += 1
-        keep = cur != t.zero
-        live, cur = live[keep], cur[keep]
-    candidates = [int(x) for x in np.argsort(-order, kind="stable")
-                  if x != t.zero]
-
-    def extend(span, basis):
-        size = span.sum()
-        if size == n:
-            return basis
-        for x in candidates:
-            if span[x]:
-                continue
-            grown = _close_additive_mask(t, span.copy(), [x])
-            if grown.sum() != size * order[x]:
-                continue  # not independent of the span
-            found = extend(grown, basis + [x])
-            if found is not None:
-                return found
-        return None
-
-    span = t.mask()
-    span[t.zero] = True
-    basis = extend(span, [])
-    if basis is None:
-        raise ConstructionError("no additive basis found")
-    moduli = [int(order[b]) for b in basis]
-    # at[code] is the element whose coefficients have mixed-radix code
-    # `code`, the first basis element most significant
-    at = np.array([t.zero])
-    for b, m in zip(basis, moduli):
-        multiples = [t.zero]
-        for _ in range(m - 1):
-            multiples.append(t.add[multiples[-1], b])
-        at = t.add[np.ix_(at, multiples)].ravel()
-    code = np.empty(n, dtype=np.int64)
-    code[at] = np.arange(n)
+    # mult[x, j] = j*x for j up to the exponent of (R, +)
+    mult = [np.full(n, t.zero), np.arange(n)]
+    while (mult[-1] != t.zero).any():
+        mult.append(t.add[mult[-1], mult[1]])
+    mult = np.stack(mult, axis=1)
+    order = (mult[:, 1:] == t.zero).argmax(axis=1) + 1
+    # at[c] is the element with coefficient code c, and code[at[c]] = c
+    at, code, basis = np.array([t.zero]), np.full(n, -1), []
+    code[t.zero] = 0
+    for x in np.argsort(-order, kind="stable")[:-1]:   # 0, of order 1, last
+        if (code[mult[x, 1:order[x]]] >= 0).any():
+            continue
+        basis.append(x)
+        at = t.add[np.ix_(at, mult[x, :order[x]])].ravel()
+        code[at] = np.arange(len(at))
+    moduli = order[basis].tolist()
 
     def coeffs(idx):
         return np.stack(np.unravel_index(code[idx], moduli), axis=-1)

@@ -948,7 +948,7 @@ def _row_reduce_mod_p(A, p, cols):
     there.  Rows from the rank on are zero left of the current column."""
     *lead, r, c = A.shape
     S = A.reshape(math.prod(lead), r, c)   # a view, also when r*c = 0
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    inv = _inverses_mod_p(p)
     rank, col = np.zeros(len(S), dtype=np.int64), 0
     free = np.ones((len(S), r), dtype=bool)   # the rows from the rank on
     while True:   # to the next column with a nonzero entry in a free row
@@ -966,6 +966,15 @@ def _row_reduce_mod_p(A, p, cols):
         S[:] = (S - S[:, :, col, None] * pivot[:, None]) % p   # whole rows
         S[s, row], free[s, row] = P, False
         rank += has
+
+
+@functools.cache
+def _inverses_mod_p(p):
+    """The inverses mod p of 0, 1, ..., p - 1, with 0 at 0, as a read-only
+    array built once per prime."""
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
 
 
 def _reduced_solutions(M):

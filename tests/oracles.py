@@ -380,9 +380,11 @@ def _additive_order(ring, x):
 
 def structure_ring(ring):
     """Isomorphic copy of a finite ring as a StructureRing: an additive
-    basis by depth-first search over elements ordered by decreasing
-    additive order, then element, with set-based span growth; each
-    element's coefficients by repeated addition of the basis."""
+    basis by depth-first search with backtracking over elements ordered by
+    decreasing additive order, then element, with set-based span growth;
+    each element's coefficients by repeated addition of the basis.  This
+    search is the reference for as_structure_ring's single pass, which
+    relies on the search never backtracking."""
     if isinstance(ring, StructureRing):
         return ring
     elems = sorted(ring.elements())

@@ -949,3 +949,16 @@ def test_row_reduce_mod_p_matches_the_oracle_eliminator(p):
             counts = np.add(counts, [solves.sum(), (~solves).sum(),
                                      (rank < cols).sum()]).tolist()
     assert counts == SYSTEM_COUNTS[p]
+
+
+def test_inverse_table_is_built_once_per_prime():
+    # the kernel's table of inverses mod p is shared by every call and
+    # every ring over p, and no caller can write to it
+    core._inverses_mod_p.cache_clear()
+    for _ in range(2):
+        assert len(units_and_regulars(catalog("z(1031)")).units) == 1030
+    info = core._inverses_mod_p.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+    inv = core._inverses_mod_p(1031)
+    assert not inv.flags.writeable
+    assert (inv[1:] * np.arange(1, 1031) % 1031 == 1).all()

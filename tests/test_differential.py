@@ -8,7 +8,8 @@ tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, the center from its F_p basis against the
 table center, and the sample streams against pinned digests.  The F_p
 path is checked to be blind to a change of basis and, up to the sides
-of the Ore keys, to passing to the opposite ring."""
+of the Ore keys, to passing to the opposite ring, and the reports to keep
+the theorem invariants P = J, CCE => CE and the rest."""
 
 import functools
 import hashlib
@@ -22,11 +23,12 @@ from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, SubRing,
     _OnDemandTables, _mask_elems, _one_prime, _outer_codes, center,
-    make_ring,
+    make_ring, units_and_regulars,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
     group_algebra, group_sum_ideal, relative_augmentation_ideal,
+    triangular_matrix_ring,
 )
 from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
@@ -38,6 +40,7 @@ from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report,
     is_strongly_bounded, is_uniserial, lie_series, sample_rings,
+    zero_divisor_symmetry,
 )
 from tests import oracles
 from tests.test_core import RANK_PATH_RINGS, full_matrix_tensor
@@ -356,13 +359,17 @@ def test_quotients_match_dict_oracle(key):
                 assert q.add(a, b) == old.add(a, b)
 
 
-@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+@pytest.mark.parametrize("key", RING_KEYS + ["T2(Z6)"], ids=_key_id)
 def test_structure_export_matches_scalar_oracle(key):
-    ring = _ring(key)
+    # T2(Z6)'s quotients mix additive orders 2, 3 and 6, as no other
+    # input's views do
+    ring = triangular_matrix_ring(2, 6) if key == "T2(Z6)" else _ring(key)
     views = [quotient(ring, ideal) for ideal in all_ideals(ring)
              if not ideal.is_whole()]
     if isinstance(ring, SubRing):
         views.append(ring)
+    if key == "T2(Z6)":
+        assert len(views) == 24
     for view in views:
         assert (serialize_ring(view)
                 == serialize_ring(oracles.structure_ring(view)))
@@ -667,3 +674,34 @@ def test_fp_path_values_survive_basis_change_and_opposite(transform):
         assert moved == (values, skipped), name
         compared += len(values)
     assert (len(FP_RINGS), compared) == (15, 117)
+
+
+def test_theorem_invariants_hold_wherever_answered():
+    # P = J, regulars = units, CCE => CE, CE => zero-divisor symmetry and
+    # local <=> |J| + |units| = |R|, on the catalog, the seeded sample
+    # streams and two rings above max_table, which skip the radical keys
+    # and local
+    rings = [catalog(name) for name in CATALOG + ("z3q8", "ext2(7)")]
+    rings += [ring for sample in SAMPLES for ring in _samples(*sample)]
+    cases = dict.fromkeys(("P=J", "units", "CCE", "CE", "local", "not local"),
+                          0)
+    for ring in rings:
+        v = {key: val for key, (val, _) in full_report(ring).values.items()}
+        if {"jacobson_size", "prime_radical_size"} <= v.keys():
+            assert v["prime_radical_size"] == v["jacobson_size"]
+            assert v["prime_radical_index"] == v["jacobson_index"]
+            assert v["semiprime"] == (v["jacobson_size"] == 1)
+            cases["P=J"] += 1
+        assert units_and_regulars(ring).regulars_equal_units
+        cases["units"] += 1
+        if v.get("completely_centrally_essential"):
+            assert v["centrally_essential"]
+            cases["CCE"] += 1
+        if v.get("centrally_essential"):
+            assert zero_divisor_symmetry(ring).holds
+            cases["CE"] += 1
+        if {"local", "jacobson_size", "units"} <= v.keys():
+            assert v["local"] == (v["jacobson_size"] + v["units"] == v["size"])
+            cases["local" if v["local"] else "not local"] += 1
+    assert cases == {"P=J": 108, "units": 110, "CCE": 43, "CE": 47,
+                     "local": 26, "not local": 82}
