@@ -413,8 +413,8 @@ def build_claims():
             rep = props.ore_check(r)
             assert rep.right_holds and rep.left_holds
             ur = units_and_regulars(r)
-            assert set(ur.units) == set(ur.regulars)
-            assert rep.regular_count == len(ur.units)
+            assert ur.regulars_equal_units
+            assert rep.regular_count == len(ur.unit)
         return "PASS", "%d rings, regulars = units everywhere" % len(names)
 
     @claim("central-series-reach-radical",

@@ -25,6 +25,7 @@ the span of its basis, the Jacobson radical J by trace functionals, and the
 units on R/J: one system per element of each block e*(R/J), one block per
 primitive central idempotent e, with the inverses lifted to R by a geometric
 series in J.  Each elimination mod p is one batched _row_reduce_mod_p.
+The unit report keeps element indices and decodes only what is read.
 """
 
 import functools
@@ -344,7 +345,8 @@ class StructureRing(Ring):
         self._size_gate(limits)
         cached = getattr(self, "_elements_array", None)
         if cached is None:
-            cached = np.arange(self.size)[:, None] // self._weights % self._mods
+            k = self.shape.width
+            cached = np.indices(self.shape.moduli).reshape(k, -1).T
             cached.setflags(write=False)
             self._elements_array = cached
         return cached
@@ -635,7 +637,7 @@ class Tables:
 
     def decode(self, idx):
         """The elements at the indices idx, as a tuple."""
-        return tuple(self.elems[i] for i in idx)
+        return tuple(map(self.elems.__getitem__, np.asarray(idx).tolist()))
 
 
 class _OnDemandTables:
@@ -869,35 +871,53 @@ def center(ring, limits=DEFAULT_LIMITS):
 
 @dataclass
 class UnitReport:
-    """Units with recorded two-sided inverses, and the regular elements."""
+    """Units with two-sided inverses, and the regular elements, as element
+    indices: index i is ring.elements()[i], or above max_table the element
+    whose mixed-radix code is i.  units, inverses and regulars decode on
+    first read only the indices they name, through decode, which reads no
+    limit; the consistency checks ran on the indices when it was built."""
 
-    units: tuple
-    inverses: dict
-    regulars: tuple
-    # per element of ring.elements(): x -> a*x (l_full), x -> x*a bijective
+    unit: np.ndarray      # indices of the units, ascending
+    inverse: np.ndarray   # the index of each unit's inverse
+    # per element index: x -> a*x (l_full), x -> x*a bijective
     l_full: np.ndarray = field(repr=False)
     r_full: np.ndarray = field(repr=False)
+    decode: object = field(repr=False)   # indices -> tuple of elements
+
+    @functools.cached_property
+    def units(self):
+        return self.decode(self.unit)
+
+    @functools.cached_property
+    def inverses(self):
+        return dict(zip(self.units, self.decode(self.inverse)))
+
+    @functools.cached_property
+    def regulars(self):
+        return self.decode(np.nonzero(self.l_full & self.r_full)[0])
 
     @property
     def regulars_equal_units(self):
-        return set(self.units) == set(self.regulars)
+        return np.array_equal(self.unit, np.nonzero(self.l_full & self.r_full)[0])
 
 
 def units_and_regulars(ring, limits=DEFAULT_LIMITS):
-    """Classify elements into units (inverse recorded) and regulars.
+    """Classify elements into units (inverse recorded) and regulars, as an
+    index report (UnitReport).
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
-    it is a unit; the report exposes that comparison.  Above max_table only
-    structure rings over one prime modulus p are decided, by linear algebra
-    mod p: on the blocks of R/J, J the radical from trace functionals, with
-    inverses lifted to R by a geometric series (_units_through_radical).
+    it is a unit; every call checks that on the indices.  Above max_table
+    only structure rings over one prime modulus p are decided, by linear
+    algebra mod p: on the blocks of R/J, J the radical from trace
+    functionals, with inverses lifted to R by a geometric series and
+    checked there (_units_through_radical).
     """
     t = ring.tables(limits)
     if t is None:
         p = _one_prime(ring) if isinstance(ring, StructureRing) else None
         if p is None:
             raise LimitError("max_table", limits.max_table, ring.size)
-    elems = ring.elements(limits)   # the max_elements gate of the rank path
+    ring._size_gate(limits)   # the max_elements gate of the rank path
     cached = getattr(ring, "_units", None)
     if cached is not None:
         return cached
@@ -905,15 +925,15 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         hit = t.mul == t.one
         two_sided = hit & hit.T
         unit = np.nonzero(two_sided.any(axis=1))[0]
-        inverses = {t.elems[i]: t.elems[two_sided[i].argmax()] for i in unit}
+        inverse = two_sided[unit].argmax(axis=1)
         ar = np.arange(len(t.elems), dtype=np.int32)
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
+        decode = t.decode
     else:
-        unit, inverses, l_full, r_full = _units_through_radical(ring, p, limits)
-    rep = UnitReport(tuple(elems[i] for i in unit), inverses,
-                     tuple(elems[i] for i in np.nonzero(l_full & r_full)[0]),
-                     l_full, r_full)
+        unit, inverse, l_full, r_full = _units_through_radical(ring, p, limits)
+        decode = _OnDemandTables(ring).decode
+    rep = UnitReport(unit, inverse, l_full, r_full, decode)
     if not rep.regulars_equal_units:
         raise RingError("internal: regulars differ from units in a finite ring")
     ring._units = rep
@@ -1066,8 +1086,8 @@ def _units_through_radical(ring, p, limits):
     change of basis of R/J, so each element of R reads its flags at the
     block codes of its image.  The inverse v of the image, the sum of the
     projections z*e, lifts to R (_geometric_lift) and is checked there.
-    Returns the indices of the units, their inverses, and whether L_a and
-    R_a are bijective, per element.
+    Returns the indices of the units and of their inverses, and whether
+    L_a and R_a are bijective, per element.
     """
     X = ring.elements_array(limits)
     Q, to_q, free = _radical_quotient(ring, p)
@@ -1089,8 +1109,8 @@ def _units_through_radical(ring, p, limits):
     e_rows = np.repeat(E, sizes, axis=0)
     m = len(C)
     Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
-    solved = np.zeros((2, m), dtype=bool)  # c*z = e, y*c = e solved
-    rank = np.zeros((2, m), dtype=np.int64)  # of L_c, R_c
+    # bits: L_c, R_c of full rank on the block; c*z = e, y*c = e solved
+    flags, need = np.zeros(m, dtype=np.uint8), np.repeat(dims, sizes)
     # the systems of a chunk and one temporary of the same size
     chunk = max(1, _CHUNK_BYTES // (32 * k * (k + 1)))
     for s in range(0, m, chunk):
@@ -1101,14 +1121,16 @@ def _units_through_radical(ring, p, limits):
         M = np.empty((2 * h, k, k + 1), dtype=np.int64)
         M[:, :, :k] = LR.reshape(-1, k, k).transpose(0, 2, 1) % p
         M[:, :, k] = np.tile(e, (2, 1))
-        rank[:, s:s + h] = _row_reduce_mod_p(M, p, k).reshape(2, h)
+        full = _row_reduce_mod_p(M, p, k).reshape(2, h) == need[s:s + h]
         x = _reduced_solutions(M).reshape(2, h, k)
         Z[s:s + h] = x[0]
         # a solution stands only if it checks out: z @ L_c = e, y @ R_c = e
         check = np.einsum("snj,snjm->snm", x, LR) % p
-        solved[:, s:s + h] = (check == e).all(axis=2)
-    l_full, r_full = (rank == np.repeat(dims, sizes))[:, loc].all(axis=2)
-    unit = np.nonzero(solved[:, loc].all(axis=(0, 2)))[0]
+        ok = (check == e).all(axis=2)
+        flags[s:s + h] = full[0] | full[1] << 1 | ok[0] << 2 | ok[1] << 3
+    f = np.bitwise_and.reduce(flags[loc], axis=1)   # over a's components
+    l_full, r_full = f & 1 != 0, f & 2 != 0
+    unit = np.nonzero(f & 12 == 12)[0]
     if len(dims) > 1:   # z*e lies in e*(R/J) and still solves c*z = e
         Z = _paired_products(Q, Z, e_rows)
     A, V = X[unit], np.zeros((len(unit), len(ring._mods)), dtype=np.int64)
@@ -1117,9 +1139,7 @@ def _units_through_radical(ring, p, limits):
     if not ((_paired_products(ring, A, V) == ring.one).all()
             and (_paired_products(ring, V, A) == ring.one).all()):
         raise RingError("internal: a lifted inverse fails in the ring")
-    elems = ring.elements(limits)
-    inverses = {elems[i]: v for i, v in zip(unit, map(tuple, V.tolist()))}
-    return unit, inverses, l_full, r_full
+    return unit, V @ ring._weights, l_full, r_full
 
 
 def _geometric_lift(ring, A, V, rounds):

@@ -116,7 +116,7 @@ def _principal_ideals(ring, t, side, limits):
     (u*a*v for two-sided, u*a for left, a*v for right ideals) generate the
     same ideal, so one is built per orbit, under the orbit's first index."""
     n = len(t.elems)
-    units = np.array([t.index[u] for u in units_and_regulars(ring, limits).units])
+    units = units_and_regulars(ring, limits).unit
     by_key = {}
     seen = np.zeros(n, dtype=bool)
     for i in range(n):
@@ -350,7 +350,7 @@ def jacobson_radical(ring, limits=DEFAULT_LIMITS):
         return cached
     rep = units_and_regulars(ring, limits)
     is_unit = np.zeros(len(t.elems), dtype=bool)
-    is_unit[[t.index[u] for u in rep.units]] = True
+    is_unit[rep.unit] = True
     one_minus = t.add[t.one][t.neg]          # y -> 1 - y
     jmask = is_unit[one_minus[t.mul]].all(axis=0)
     elems = _mask_elems(t, jmask)

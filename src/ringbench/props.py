@@ -90,16 +90,15 @@ def centrally_essential(ring, limits=DEFAULT_LIMITS):
                   if a != ring.zero}
         rep = CEReport(True, z.size, witness_map=wm)
     else:
-        rep = _ce_tables(z, _kernel_tables(ring, limits), ring.elements(limits))
+        rep = _ce_tables(z, _kernel_tables(ring, limits), ring.size)
     ring._ce = rep
     return rep
 
 
-def _ce_tables(z, t, elems):
-    """CE on kernel tables, a chunk of rows at a time; the first chunk
-    holding an element without a central partner ends the walk.  elems
-    is the ring's element list, in index order."""
-    n = len(elems)
+def _ce_tables(z, t, n):
+    """CE on the kernel tables t of a ring of n elements, a chunk of rows at
+    a time; the first chunk holding an element without a central partner
+    ends the walk.  Only the elements the report holds are decoded."""
     zall = np.sort(t.encode(z.elements()))
     in_center = np.zeros(n, dtype=bool)
     in_center[zall] = True
@@ -114,13 +113,12 @@ def _ce_tables(z, t, elems):
         ok = good.any(axis=1) | (rows == t.zero)
         if not ok.all():
             bad = s + int(np.argmin(ok))
-            return CEReport(False, z.size, counterexample=elems[bad])
+            return CEReport(False, z.size, counterexample=t.decode([bad])[0])
         if n <= WITNESS_MAP_LIMIT:
-            first = np.argmax(good, axis=1)
-            for a, f in zip(rows, first):
-                if a != t.zero:
-                    x = int(zidx[f])
-                    wm[elems[a]] = (elems[x], elems[int(prod[a - s, f])])
+            a = np.nonzero(rows != t.zero)[0]
+            first = np.argmax(good[a], axis=1)
+            wm.update(zip(t.decode(rows[a]), zip(
+                t.decode(zidx[first]), t.decode(prod[a, first]))))
     return CEReport(True, z.size, witness_map=wm)
 
 
@@ -156,7 +154,7 @@ def zero_divisor_symmetry(ring, limits=DEFAULT_LIMITS):
     mismatch = rep.l_full != rep.r_full
     if mismatch.any():
         a = int(np.nonzero(mismatch)[0][0])
-        return Verdict(False, witness=ring.elements(limits)[a],
+        return Verdict(False, witness=rep.decode([a])[0],
                        detail="zero-divisor on one side only")
     return Verdict(True)
 
@@ -286,13 +284,13 @@ def is_local(ring, limits=DEFAULT_LIMITS):
     """Non-units form an ideal, i.e. |J| + |units| = |R|."""
     rep = units_and_regulars(ring, limits)
     j = jacobson_radical(ring, limits)
-    holds = j.size + len(rep.units) == ring.size
+    holds = j.size + len(rep.unit) == ring.size
     if holds:
         return Verdict(True, detail="residue ring is a division ring")
-    unit_set = set(rep.units)
-    stray = next(x for x in ring.elements(limits)
-                 if x not in unit_set and x not in j)
-    return Verdict(False, witness=stray,
+    t = _tables_or_raise(ring, limits)
+    stray = np.ones(ring.size, dtype=bool)
+    stray[rep.unit] = stray[t.encode(j.elements)] = False
+    return Verdict(False, witness=t.elems[stray.argmax()],
                    detail="non-unit outside the radical")
 
 
@@ -486,10 +484,14 @@ class OreReport:
     left_holds: bool
     regular_count: int
     ring: object = field(repr=False, default=None)
-    _inverses: dict = field(repr=False, default_factory=dict)
+    unit_report: object = field(repr=False, default=None)
 
     def __bool__(self):
         return self.right_holds and self.left_holds
+
+    @property
+    def _inverses(self):   # b -> its two-sided inverse, for regular b
+        return self.unit_report.inverses
 
     def witness(self, a, b):
         """(a1, b1) with a*b1 = b*a1 and b1 regular, for regular b."""
@@ -518,7 +520,8 @@ def ore_check(ring, limits=DEFAULT_LIMITS):
     those of units_and_regulars.
     """
     rep = units_and_regulars(ring, limits)
-    return OreReport(True, True, len(rep.regulars), ring, dict(rep.inverses))
+    regular = int(np.count_nonzero(rep.l_full & rep.r_full))
+    return OreReport(True, True, regular, ring, rep)
 
 
 # -- aggregate report ---------------------------------------------------------------------
@@ -603,7 +606,7 @@ def full_report(ring, limits=DEFAULT_LIMITS):
     run("jacobson_index", radical_index)
     run("prime_radical_size", lambda: prime_radical(ring, limits).size)
     run("prime_radical_index", radical_index)
-    run("units", lambda: len(units_and_regulars(ring, limits).units))
+    run("units", lambda: len(units_and_regulars(ring, limits).unit))
     run("commutative", lambda: is_commutative(ring, limits),
         lambda v: (v.holds, "" if v.holds else "%s,%s"
                    % (_fmt(ring, v.witness[0]), _fmt(ring, v.witness[1]))))

@@ -621,6 +621,38 @@ def test_units_above_max_table_build_no_tables(monkeypatch):
     assert built == []
 
 
+def test_full_report_above_max_table_lists_no_elements(monkeypatch):
+    # units, the Ore keys and CE read index arrays and decode only what
+    # they print, so no key lists the ring
+    rings = {"z3q8": 768, "ext2(7)": 2058}
+    built = {name: catalog(name) for name in rings}
+    listed, real = [], AdditiveShape.iter_elements
+
+    def counted(shape):
+        listed.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(AdditiveShape, "iter_elements", counted)
+    for name, units in rings.items():
+        lines = full_report(built[name]).lines()
+        assert "units=%d" % units in lines and "ore_left=true" in lines
+    assert listed == []
+
+
+def test_unit_report_reads_after_its_limits():
+    # ext2(17) has 83521 elements, above the default max_elements; the
+    # report decodes on read, which depends on no limit
+    r = catalog("ext2(17)")
+    rep = units_and_regulars(r, Limits(max_elements=100000))
+    with pytest.raises(LimitError):
+        units_and_regulars(r)
+    assert len(rep.units) == 78608 and rep.regulars_equal_units
+    assert rep.regulars == rep.units and len(rep.inverses) == 78608
+    for b in random.Random(0).sample(rep.units, 200):
+        v = rep.inverses[b]
+        assert r.mul(b, v) == r.one == r.mul(v, b)
+
+
 def test_block_path_matches_table_path_on_samples(monkeypatch):
     # the sampled rings over one prime field with two or more blocks,
     # with a max_table of their largest block, so none has tables
