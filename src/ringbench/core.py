@@ -16,10 +16,11 @@ caches are write-once, and every cached call checks its limit gates before
 it reuses cached work, so a verdict or a skip never depends on earlier
 calls.
 
-Deciders read dense index tables (Tables) up to max_table elements.  The set
-kernels (closures, the center, CE) read one lookup surface on every ring:
-the dense tables, or above max_table the sums and products of a whole
-structure ring computed on demand (_OnDemandTables).  On structure rings
+_kernel_tables alone decides how a ring is read: through its dense index
+tables (Tables) up to max_table elements, and above it, for a whole
+structure ring only, through sums and products computed on demand
+(_OnDemandTables).  The set kernels (closures, the center, CE), subring
+tables and the sampler all read that one lookup surface.  On structure rings
 over one prime p above max_table, linear algebra mod p gives the center as
 the span of its basis, the Jacobson radical J by trace functionals, and the
 units on R/J: one system per element of each block e*(R/J), one block per
@@ -251,7 +252,9 @@ class Ring:
         raise NotImplementedError
 
     def tables(self, limits=DEFAULT_LIMITS):
-        """Dense index tables (see Tables) or None above limits.max_table."""
+        """Dense index tables (see Tables) or None above limits.max_table.
+        A subring whose base is above max_table and is no structure ring
+        raises LimitError(max_table), naming the base's size."""
         if self.size > limits.max_table:
             return None
         self.elements(limits)   # the max_elements gate of Tables.build
@@ -383,11 +386,10 @@ class SubRing(Ring):
     """Multiplicatively closed additive subgroup of a base ring, with 1.
 
     Its elements are base elements, in base order.  Its tables are its
-    base's sums and products of its elements, mapped to its own indices.
-    A structure base of any size computes them on demand from the tensor
-    (_OnDemandTables), so an ambient ring never builds dense tables; any
-    other base reads its own tables.  A sum or a product that leaves the
-    subset raises ConstructionError.
+    base's sums and products of its elements, mapped to its own indices;
+    the base is read through _kernel_tables, so a base above max_table
+    that is no structure ring raises LimitError(max_table).  A sum or a
+    product that leaves the subset raises ConstructionError.
     With check (the default) every entry must be an element of the base
     and the tables are built at once, so closure is checked in full.
     check=False is for subsets the caller has closed (centers, samples).
@@ -425,12 +427,7 @@ class SubRing(Ring):
                                         witness=t.elems[int(np.argmax(fails))])
 
     def _table_ops(self, limits):
-        if isinstance(self.base, StructureRing):
-            bt = _OnDemandTables(self.base, limits)
-        else:
-            bt = self.base.tables(limits)
-            if bt is None:
-                return None
+        bt = _kernel_tables(self.base, limits)
         idx = bt.encode(self._elements)   # ascending: base order
 
         def lookup(c):
@@ -584,8 +581,7 @@ class Tables:
     additive recurrence (_recurrence_ops), a quotient gathers them from
     the base's tables through its labels, and a subring reads its base's
     sums and products.  neg is derived from add once they are checked
-    closed.  None above limits.max_table, or when a view's base has no
-    tables.
+    closed.  Built through Ring.tables, which gates on max_table.
     """
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
@@ -593,11 +589,7 @@ class Tables:
 
     @staticmethod
     def build(ring, limits=DEFAULT_LIMITS):
-        if ring.size > limits.max_table:
-            return None
         ops = ring._table_ops(limits)
-        if ops is None:
-            return None
         t = Tables()
         t.ring = ring
         t.elems = ring.elements(limits)
@@ -706,8 +698,9 @@ class _IndexSet:
 
 
 def _kernel_tables(ring, limits):
-    """What the set kernels (closures, center, CE) read: the dense tables
-    up to max_table, and above it the on-demand tables of a whole structure
+    """How a ring is read by the set kernels (closures, center, CE), by
+    a subring's tables and by the sampler: the dense tables up to
+    max_table, and above it the on-demand tables of a whole structure
     ring.  Other rings above max_table raise LimitError(max_table)."""
     t = ring.tables(limits)
     if t is not None:

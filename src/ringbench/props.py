@@ -7,9 +7,10 @@ The center and CE run on the same index-mask kernels as the closures: the
 dense tables up to max_table, and above it a structure ring's sums and
 products computed on demand.  The Lie series and the central-series
 check gather their brackets from the dense tables, and no decider loops
-over elements in Python.  Above the table limit only units run as mod-p
-linear algebra, decided on the blocks of R/J and lifted to R, and the
-Ore check follows from them; most other deciders skip on max_table.
+over elements in Python.  Above the table limit, over one prime, the
+center is the span of its F_p basis and the units are decided on the
+blocks of R/J and lifted to R, and the Ore check follows from them; most
+other deciders skip on max_table.
 One-sided questions (invariant, strongly bounded, uniserial) are decided
 on the principal one-sided ideals, which
 are the rows and columns of the multiplication table, one per ideal from
@@ -19,15 +20,15 @@ essentiality sweeps the two-sided ideals by size and stops at the first
 failing quotient.
 """
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ringbench.core import (
-    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _OnDemandTables,
-    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
-    center, units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _close_additive_mask,
+    _kernel_tables, _mask_elems, _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
     _additive_mask, _as_ideal, _ideal_gens, _principal_entries, all_ideals,
@@ -648,16 +649,11 @@ def full_report(ring, limits=DEFAULT_LIMITS):
 
 # -- random instances -------------------------------------------------------------------
 
-_AMBIENTS = {}
-
-
+@functools.cache
 def _ambient(n, mod):
-    """On-demand tables of the n x n matrix ring mod `mod`, built once."""
-    key = (n, mod)
-    if key not in _AMBIENTS:
-        from ringbench.construct import full_matrix_ring
-        _AMBIENTS[key] = _OnDemandTables(full_matrix_ring(n, mod))
-    return _AMBIENTS[key]
+    """The n x n matrix ring mod `mod`, built once."""
+    from ringbench.construct import full_matrix_ring
+    return full_matrix_ring(n, mod)
 
 
 def random_subring(rng, max_size=512, limits=DEFAULT_LIMITS):
@@ -667,11 +663,12 @@ def random_subring(rng, max_size=512, limits=DEFAULT_LIMITS):
     Closing the additive generators under pairwise products suffices: any
     two subgroup elements are integer combinations of the generators, so
     their product is an integer combination of generator products.  The
-    closure runs on the ambient's on-demand tables, so no ambient builds
-    dense ones.
+    closure reads the ambient through _kernel_tables: dense tables and
+    masks up to limits.max_table, on-demand tables above it.  The draws
+    do not depend on which.
     """
     n, mod = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2)))
-    t = _ambient(n, mod)
+    t = _kernel_tables(_ambient(n, mod), limits)
     k = n * n
     gens = [t.ring.one]
     for _ in range(rng.randint(1, 3)):

@@ -6,10 +6,11 @@ complete ideal check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, the center from its F_p basis against the
-table center, and the sample streams against pinned digests.  The F_p
-path is checked to be blind to a change of basis and, up to the sides
-of the Ore keys, to passing to the opposite ring, and the reports to keep
-the theorem invariants P = J, CCE => CE and the rest."""
+table center, and the sample streams against pinned digests and across
+the dense and on-demand lookups.  The F_p path is checked to be blind to
+a change of basis and, up to the sides of the Ore keys, to passing to the
+opposite ring, and the reports to keep the theorem invariants P = J,
+CCE => CE and the rest."""
 
 import functools
 import hashlib
@@ -404,9 +405,26 @@ def test_subring_gens_match_greedy_oracle(seed, count, max_size):
         assert z.gens() == oracles.greedy_additive_gens(z)
 
 
+def _omega(ring):
+    """The corner ring of the paper-suite claim quat3-derived-complement:
+    the relative augmentation ideal of the derived subgroup of z3q8, with
+    identity 2 + a2 (81 elements)."""
+    rel = relative_augmentation_ideal(ring, ring.group.derived_subgroup())
+    one = [0] * len(ring.basis_names)
+    one[ring.basis_names.index("e")] = 2
+    one[ring.basis_names.index("a2")] = 1
+    return SubRing(ring, rel.elements, name="omega", one=one)
+
+
 def _subrings(key):
     if key == "one-sided":
         return [one_sided_ring()]
+    if key == "above-max-table":
+        # subrings of a structure base without tables read it on demand
+        ring = catalog("z3q8")
+        subs = [center(ring), _omega(ring)]
+        assert ring.tables() is None and [r.size for r in subs] == [243, 81]
+        return subs
     if key in CATALOG:
         ring = catalog(key)
         # the center of each quotient is a subring of a view
@@ -416,8 +434,8 @@ def _subrings(key):
     return list(_samples(*key))
 
 
-@pytest.mark.parametrize("key", list(CATALOG) + ["one-sided"] + list(SAMPLES),
-                         ids=str)
+@pytest.mark.parametrize("key", list(CATALOG) + ["one-sided", "above-max-table"]
+                         + list(SAMPLES), ids=str)
 def test_subring_tables_match_oracle(key):
     for sub in _subrings(key):
         t = sub.tables()
@@ -426,6 +444,24 @@ def test_subring_tables_match_oracle(key):
             assert table.dtype == np.int32
             assert np.array_equal(table, expected)
         assert (t.add[np.arange(sub.size), t.neg] == t.zero).all()
+
+
+def test_subring_of_a_view_without_tables_is_skipped():
+    # a 512-element subring of a 2048-element quotient: within max_table,
+    # but its base has no tables and is no structure ring
+    big = Limits(max_table=8192, max_lattice=8192)
+    base = catalog("ext2(8)")
+    q = quotient(base, ideal_closure(base, [(0, 0, 0, 4)], "two", big),
+                 limits=big)
+    s = SubRing(q, center(q, big).elements(), check=False)
+    assert (q.size, s.size) == (2048, 512)
+    with pytest.raises(LimitError) as err:
+        s.tables()
+    assert (err.value.limit, err.value.value, err.value.needed) == \
+        ("max_table", 1024, 2048)
+    lines = full_report(s).lines()
+    assert lines[0] == "size=512" and len(lines) == 23
+    assert all(line.endswith("=skipped;limit=max_table") for line in lines[1:])
 
 
 def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
@@ -621,6 +657,54 @@ def test_sample_stream_is_pinned(seed, count, max_size):
                  for ring in _samples(seed, count, max_size)])
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == SAMPLE_DIGESTS[(seed, count, max_size)]
+
+
+# every catalog ring within the default max_table
+TABLE_CATALOG = ("z2q8", "z2d4", "ex52", "m2z2", "t2z2", "z(12)", "ex51(2)",
+                 "ex51(3)", "ex51(4)", "ext2(2)", "ext2(3)", "ext2(4)",
+                 "ext2(5)")
+
+
+def test_no_on_demand_lookup_within_max_table(monkeypatch):
+    # a subring's base, or the sampler's ambient, within max_table is read
+    # through its dense tables, whatever kind of ring it is
+    def refuse(self, rows, cols):
+        raise AssertionError("on-demand lookup within max_table")
+
+    monkeypatch.setattr(_OnDemandTables, "sums", refuse)
+    monkeypatch.setattr(_OnDemandTables, "prods", refuse)
+    built = 0
+    for ring in sample_rings(5, 60, max_size=256):
+        fresh = SubRing(ring.base, ring.elements(), check=False)
+        assert len(fresh.tables().elems) == ring.size
+        built += 1
+    for name in TABLE_CATALOG:
+        ring = catalog(name)
+        assert ring.size <= Limits().max_table
+        assert center(ring).tables() is not None
+        built += 1
+    assert built == 60 + 13
+
+
+@pytest.mark.parametrize("seed, count, max_size", SAMPLES)
+def test_sample_stream_does_not_depend_on_the_lookup(seed, count, max_size,
+                                                     monkeypatch):
+    # max_table=1 closes the draws on on-demand tables and _IndexSets, the
+    # default limits on the ambients' dense tables and boolean masks
+    calls, real = [], _OnDemandTables.prods
+
+    def prods(self, rows, cols):
+        calls.append(1)
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(_OnDemandTables, "prods", prods)
+    dense = sample_rings(seed, count, max_size=max_size)
+    assert calls == []
+    lazy = sample_rings(seed, count, max_size=max_size,
+                        limits=Limits(max_table=1))
+    assert calls
+    assert [(r.base, r.name, r.elements()) for r in lazy] == \
+        [(r.base, r.name, r.elements()) for r in dense]
 
 
 # -- metamorphic checks on the F_p path ---------------------------------------
