@@ -22,11 +22,12 @@ structure ring only, through sums and products computed on demand
 (_OnDemandTables).  The set kernels (closures, the center, CE), subring
 tables and the sampler all read that one lookup surface.  On structure rings
 over one prime p above max_table, linear algebra mod p gives the center as
-the span of its basis, the Jacobson radical J by trace functionals, and the
-units on R/J: one system per element of each block e*(R/J), one block per
-primitive central idempotent e, with the inverses lifted to R by a geometric
-series in J.  Each elimination mod p is one batched _row_reduce_mod_p.
-The unit report keeps element indices and decodes only what is read.
+the span of its basis, CE as a rank test per element, the Jacobson radical
+J by trace functionals, and the units on R/J: one system per element of
+each block e*(R/J), one block per primitive central idempotent e, with the
+inverses lifted to R by a geometric series in J.  Each elimination mod p
+is one batched _row_reduce_mod_p.  The unit report keeps element indices
+and decodes only what is read.
 """
 
 import functools
@@ -1010,6 +1011,39 @@ def _center_basis(ring, p):
     basis element g is x @ (T - T^t) = 0, T the k x k^2 tensor mod p."""
     T, k = ring.tensor % p, len(ring._mods)
     return _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
+
+
+def _ce_rank_mod_p(ring, p):
+    """The least index a != 0 of a noncommutative structure ring over one
+    prime p with no central x making a*x central and nonzero, or None
+    when the ring is centrally essential.
+
+    With Z the center's basis (z x k) and N (k x (k - z)) a basis of
+    {y : Z @ y = 0}, x is central exactly when x @ N = 0.  The multiples
+    c @ Z of the basis have a*(c @ Z) = c @ M_a, M_a = a*Z, so CE holds
+    at a exactly when some c with c @ M_a @ N = 0 has c @ M_a != 0.
+    Reducing [M_a @ N | M_a] on its first k - z columns leaves in the
+    rows past the rank the multiples c @ M_a of exactly those c, so CE
+    fails at a when they are zero.  The stacks of a chunk of indices are
+    one contraction with the tensor and one _row_reduce_mod_p; chunks
+    grow from 16 rows, so a ring that fails early stops early."""
+    Z, k = _center_basis(ring, p), len(ring._mods)
+    z, n = len(Z), ring.size
+    N = _left_null_mod_p(Z.T, p).T
+    W = np.einsum("jl,ilm->ijm", Z, ring.tensor) % p   # b_i * Z, (k, z, k)
+    W = np.concatenate([W @ N, W], axis=2) % p
+    # a chunk's stack and three temporaries of its size in the kernel
+    cap = max(1, _CHUNK_BYTES // (32 * z * (2 * k - z)))
+    rows, s, step = _OnDemandTables(ring)._rows, 0, 16
+    while s < n:
+        idx = np.arange(s, min(n, s + step))
+        S = np.tensordot(rows(idx), W, axes=(1, 0)) % p
+        past = np.arange(z) >= _row_reduce_mod_p(S, p, k - z)[:, None]
+        ok = (S.any(axis=2) & past).any(axis=1) | (idx == 0)
+        if not ok.all():
+            return s + int(np.argmin(ok))
+        s, step = s + len(idx), min(4 * step, cap)
+    return None
 
 
 def _central_blocks(ring):

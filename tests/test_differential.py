@@ -44,7 +44,9 @@ from ringbench.props import (
     zero_divisor_symmetry,
 )
 from tests import oracles
-from tests.test_core import RANK_PATH_RINGS, full_matrix_tensor
+from tests.test_core import (
+    RADICAL_SOURCES, RANK_PATH_RINGS, _one_prime_rings, full_matrix_tensor,
+)
 
 CATALOG = ("z2q8", "z2d4", "ex52", "ex51(3)", "ext2(3)", "ext2(4)", "m2z2",
            "t2z2")
@@ -604,6 +606,36 @@ def test_center_above_max_elements_is_skipped():
         center(group_algebra(5, quaternion8()))
 
 
+def test_ce_rank_path_matches_table_path(monkeypatch):
+    # the noncommutative one-prime catalog rings up to max_table and the
+    # one-prime rings of three seeded sample streams: the rank test under
+    # max_table=1, with the scan filling the map where CE holds, against
+    # the dense tables.  Commutative rings answer before either path.
+    ranked, real = [], props._ce_rank_mod_p
+
+    def rank(ring, p):
+        ranked.append(real(ring, p))
+        return ranked[-1]
+
+    monkeypatch.setattr(props, "_ce_rank_mod_p", rank)
+    no_tables = Limits(max_table=1)
+    tried = holds = 0
+    for key in RADICAL_SOURCES:
+        for a, b in zip(_one_prime_rings(key), _one_prime_rings(key)):
+            want = centrally_essential(a)
+            got = centrally_essential(b, no_tables)
+            assert b.tables(no_tables) is None
+            assert ((got.holds, got.center_size, got.counterexample,
+                     got.witness_map)
+                    == (want.holds, want.center_size, want.counterexample,
+                        want.witness_map)), (key, tried)
+            tried, holds = tried + 1, holds + got.holds
+    # 104 of them are noncommutative and take the rank test; it says
+    # "holds" on 3, whose maps the scan then fills
+    assert (tried, holds) == (179, 78)
+    assert (len(ranked), ranked.count(None)) == (104, 3)
+
+
 def test_z3q8_ideals_on_demand_are_the_augmentation_kernels():
     ring = catalog("z3q8")
     assert ring.tables() is None
@@ -761,14 +793,15 @@ def test_fp_path_values_survive_basis_change_and_opposite(transform):
 
 
 def test_theorem_invariants_hold_wherever_answered():
-    # P = J, regulars = units, CCE => CE, CE => zero-divisor symmetry and
-    # local <=> |J| + |units| = |R|, on the catalog, the seeded sample
+    # P = J, regulars = units, CCE => CE, CE => zero-divisor symmetry,
+    # local <=> |J| + |units| = |R| and a semiprime CE ring is commutative
+    # (Markov and Tuganbaev), on the catalog, the seeded sample
     # streams and two rings above max_table, which skip the radical keys
-    # and local
+    # and local.  24 of the 54 semiprime rings are CE, all commutative.
     rings = [catalog(name) for name in CATALOG + ("z3q8", "ext2(7)")]
     rings += [ring for sample in SAMPLES for ring in _samples(*sample)]
-    cases = dict.fromkeys(("P=J", "units", "CCE", "CE", "local", "not local"),
-                          0)
+    cases = dict.fromkeys(("P=J", "units", "CCE", "CE", "local", "not local",
+                           "semiprime"), 0)
     for ring in rings:
         v = {key: val for key, (val, _) in full_report(ring).values.items()}
         if {"jacobson_size", "prime_radical_size"} <= v.keys():
@@ -787,5 +820,8 @@ def test_theorem_invariants_hold_wherever_answered():
         if {"local", "jacobson_size", "units"} <= v.keys():
             assert v["local"] == (v["jacobson_size"] + v["units"] == v["size"])
             cases["local" if v["local"] else "not local"] += 1
+        if v.get("semiprime") and "centrally_essential" in v:
+            assert v["commutative"] or not v["centrally_essential"]
+            cases["semiprime"] += 1
     assert cases == {"P=J": 108, "units": 110, "CCE": 43, "CE": 47,
-                     "local": 26, "not local": 82}
+                     "local": 26, "not local": 82, "semiprime": 54}

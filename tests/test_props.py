@@ -5,9 +5,11 @@ import random
 import pytest
 
 from ringbench.core import (
-    LimitError, Limits, center, units_and_regulars, validate_ring,
+    LimitError, Limits, _OnDemandTables, center, units_and_regulars,
+    validate_ring,
 )
-from ringbench.construct import catalog, exterior_square_ring
+from ringbench.construct import catalog, exterior_square_ring, group_algebra
+from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
     all_ideals, jacobson_radical, nilpotency_index, prime_radical, quotient,
 )
@@ -87,6 +89,38 @@ def test_ce_commutative_fast_path():
     rep = centrally_essential(make_zn(9))
     assert rep.holds and rep.center_size == 9
     assert rep.witness_map[(4,)] == ((1,), (4,))
+
+
+@pytest.mark.parametrize("build, witness", [
+    (lambda: catalog("z3q8"), "ab+2a3b"),
+    (lambda: group_algebra(3, dihedral(4)), "ab+2a3b"),
+    (lambda: catalog("ext2(7)"), "v"),
+], ids=("z3q8", "z3d4", "ext2(7)"))
+def test_ce_counterexample_above_max_table(build, witness):
+    # the rank test's counterexample is the on-demand scan's, and a scalar
+    # re-check confirms it
+    ring = build()
+    rep = centrally_essential(ring)
+    assert ring.tables() is None and not rep.holds
+    scan = props._ce_tables(center(ring), _OnDemandTables(ring), ring.size)
+    assert rep.counterexample == scan.counterexample
+    assert ring.format_element(rep.counterexample) == witness
+    assert verify_ce_counterexample(ring, rep.counterexample)
+
+
+def test_ce_holds_above_max_table_by_rank_alone(monkeypatch):
+    # F_2[Q8 x C2]: 65536 elements, center 1024.  The rank test decides it
+    # in about 2 s without one on-demand product (the scan of every a
+    # against the central x took about 25 s), and the ring is too large
+    # for a witness map.
+    def refuse(self, rows, cols):
+        raise AssertionError("CE scanned the ring")
+
+    monkeypatch.setattr(_OnDemandTables, "prods", refuse)
+    ring = group_algebra(2, direct_product(quaternion8(), cyclic(2)))
+    rep = centrally_essential(ring)
+    assert ring.size > props.WITNESS_MAP_LIMIT
+    assert (rep.holds, rep.center_size, rep.witness_map) == (True, 1024, {})
 
 
 # -- completely centrally essential -------------------------------------------
