@@ -60,16 +60,7 @@ def augmentation(ring, elem):
 def augmentation_ideal(ring, limits=DEFAULT_LIMITS):
     """Kernel of the augmentation: the ideal generated by all g - e."""
     r = _require_group_algebra(ring)
-    e = r.group.identity
-    gens = []
-    for g in range(r.group.order):
-        if g == e:
-            continue
-        v = [0] * r.group.order
-        v[g] = 1
-        v[e] = -1
-        gens.append(r.element(v))
-    ideal = ideal_closure(r, gens, limits=limits)
+    ideal = relative_augmentation_ideal(r, range(r.group.order), limits)
     expect = r.coeff_mod ** (r.group.order - 1)
     if ideal.size != expect:
         raise ConstructionError("augmentation kernel has size %d, expected %d"

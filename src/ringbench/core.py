@@ -18,16 +18,17 @@ calls.
 
 _kernel_tables alone decides how a ring is read: through its dense index
 tables (Tables) up to max_table elements, and above it, for a whole
-structure ring only, through sums and products computed on demand
-(_OnDemandTables).  The set kernels (closures, the center, CE), subring
-tables and the sampler all read that one lookup surface.  On structure rings
-over one prime p above max_table, linear algebra mod p gives the center as
-the span of its basis, CE as a rank test per element, the Jacobson radical
-J by trace functionals, and the units on R/J: one system per element of
-each block e*(R/J), one block per primitive central idempotent e, with the
-inverses lifted to R by a geometric series in J.  Each elimination mod p
-is one batched _row_reduce_mod_p.  The unit report keeps element indices
-and decodes only what is read.
+structure ring of fewer than 2**63 elements only, through sums and
+products computed on demand (_OnDemandTables), whose prime p, if any,
+names the F_p path.  The set kernels, subring tables, the sampler and the
+units all read that one lookup.  Mod p, linear algebra gives the center
+as the span of its basis (kept on the ring), CE as a rank test per
+element, the Jacobson radical J by trace functionals, and the units on
+R/J: one system per element of each block e*(R/J), one block per
+primitive central idempotent e, with the inverses lifted to R by a
+geometric series in J.  Each elimination mod p is one batched
+_row_reduce_mod_p.  The unit report keeps element indices and decodes
+only what is read.
 """
 
 import functools
@@ -370,6 +371,11 @@ class StructureRing(Ring):
         row @ _weights; OverflowError from 2**63 elements on."""
         return np.array(self.shape.weights, dtype=np.int64)
 
+    def code_rows(self, codes):
+        """The coefficient rows of the elements with these codes."""
+        codes = np.asarray(codes, dtype=np.int64)
+        return codes[:, None] // self._weights % self._mods
+
     def mul_matrices(self, rows):
         """Left and right multiplication matrices of each row, (n, k, k) each."""
         return (np.einsum("ni,ijm->njm", rows, self.tensor),
@@ -587,6 +593,7 @@ class Tables:
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
                  "zero", "one", "gen_idx")
+    p = None   # dense tables are read by lookup, never mod p
 
     @staticmethod
     def build(ring, limits=DEFAULT_LIMITS):
@@ -641,24 +648,24 @@ class _OnDemandTables:
     i is the element whose mixed-radix code is i, and a lookup contracts
     the coefficient rows of its indices with the tensor (_outer_codes).
     Its sets are _IndexSets, so a closure is bounded by max_elements and
-    the ring is not.
+    the ring is not.  p is the one prime of the moduli, or None: the
+    deciders read a ring with p mod p.
     """
 
     def __init__(self, ring, limits=DEFAULT_LIMITS):
         self.ring = ring
         self.limits = limits
         self.zero = 0
+        self.p = _one_prime(ring)
         self.gen_idx = np.sort(self.encode(ring.gens()))
 
-    def _rows(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        return idx[:, None] // self.ring._weights % self.ring._mods
-
     def sums(self, rows, cols):
-        return _outer_codes(self.ring, self._rows(rows), self._rows(cols), "add")
+        rows, cols = self.ring.code_rows(rows), self.ring.code_rows(cols)
+        return _outer_codes(self.ring, rows, cols, "add")
 
     def prods(self, rows, cols):
-        return _outer_codes(self.ring, self._rows(rows), self._rows(cols), "mul")
+        rows, cols = self.ring.code_rows(rows), self.ring.code_rows(cols)
+        return _outer_codes(self.ring, rows, cols, "mul")
 
     def mask(self):
         return _IndexSet(self.limits.max_elements)
@@ -668,7 +675,7 @@ class _OnDemandTables:
         return np.array(elems, dtype=np.int64).reshape(-1, k) @ self.ring._weights
 
     def decode(self, idx):
-        return tuple(map(tuple, self._rows(idx).tolist()))
+        return tuple(map(tuple, self.ring.code_rows(idx).tolist()))
 
 
 class _IndexSet:
@@ -699,14 +706,14 @@ class _IndexSet:
 
 
 def _kernel_tables(ring, limits):
-    """How a ring is read by the set kernels (closures, center, CE), by
-    a subring's tables and by the sampler: the dense tables up to
-    max_table, and above it the on-demand tables of a whole structure
-    ring.  Other rings above max_table raise LimitError(max_table)."""
+    """How a ring is read by the set kernels, subring tables, the sampler
+    and the units: its dense tables up to max_table, else the on-demand
+    tables of a structure ring of under 2**63 elements, whose p names the
+    F_p path.  Other rings raise LimitError(max_table)."""
     t = ring.tables(limits)
     if t is not None:
         return t
-    if not isinstance(ring, StructureRing):
+    if not isinstance(ring, StructureRing) or ring.size >= 2 ** 63:
         raise LimitError("max_table", limits.max_table, ring.size)
     return _OnDemandTables(ring, limits)
 
@@ -843,21 +850,20 @@ def enumerate_elements(ring, limits=DEFAULT_LIMITS):
 
 def center(ring, limits=DEFAULT_LIMITS):
     """The center Z(R) as a SubRing (commutative, contains 0 and 1): the
-    elements that commute with every additive generator.  Above max_table
-    the center of a structure ring over one prime p is the span of its
-    F_p basis (_center_basis); every other ring scans its elements."""
+    elements that commute with every additive generator.  Where the
+    kernel tables carry a prime p, the center is the span of its F_p
+    basis (_center_basis); every other ring scans its elements."""
     ring._size_gate(limits)
     t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
     if cached is not None:
         return cached
-    p = _one_prime(ring) if isinstance(t, _OnDemandTables) else None
-    if p is None:
+    if t.p is None:
         every = np.arange(ring.size)
         mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
         idx = mask.nonzero()[0]
     else:
-        idx = np.sort(_span_mod_p(_center_basis(ring, p), p) @ ring._weights)
+        idx = np.sort(_span_mod_p(_center_basis(ring, t.p), t.p) @ ring._weights)
     sub = SubRing(ring, t.decode(idx), name="center", check=False)
     ring._center = sub
     return sub
@@ -901,21 +907,23 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
     it is a unit; every call checks that on the indices.  Above max_table
-    only structure rings over one prime modulus p are decided, by linear
+    only the rings that _kernel_tables reads mod p are decided, by linear
     algebra mod p: on the blocks of R/J, J the radical from trace
     functionals, with inverses lifted to R by a geometric series and
-    checked there (_units_through_radical).
-    """
-    t = ring.tables(limits)
-    if t is None:
-        p = _one_prime(ring) if isinstance(ring, StructureRing) else None
-        if p is None:
-            raise LimitError("max_table", limits.max_table, ring.size)
+    checked there (_units_through_radical).  Gates: max_table for other
+    rings, then max_elements (first past int64 codes, as in center)."""
+    try:
+        t = _kernel_tables(ring, limits)
+    except LimitError:
+        ring._size_gate(limits)
+        raise
+    if t.p is None and ring.size > limits.max_table:
+        raise LimitError("max_table", limits.max_table, ring.size)
     ring._size_gate(limits)   # the max_elements gate of the rank path
     cached = getattr(ring, "_units", None)
     if cached is not None:
         return cached
-    if t is not None:
+    if t.p is None:
         hit = t.mul == t.one
         two_sided = hit & hit.T
         unit = np.nonzero(two_sided.any(axis=1))[0]
@@ -923,11 +931,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         ar = np.arange(len(t.elems), dtype=np.int32)
         l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
         r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
-        decode = t.decode
     else:
-        unit, inverse, l_full, r_full = _units_through_radical(ring, p, limits)
-        decode = _OnDemandTables(ring).decode
-    rep = UnitReport(unit, inverse, l_full, r_full, decode)
+        unit, inverse, l_full, r_full = _units_through_radical(ring, t.p, limits)
+    rep = UnitReport(unit, inverse, l_full, r_full, t.decode)
     if not rep.regulars_equal_units:
         raise RingError("internal: regulars differ from units in a finite ring")
     ring._units = rep
@@ -1008,9 +1014,13 @@ def _span_mod_p(B, p):
 
 def _center_basis(ring, p):
     """The center's basis over one prime p, as rows: x*g = g*x for every
-    basis element g is x @ (T - T^t) = 0, T the k x k^2 tensor mod p."""
-    T, k = ring.tensor % p, len(ring._mods)
-    return _left_null_mod_p((T - T.transpose(1, 0, 2)).reshape(k, -1), p)
+    basis element g is x @ (T - T^t) = 0, T the k x k^2 tensor mod p.
+    It reads only the tensor, so it is kept on the ring, with no gate."""
+    if getattr(ring, "_zbasis", None) is None:
+        T = ring.tensor % p
+        C = (T - T.transpose(1, 0, 2)).reshape(len(T), -1)
+        ring._zbasis = _left_null_mod_p(C, p)
+    return ring._zbasis
 
 
 def _ce_rank_mod_p(ring, p):
@@ -1034,10 +1044,10 @@ def _ce_rank_mod_p(ring, p):
     W = np.concatenate([W @ N, W], axis=2) % p
     # a chunk's stack and three temporaries of its size in the kernel
     cap = max(1, _CHUNK_BYTES // (32 * z * (2 * k - z)))
-    rows, s, step = _OnDemandTables(ring)._rows, 0, 16
+    s, step = 0, 16
     while s < n:
         idx = np.arange(s, min(n, s + step))
-        S = np.tensordot(rows(idx), W, axes=(1, 0)) % p
+        S = np.tensordot(ring.code_rows(idx), W, axes=(1, 0)) % p
         past = np.arange(z) >= _row_reduce_mod_p(S, p, k - z)[:, None]
         ok = (S.any(axis=2) & past).any(axis=1) | (idx == 0)
         if not ok.all():
@@ -1072,17 +1082,16 @@ def _central_blocks(ring):
         base, power = _paired_products(ring, base, base), power >> 1
     S = _left_null_mod_p(F - Z, p) @ Z % p
     X = _span_mod_p(S, p)
-    idem = X[(_paired_products(ring, X, X) == X).all(axis=1)] @ ring._weights
-    t = _OnDemandTables(ring)
-    blocks = t.encode([ring.one])
+    idem = X[(_paired_products(ring, X, X) == X).all(axis=1)]
+    blocks = np.array([ring.one]) @ ring._weights
     while True:
-        prods = t.prods(blocks, idem)
+        prods = _outer_codes(ring, ring.code_rows(blocks), idem, "mul")
         split = (prods != 0) & (prods != blocks[:, None])
         has = split.any(axis=1)
         if not has.any():
             return np.sort(blocks)
         g = np.where(split, prods, prods.max() + 1).min(axis=1)[has]
-        rest = (t._rows(blocks[has]) - t._rows(g)) % ring._mods @ ring._weights
+        rest = (ring.code_rows(blocks[has]) - ring.code_rows(g)) % p @ ring._weights
         blocks = np.concatenate([blocks[~has], g, rest])
         if len(blocks) > len(S):   # so the refinement ends, and stays small
             raise RingError("internal: more blocks than primitive central "
@@ -1119,7 +1128,7 @@ def _units_through_radical(ring, p, limits):
     X = ring.elements_array(limits)
     Q, to_q, free = _radical_quotient(ring, p)
     k = len(Q._mods)
-    E = _OnDemandTables(Q)._rows(_central_blocks(Q))
+    E = Q.code_rows(_central_blocks(Q))
     L = Q.mul_matrices(E)[0] % p
     dims = _row_reduce_mod_p(L, p, k)
     rows = np.arange(k) < dims[:, None]   # block j's basis: L[j, :dims[j]]

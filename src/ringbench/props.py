@@ -3,16 +3,16 @@
 Every decider returns a Verdict (or a small report dataclass) carrying a
 machine-checkable witness: a counterexample pair when the property fails,
 or a witness map when it holds and the ring is small enough to store one.
-The center and CE run on the same index-mask kernels as the closures: the
-dense tables up to max_table, and above it a structure ring's sums and
-products computed on demand.  Over one prime above max_table no verdict
-scans: the center is the span of its F_p basis, CE is one batched rank
-test mod p per chunk of elements (core._ce_rank_mod_p; a scan then fills
-the witness map where CE holds on at most WITNESS_MAP_LIMIT elements),
-the units are decided on the blocks of R/J and lifted to R, and the Ore
-check follows from them; most other deciders skip on max_table.  The Lie
-series and the central-series check gather their brackets from the dense
-tables, and no decider loops over elements in Python.
+The center and CE read the ring through core._kernel_tables, as the
+closures do: dense tables up to max_table, above it a structure ring's
+sums and products on demand, whose prime p, if any, names the F_p path.
+There no verdict scans: the center is the span of its F_p basis, CE is
+one batched rank test mod p per chunk of elements (core._ce_rank_mod_p;
+a scan fills the witness map where CE holds on at most WITNESS_MAP_LIMIT
+elements), the units are decided on the blocks of R/J and lifted to R,
+and the Ore check follows; most other deciders skip on max_table.  The
+Lie series and the central-series check gather their brackets from the
+dense tables, and no decider loops over elements in Python.
 One-sided questions (invariant, strongly bounded, uniserial) are decided
 on the principal one-sided ideals, which
 are the rows and columns of the multiplication table, one per ideal from
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _OnDemandTables,
-    _ce_rank_mod_p, _close_additive_mask, _kernel_tables, _mask_elems,
-    _one_prime, _tables_or_raise, center, units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _ce_rank_mod_p,
+    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
+    center, units_and_regulars,
 )
 from ringbench.ideals import (
     _additive_mask, _as_ideal, _ideal_gens, _principal_entries, all_ideals,
@@ -80,14 +80,14 @@ class CEReport:
 def centrally_essential(ring, limits=DEFAULT_LIMITS):
     """For every a != 0 there must be central x != 0 with a*x central != 0.
 
-    Commutative rings hold outright (x = 1).  On the on-demand tables of
-    a structure ring over one prime, above max_table, the rank test
-    core._ce_rank_mod_p decides the verdict and the counterexample; when
-    CE holds there and the ring has at most WITNESS_MAP_LIMIT elements,
-    the scan of _ce_tables fills the witness map.  Every other ring is
-    decided by that scan.  The report is cached on the ring; center's
-    gates run on every call first, so a cached report is never returned
-    past a limit."""
+    Commutative rings hold outright (x = 1).  Where the kernel tables
+    carry a prime p (a structure ring over one prime, above max_table),
+    the rank test core._ce_rank_mod_p decides the verdict and the
+    counterexample; when CE holds there and the ring has at most
+    WITNESS_MAP_LIMIT elements, the scan of _ce_tables fills the witness
+    map.  Every other ring is decided by that scan.  The report is cached
+    on the ring; center's gates run on every call first, so a cached
+    report is never returned past a limit."""
     z = center(ring, limits)
     cached = getattr(ring, "_ce", None)
     if cached is not None:
@@ -101,11 +101,10 @@ def centrally_essential(ring, limits=DEFAULT_LIMITS):
         ring._ce = CEReport(True, z.size, witness_map=wm)
         return ring._ce
     t = _kernel_tables(ring, limits)
-    p = _one_prime(ring) if isinstance(t, _OnDemandTables) else None
-    bad = None if p is None else _ce_rank_mod_p(ring, p)
+    bad = None if t.p is None else _ce_rank_mod_p(ring, t.p)
     if bad is not None:
         rep = CEReport(False, z.size, counterexample=t.decode([bad])[0])
-    elif p is None or ring.size <= WITNESS_MAP_LIMIT:
+    elif t.p is None or ring.size <= WITNESS_MAP_LIMIT:
         rep = _ce_tables(z, t, ring.size)   # after a rank test: the map
     else:
         rep = CEReport(True, z.size)

@@ -14,7 +14,8 @@ from ringbench.cli import (
     resolve_gens, serialize_ring,
 )
 from ringbench.core import ConstructionError, InputError
-from ringbench.construct import catalog
+from ringbench.construct import catalog, group_algebra
+from ringbench.groups import cyclic, direct_product
 from ringbench.ideals import quotient
 
 
@@ -243,6 +244,19 @@ def test_quotient_above_max_table_exits_3(capsys):
     assert captured.out == ""
     assert "limit max_table=1024 exceeded" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_quotient_beyond_int64_codes_exits_3(tmp_path, capsys):
+    # 2^64 elements: the closure of the generators skips on max_table
+    path = tmp_path / "big64.ring"
+    path.write_text(serialize_ring(
+        group_algebra(2, direct_product(cyclic(32), cyclic(2)))))
+    gens = ",".join(["1"] + ["0"] * 63)
+    assert main(["quotient", str(path), "--gens", gens, "report"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: limit max_table=1024 exceeded "
+                            "(needed 18446744073709551616)\n")
 
 
 def test_lattice_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ CCE => CE and the rest."""
 import functools
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from ringbench.ideals import (
     SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
     ideals_by_size, jacobson_radical, prime_radical, quotient,
 )
-from ringbench import props
+from ringbench import core, props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report,
@@ -636,6 +637,52 @@ def test_ce_rank_path_matches_table_path(monkeypatch):
     assert (len(ranked), ranked.count(None)) == (104, 3)
 
 
+LARGE_CARRIER = {   # the rings above max_table of the large-carrier benchmark
+    "z3q8": lambda: catalog("z3q8"),
+    "Z3[D4]": lambda: group_algebra(3, dihedral(4)),
+    "ext2(7)": lambda: catalog("ext2(7)"),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CARRIER)
+def test_center_basis_is_computed_once_per_ring(name, monkeypatch):
+    # the center, the rank test of CE and the central blocks of the units
+    # (on R/J, which is R itself when J = 0, as for z3q8 and Z3[D4]) all
+    # read R's basis, the left null space of its k x k^2 matrix T - T^t
+    ring = LARGE_CARRIER[name]()
+    k = len(ring.shape.moduli)
+    computed, real = [], core._left_null_mod_p
+
+    def counted(M, p):
+        computed.append(M.shape == (k, k * k))
+        return real(M, p)
+
+    monkeypatch.setattr(core, "_left_null_mod_p", counted)
+    lines = full_report(ring).lines()
+    assert ring.tables() is None
+    assert not [line for line in lines if line.split("=")[0] in
+                ("center_size", "centrally_essential", "units")
+                and "skipped" in line]
+    assert sum(computed) == 1
+
+
+@pytest.mark.parametrize("name", LARGE_CARRIER)
+def test_on_demand_tables_come_only_from_the_kernel_lookup(name,
+                                                          monkeypatch):
+    built, real = [], _OnDemandTables.__init__
+
+    def init(self, *args):
+        built.append(sys._getframe(1).f_code.co_name)
+        real(self, *args)
+
+    monkeypatch.setattr(_OnDemandTables, "__init__", init)
+    ring = LARGE_CARRIER[name]()
+    center(ring)
+    centrally_essential(ring)
+    units_and_regulars(ring)
+    assert built and set(built) == {"_kernel_tables"}
+
+
 def test_z3q8_ideals_on_demand_are_the_augmentation_kernels():
     ring = catalog("z3q8")
     assert ring.tables() is None
@@ -681,6 +728,16 @@ def test_ring_beyond_int64_codes_builds_and_reports():
     lines = full_report(ring).lines()
     assert "center_size=skipped;limit=max_elements" in lines
     assert "commutative=true" in lines
+
+
+def test_closures_beyond_int64_codes_raise_max_table():
+    # no codes, so no on-demand tables: the closures skip instead
+    ring = group_algebra(2, direct_product(cyclic(32), cyclic(2)))
+    for closure in (additive_closure, ideal_closure):
+        with pytest.raises(LimitError) as err:
+            closure(ring, [ring.one])
+        assert ((err.value.limit, err.value.value, err.value.needed)
+                == ("max_table", Limits().max_table, 2 ** 64))
 
 
 @pytest.mark.parametrize("seed, count, max_size", SAMPLES)
