@@ -416,7 +416,7 @@ def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
         if (code[mult[x, 1:order[x]]] >= 0).any():
             continue
         basis.append(x)
-        at = t.add[np.ix_(at, mult[x, :order[x]])].ravel()
+        at = t.sums(at, mult[x, :order[x]]).ravel()
         code[at] = np.arange(len(at))
     moduli = order[basis].tolist()
 

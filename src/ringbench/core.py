@@ -491,10 +491,10 @@ class QuotientRing(Ring):
         inside[ideal] = True
         if not inside[bt.zero]:
             raise DomainError("ideal must contain zero")
-        if not inside[bt.add[np.ix_(ideal, ideal)]].all():
+        if not inside[bt.sums(ideal, ideal)].all():
             raise DomainError("subset is not an additive subgroup")
-        if not (inside[bt.mul[np.ix_(ideal, bt.gen_idx)]].all()
-                and inside[bt.mul[np.ix_(bt.gen_idx, ideal)]].all()):
+        if not (inside[bt.prods(ideal, bt.gen_idx)].all()
+                and inside[bt.prods(bt.gen_idx, ideal)].all()):
             raise DomainError("subset is not a two-sided ideal")
         if inside.all():
             raise DomainError("the ideal is the whole ring; the quotient "
@@ -513,8 +513,9 @@ class QuotientRing(Ring):
         self.basis_names = getattr(base, "basis_names", None)
 
     def _table_ops(self, limits):
-        sub = np.ix_(self._reps, self._reps)
-        return self.labels[self._bt.add[sub]], self.labels[self._bt.mul[sub]]
+        reps, bt = self._reps, self._bt
+        return (self.labels[bt.sums(reps, reps)],
+                self.labels[bt.prods(reps, reps)])
 
     def project(self, elem):
         return self._elements[self.labels[self._bt.index[elem]]]
@@ -620,12 +621,14 @@ class Tables:
         return t
 
     def sums(self, rows, cols):
-        """Indices of a + b for a in rows and b in cols, (len(rows), len(cols))."""
-        return self.add[np.ix_(rows, cols)]
+        """Indices of a + b for a in rows and b in cols, (len(rows), len(cols)),
+        by _gather: empty rows or cols, read as intp, give an empty result."""
+        return _gather(self.add, rows, cols)
 
     def prods(self, rows, cols):
-        """Indices of a * b for a in rows and b in cols, (len(rows), len(cols))."""
-        return self.mul[np.ix_(rows, cols)]
+        """Indices of a * b for a in rows and b in cols, (len(rows), len(cols)),
+        by _gather: empty rows or cols, read as intp, give an empty result."""
+        return _gather(self.mul, rows, cols)
 
     def mask(self):
         """An empty set of element indices, as a boolean mask."""
@@ -638,6 +641,15 @@ class Tables:
     def decode(self, idx):
         """The elements at the indices idx, as a tuple."""
         return tuple(map(self.elems.__getitem__, np.asarray(idx).tolist()))
+
+
+def _gather(table, rows, cols):
+    """table[a, b] for a in rows and b in cols, (len(rows), len(cols)), as one
+    broadcast gather.  rows and cols are read as intp arrays: a bare
+    np.asarray([]) is float64, which cannot index, and an empty list must
+    give an empty (0, len(cols)) or (len(rows), 0) result."""
+    r = np.asarray(rows, dtype=np.intp)
+    return table[r[:, None], np.asarray(cols, dtype=np.intp)]
 
 
 class _OnDemandTables:
@@ -681,12 +693,13 @@ class _OnDemandTables:
 class _IndexSet:
     """A set of element indices with the part of a boolean mask's interface
     the set kernels use: s[i] and s[i] = True for an index or an array of
-    them, s.nonzero() and s.sum().  Holding more than `limit` indices
-    raises LimitError(max_elements)."""
+    them, s.nonzero(), s.sum() and s.size.  size, the most indices a mask
+    can hold, is max_elements here: holding more raises
+    LimitError(max_elements)."""
 
     def __init__(self, limit):
         self.members = set()
-        self.limit = limit
+        self.size = limit
 
     def __getitem__(self, i):
         if np.ndim(i) == 0:
@@ -695,8 +708,8 @@ class _IndexSet:
 
     def __setitem__(self, i, value):   # value is True: sets only grow
         self.members.update(np.ravel(i).tolist())
-        if len(self.members) > self.limit:
-            raise LimitError("max_elements", self.limit, len(self.members))
+        if len(self.members) > self.size:
+            raise LimitError("max_elements", self.size, len(self.members))
 
     def nonzero(self):
         return (np.array(sorted(self.members), dtype=np.int64),)
@@ -781,20 +794,27 @@ def _recurrence_ops(ring, X):
 
 def _close_additive_mask(t, mask, gidx):
     """Grow the additive subgroup S held by mask by the generator indices
-    gidx, one coset at a time: S + g, S + 2g, ... up to the first coset
-    already inside, which is S itself.  mask must hold a subgroup (at
-    least {0}); it is updated in place and returned."""
+    gidx, one gather per generator g outside S.  S + j*g lies in S exactly
+    when j*g does, so the index m = [S + <g> : S] is the least j > 0 with
+    j*g in S, and S + <g> is the m cosets S + j*g for j < m: one
+    t.sums(S, [0, g, ..., (m-1)g]), after a walk over the multiples of g
+    alone.  The walk stops with LimitError(max_elements) once the cosets
+    found so far hold more than mask.size indices, so neither it nor the
+    gather outgrows an _IndexSet.  mask must hold a subgroup (at least
+    {0}); it is updated in place and returned."""
     cur = mask.nonzero()[0]
     for g in gidx:
         if mask[g]:
             continue
-        blocks = [cur]
-        coset = t.sums(cur, [g]).ravel()
-        while not mask[coset[0]]:
-            mask[coset] = True
-            blocks.append(coset)
-            coset = t.sums(coset, [g]).ravel()
-        cur = np.concatenate(blocks)
+        steps, x = [t.zero], g
+        while not mask[x]:
+            steps.append(x)
+            if len(cur) * len(steps) > mask.size:
+                raise LimitError("max_elements", mask.size,
+                                 len(cur) * len(steps))
+            x = t.sums([x], [g])[0, 0]
+        cur = t.sums(cur, steps).ravel()
+        mask[cur] = True
     return mask
 
 

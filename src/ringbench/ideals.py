@@ -126,7 +126,7 @@ def _principal_ideals(ring, t, side, limits):
         if side != "left":
             orbit = np.unique(t.mul[i, units])
         if side != "right":
-            orbit = t.mul[np.ix_(units, orbit)]
+            orbit = t.prods(units, orbit)
         seen[orbit.ravel()] = True
         gens = _ideal_gens(t, [i], side)
         if side == "two":

@@ -246,6 +246,16 @@ def test_quotient_above_max_table_exits_3(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_quotient_ideal_beyond_max_elements_exits_3(capsys):
+    # z(2^40) is read on demand; the ideal (2) has 2^39 elements
+    argv = ["quotient", "z(%d)" % 2 ** 40, "--gens", "2", "report"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: limit max_elements=65536 exceeded "
+                            "(needed 65537)\n")
+
+
 def test_quotient_beyond_int64_codes_exits_3(tmp_path, capsys):
     # 2^64 elements: the closure of the generators skips on max_table
     path = tmp_path / "big64.ring"

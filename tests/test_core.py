@@ -222,6 +222,16 @@ def test_tables_agree_with_scalar_ops():
         assert t.one == t.index[r.one]
 
 
+def test_table_gathers_of_empty_index_lists_are_empty():
+    # a bare np.asarray([]) is float64 and cannot index; the gathers must
+    # read an empty list as an empty intp array
+    t = make_mat(2, 2).tables()
+    cols = [t.zero, t.one, 5]
+    assert t.sums([], cols).shape == (0, 3)
+    assert t.prods(range(3), []).shape == (3, 0)
+    assert t.sums(np.array([], dtype=np.int32), []).shape == (0, 0)
+
+
 def test_products_stay_exact_for_large_moduli():
     # (n - 1)^2 is about 2^54 here, beyond exact float64 integers
     n = 2 ** 27

@@ -23,8 +23,8 @@ from sympy import Matrix
 
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
-    DomainError, InputError, LimitError, Limits, QuotientRing, SubRing,
-    _OnDemandTables, _mask_elems, _one_prime, _outer_codes, center,
+    DomainError, InputError, LimitError, Limits, QuotientRing, StructureRing,
+    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes, center,
     make_ring, units_and_regulars,
 )
 from ringbench.construct import (
@@ -127,6 +127,44 @@ def test_ideal_closure_matches_breadth_first_oracle(key):
             mask = oracles._ideal_mask(t, [t.index[g] for g in gens], side)
             assert (ideal_closure(ring, gens, side).elements
                     == _mask_elems(t, mask)), (gens, side)
+
+
+def test_additive_closure_matches_breadth_first_oracle():
+    # one gather per generator against the oracle's breadth-first closure,
+    # from random subgroups, with generators repeated, 0 and already inside;
+    # structure rings run the same inputs on their on-demand tables too
+    rng = np.random.default_rng(23)
+    dense = on_demand = 0
+    for key in RING_KEYS:
+        ring = _ring(key)
+        t = ring.tables()
+        n = len(t.elems)
+        lazy = (_OnDemandTables(ring) if isinstance(ring, StructureRing)
+                else None)
+        for _ in range(4):
+            start = t.mask()
+            start[t.zero] = True
+            start = oracles._close_additive_mask(
+                t, start, rng.choice(n, size=rng.integers(0, 3)))
+            inside = np.flatnonzero(start)
+            gidx = rng.choice(n, size=rng.integers(1, 4)).tolist()
+            gidx += [gidx[0], t.zero, int(rng.choice(inside))]
+            rng.shuffle(gidx)
+            want = oracles._close_additive_mask(t, start.copy(), gidx)
+            got = core._close_additive_mask(t, start.copy(), gidx)
+            assert np.array_equal(got, want), (key, gidx)
+            dense += 1
+            if lazy is None:
+                continue
+            mask = lazy.mask()
+            mask[lazy.encode(t.decode(inside))] = True
+            lazy_gidx = lazy.encode(t.decode(gidx)).tolist()
+            got = core._close_additive_mask(lazy, mask, lazy_gidx)
+            assert (sorted(lazy.decode(got.nonzero()[0]))
+                    == sorted(_mask_elems(t, want))), (key, gidx)
+            on_demand += 1
+    # structure rings: the catalog rings and one-sided-op
+    assert (dense, on_demand) == (4 * len(RING_KEYS), 4 * 9)
 
 
 @pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)

@@ -6,6 +6,7 @@ import pytest
 from ringbench.core import (
     LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
 )
+from ringbench.construct import catalog, integers_mod
 from ringbench.ideals import (
     Ideal, additive_closure, all_ideals, ideal_closure,
     ideal_lattice, ideal_power, ideal_product, is_semiprime,
@@ -150,6 +151,31 @@ def test_ideal_product_and_power():
     cube = ideal_power(r, i2, 3)
     assert cube.elements == ((0,),)
     assert nilpotency_index(r, i2) == 3
+
+
+def test_product_with_the_zero_ideal_is_zero():
+    # the zero ideal has no additive generators: an empty gather
+    r = catalog("ex52")
+    zero = Ideal(ring=r, elements=(r.zero,))
+    J = jacobson_radical(r)
+    assert len(J.elements) > 1
+    for a, b in ((zero, J), (J, zero), (zero, zero)):
+        assert ideal_product(r, a, b).elements == (r.zero,)
+
+
+@pytest.mark.parametrize("closure", [additive_closure, ideal_closure])
+def test_closure_above_max_table_stops_at_max_elements(closure):
+    # z(2^40) is read on demand: the walk over the multiples of a generator
+    # must stop once its cosets outgrow max_elements, not run through 2^40
+    r = integers_mod(2 ** 40)
+    limits = Limits(max_elements=2 ** 12)
+    with pytest.raises(LimitError, match=r"max_elements=4096 exceeded "
+                                         r"\(needed 4097\)"):
+        closure(r, [(1,)], limits=limits)
+    # from the 2^10 multiples of 2^30, the fifth coset of -1 overflows
+    with pytest.raises(LimitError, match=r"max_elements=4096 exceeded "
+                                         r"\(needed 5120\)"):
+        closure(r, [(2 ** 30,), (2 ** 40 - 1,)], limits=limits)
 
 
 def test_nilpotency_none_for_idempotent_ideal():
