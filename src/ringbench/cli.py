@@ -106,13 +106,11 @@ def serialize_ring(ring, limits=DEFAULT_LIMITS):
         out.append("name %s" % ring.name)
     out.append("shape " + " ".join(str(m) for m in ring.shape.moduli))
     out.append("one " + " ".join(str(c) for c in ring.one))
-    k = ring.shape.width
-    for i in range(k):
-        for j in range(k):
-            row = ring.tensor[i, j]
-            if row.any():
-                out.append("mul %d %d -> %s"
-                           % (i, j, " ".join(str(int(c)) for c in row)))
+    # the nonzero products b_i b_j, in (i, j) order, read in one pass
+    ii, jj = ring.tensor.any(axis=2).nonzero()
+    for i, j, row in zip(ii.tolist(), jj.tolist(),
+                         ring.tensor[ii, jj].tolist()):
+        out.append("mul %d %d -> %s" % (i, j, " ".join(map(str, row))))
     return "\n".join(out) + "\n"
 
 

@@ -388,7 +388,11 @@ def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
     where index order is element order.  One pass over the nonzero
     elements, ordered by decreasing additive order, then element, builds
     an additive basis: x joins unless a nonzero multiple j*x already lies
-    in the span of the earlier basis.  The pass never needs to undo a
+    in the span of the earlier basis.  A skipped x stays skipped, as the
+    span only grows, so the pass goes by basis rounds: one gather of the
+    remaining candidates' multiples finds the first that joins, and the
+    candidates before it drop out.  That is one gather per basis element,
+    and one t.sums extending the span.  The pass never needs to undo a
     choice, because a cyclic subgroup of largest order in a finite abelian
     group is a direct summand.  If (R, +) = S + H, a direct sum, and x has
     the largest order among the elements whose cyclic group meets S only
@@ -412,9 +416,12 @@ def as_structure_ring(ring, limits=DEFAULT_LIMITS, name=None):
     # at[c] is the element with coefficient code c, and code[at[c]] = c
     at, code, basis = np.array([t.zero]), np.full(n, -1), []
     code[t.zero] = 0
-    for x in np.argsort(-order, kind="stable")[:-1]:   # 0, of order 1, last
-        if (code[mult[x, 1:order[x]]] >= 0).any():
-            continue
+    cand = np.argsort(-order, kind="stable")[:-1]   # 0, of order 1, last
+    below = np.arange(1, mult.shape[1]) < order[cand, None]   # j < order
+    while len(at) < n:
+        free = ((code[mult[cand, 1:]] < 0) | ~below).all(axis=1)
+        first = np.flatnonzero(free)[0]
+        x, cand, below = cand[first], cand[first + 1:], below[first + 1:]
         basis.append(x)
         at = t.sums(at, mult[x, :order[x]]).ravel()
         code[at] = np.arange(len(at))

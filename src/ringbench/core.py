@@ -154,7 +154,10 @@ def validate_ring(shape, tensor, one):
     Verifies order-compatibility of the structure constants on both sides,
     associativity on all generator triples (enough, by bilinearity), the
     identity law for `one`, and that the ring is not the zero ring.
-    Returns a ValidationReport listing every violation found.
+    Returns a ValidationReport listing every violation found.  Both sides
+    of associativity are int64 matrix products over a chunk of rows i,
+    their difference is reduced once, and the first failing triple
+    (i, j, l) in lexicographic order is reported.
     """
     violations = []
     shape = shape if isinstance(shape, AdditiveShape) else AdditiveShape(tuple(shape))
@@ -187,11 +190,13 @@ def validate_ring(shape, tensor, one):
     # chunked over i so wide tensors stay inside a few MB
     step = max(1, (1 << 22) // max(1, k ** 3))
     for s in range(0, k, step):
-        e = s + step
-        lhs = np.einsum("ijw,wlm->ijlm", c[s:e], c) % mods
-        rhs = np.einsum("jlw,iwm->ijlm", c, c[s:e]) % mods
-        if (lhs != rhs).any():
-            i, j, l = (int(x[0]) for x in (lhs != rhs).any(axis=3).nonzero())
+        ci = c[s:s + step]
+        lhs = ci.reshape(-1, k) @ c.reshape(k, k * k)   # [(i, j), (l, m)]
+        rhs = c.reshape(k * k, k) @ ci                  # [i, (j, l), m]
+        bad = ((lhs.reshape(-1, k, k, k) - rhs.reshape(-1, k, k, k))
+               % mods).any(axis=3)
+        if bad.any():
+            i, j, l = (int(x[0]) for x in bad.nonzero())
             violations.append("associativity fails on generators (%d, %d, %d)"
                               % (i + s, j, l))
             break
@@ -203,13 +208,10 @@ def validate_ring(shape, tensor, one):
         return ValidationReport(False, violations)
     ev = np.array(e, dtype=np.int64)
     # e * b_j = sum_i e_i c[i][j][:]; b_i * e = sum_j e_j c[i][j][:]
-    left_id = np.tensordot(ev, c, axes=(0, 0)) % mods
-    right_id = np.tensordot(ev, c, axes=(0, 1)) % mods
-    basis = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        if shape.moduli[i] > 1:
-            basis[i, i] = 1
-    live = np.array([n > 1 for n in shape.moduli])
+    left_id = (ev @ c.reshape(k, k * k)).reshape(k, k) % mods
+    right_id = (ev @ c) % mods
+    live = mods > 1
+    basis = np.diag(live).astype(np.int64)
     if (left_id[live] != basis[live]).any() or (right_id[live] != basis[live]).any():
         violations.append("identity law fails for one=%r" % (e,))
     if not any(e):
@@ -284,7 +286,9 @@ class StructureRing(Ring):
     """Ring given by shape moduli, structure-constant tensor, and identity.
 
     basis_names, if provided, label the additive generators in reports.
-    Rejects tensors that fail validate_ring.
+    Rejects tensors that fail validate_ring.  The sparse view _nz that the
+    scalar mul reads is built on its first use, so a ring read only
+    through its tables never builds it.
     """
 
     def __init__(self, shape, tensor, one, basis_names=None, name=None):
@@ -301,16 +305,14 @@ class StructureRing(Ring):
         self.basis_names = tuple(basis_names) if basis_names else None
         self.name = name
         self._mods = mods
-        # sparse view of the tensor for the scalar product loop
-        nz = []
-        k = self.shape.width
-        for i in range(k):
-            row = []
-            for j in range(k):
-                row.append(tuple((int(m), int(c)) for m, c in
-                                 enumerate(self.tensor[i, j]) if c))
-            nz.append(tuple(row))
-        self._nz = tuple(nz)
+
+    @functools.cached_property
+    def _nz(self):
+        """Sparse view of the tensor for the scalar product loop: _nz[i][j]
+        lists the (m, c[i][j][m]) with a nonzero coefficient."""
+        return tuple(tuple(tuple((m, c) for m, c in enumerate(row) if c)
+                           for row in rows)
+                     for rows in self.tensor.tolist())
 
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.shape.moduli))
@@ -798,21 +800,28 @@ def _close_additive_mask(t, mask, gidx):
     when j*g does, so the index m = [S + <g> : S] is the least j > 0 with
     j*g in S, and S + <g> is the m cosets S + j*g for j < m: one
     t.sums(S, [0, g, ..., (m-1)g]), after a walk over the multiples of g
-    alone.  The walk stops with LimitError(max_elements) once the cosets
-    found so far hold more than mask.size indices, so neither it nor the
-    gather outgrows an _IndexSet.  mask must hold a subgroup (at least
-    {0}); it is updated in place and returned."""
+    alone.  The walk doubles: from the multiples up to b*g, one
+    t.sums([b*g], [g, ..., b*g]) gives the next b, so it takes about
+    log2(m) lookups.  It stops with LimitError(max_elements) once the
+    cosets found so far hold more than mask.size indices, so neither it
+    nor the gather outgrows an _IndexSet; the error names the first coset
+    count that overflows.  mask must hold a subgroup (at least {0}); it
+    is updated in place and returned."""
     cur = mask.nonzero()[0]
     for g in gidx:
         if mask[g]:
             continue
-        steps, x = [t.zero], g
-        while not mask[x]:
-            steps.append(x)
-            if len(cur) * len(steps) > mask.size:
-                raise LimitError("max_elements", mask.size,
-                                 len(cur) * len(steps))
-            x = t.sums([x], [g])[0, 0]
+        steps = [t.zero, g]
+        while len(cur) * len(steps) <= mask.size:
+            new = t.sums(steps[-1:], steps[1:])[0]
+            hit = mask[new].tolist()
+            if True in hit:
+                steps += new[:hit.index(True)].tolist()
+                break
+            steps += new.tolist()
+        if len(cur) * len(steps) > mask.size:
+            raise LimitError("max_elements", mask.size,
+                             len(cur) * (mask.size // len(cur) + 1))
         cur = t.sums(cur, steps).ravel()
         mask[cur] = True
     return mask

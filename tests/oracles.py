@@ -13,7 +13,9 @@ which multiplies until nothing new appears, is the worklist closure the
 package replaced with one span of products; it too lives only here.
 The structure-ring export and the Lie series are the element-by-element
 versions the package replaced with gathers on tables: set-based span growth and coefficients by
-repeated addition, and one ring.mul per bracket.  The subring tables
+repeated addition, and one ring.mul per bracket.  The ring check
+validate_ring is the einsum and tensordot version the package replaced
+with matrix products whose difference is reduced once.  The subring tables
 are the two sources the package replaced with reading the base's sums
 and products: the tensor contraction on a structure base and the gather
 from any other base's tables.  The rank units solve a*z = 1 and y*a = 1
@@ -34,7 +36,8 @@ from sympy import GF
 from sympy.polys.fields import field as _fraction_field
 
 from ringbench.core import (
-    ConstructionError, StructureRing, _outer_codes,
+    AdditiveShape, ConstructionError, InputError, StructureRing,
+    ValidationReport, _outer_codes,
 )
 from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
 from ringbench.props import (
@@ -429,6 +432,63 @@ def structure_ring(ring):
     names = tuple(ring.format_element(b) for b in basis)
     return StructureRing(moduli, tensor, one=coeff_of[ring.one],
                          basis_names=names, name=getattr(ring, "name", None))
+
+
+def validate_ring(shape, tensor, one):
+    """core.validate_ring as it was before its matrix products: each side
+    of associativity an einsum reduced on its own, and the identity laws
+    by tensordot.  Returns the same ValidationReport."""
+    violations = []
+    shape = shape if isinstance(shape, AdditiveShape) else AdditiveShape(tuple(shape))
+    k = shape.width
+    mods = np.array(shape.moduli, dtype=np.int64)
+    c = np.asarray(tensor, dtype=np.int64)
+    if c.shape != (k, k, k):
+        return ValidationReport(False, ["tensor shape %r, expected %r"
+                                        % (c.shape, (k, k, k))])
+    if ((c < 0) | (c >= mods[None, None, :])).any():
+        violations.append("tensor entries not reduced mod the target modulus")
+        c = c % mods[None, None, :]
+    left = (mods[:, None, None] * c) % mods[None, None, :]
+    right = (mods[None, :, None] * c) % mods[None, None, :]
+    if left.any():
+        i, j, m = [int(x[0]) for x in left.nonzero()]
+        violations.append(
+            "order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
+            % (i, i, j, m, m))
+    if right.any():
+        i, j, m = [int(x[0]) for x in right.nonzero()]
+        violations.append(
+            "order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
+            % (j, i, j, m, m))
+    step = max(1, (1 << 22) // max(1, k ** 3))
+    for s in range(0, k, step):
+        e = s + step
+        lhs = np.einsum("ijw,wlm->ijlm", c[s:e], c) % mods
+        rhs = np.einsum("jlw,iwm->ijlm", c, c[s:e]) % mods
+        if (lhs != rhs).any():
+            i, j, l = (int(x[0]) for x in (lhs != rhs).any(axis=3).nonzero())
+            violations.append("associativity fails on generators (%d, %d, %d)"
+                              % (i + s, j, l))
+            break
+    try:
+        e = shape.reduce(one)
+    except InputError as exc:
+        violations.append(str(exc))
+        return ValidationReport(False, violations)
+    ev = np.array(e, dtype=np.int64)
+    left_id = np.tensordot(ev, c, axes=(0, 0)) % mods
+    right_id = np.tensordot(ev, c, axes=(0, 1)) % mods
+    basis = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        if shape.moduli[i] > 1:
+            basis[i, i] = 1
+    live = np.array([n > 1 for n in shape.moduli])
+    if (left_id[live] != basis[live]).any() or (right_id[live] != basis[live]).any():
+        violations.append("identity law fails for one=%r" % (e,))
+    if not any(e):
+        violations.append("one equals zero (zero rings are excluded)")
+    return ValidationReport(not violations, violations)
 
 
 def lie_series(ring, flavor="bracket"):

@@ -17,6 +17,7 @@ from ringbench.core import ConstructionError, InputError
 from ringbench.construct import catalog, group_algebra
 from ringbench.groups import cyclic, direct_product
 from ringbench.ideals import quotient
+from ringbench.props import centrally_essential
 
 
 # -- spec files ---------------------------------------------------------------
@@ -85,6 +86,25 @@ def test_serialize_handles_quotients():
     q = quotient(r, least_ideal(r))
     r2 = parse_ring_text(serialize_ring(q))
     assert r2.size == 64
+
+
+def test_round_trip_builds_the_scalar_view_on_first_mul():
+    # a ring read only through its tables never builds _nz; scalar mul
+    # builds it once and agrees with the tables on every basis pair
+    r = catalog("ex52")
+    text = serialize_ring(quotient(r, least_ideal(r)))
+    parsed = parse_ring_text(text)
+    t = parsed.tables()
+    centrally_essential(parsed)
+    assert serialize_ring(parsed) == text
+    assert "_nz" not in parsed.__dict__
+    basis = [tuple(int(i == b) for i in range(parsed.shape.width))
+             for b in range(parsed.shape.width)]
+    parsed.mul(basis[0], basis[0])
+    assert "_nz" in parsed.__dict__
+    for a in basis:
+        for b in basis:
+            assert parsed.mul(a, b) == t.elems[t.mul[t.index[a], t.index[b]]]
 
 
 def test_load_ring_from_file(tmp_path):

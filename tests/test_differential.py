@@ -14,6 +14,7 @@ CCE => CE and the rest."""
 
 import functools
 import hashlib
+import itertools
 import random
 import sys
 
@@ -415,6 +416,67 @@ def test_structure_export_matches_scalar_oracle(key):
     for view in views:
         assert (serialize_ring(view)
                 == serialize_ring(oracles.structure_ring(view)))
+
+
+def test_structure_export_takes_one_span_gather_per_basis_element(
+        monkeypatch):
+    # the export's greedy pass extends the span once per basis element,
+    # not once per candidate
+    ring = triangular_matrix_ring(2, 6)
+    views = [quotient(ring, ideal) for ideal in all_ideals(ring)
+             if not ideal.is_whole()]
+    calls = []
+    sums = core.Tables.sums
+    monkeypatch.setattr(core.Tables, "sums", lambda t, rows, cols: (
+        calls.append(len(rows)), sums(t, rows, cols))[1])
+    widths = []
+    for view in views:
+        view.tables()
+        calls.clear()
+        widths.append(as_structure_ring(view).shape.width)
+        assert len(calls) == widths[-1]
+    assert len(views) == 24 and max(widths) > 1
+
+
+def _perturbations(mods, c, one, rng):
+    """Seeded broken copies of a ring's (tensor, one): one entry changed,
+    one entry left unreduced, a wrong shape, one changed coefficient of
+    `one`, `one` of the wrong width and `one` = 0.  Over mixed moduli the
+    changed entry is one where n_m does not divide n_i, so that it breaks
+    order compatibility too."""
+    k = len(mods)
+    mixed = [x for x in itertools.product(range(k), repeat=3)
+             if mods[x[0]] % mods[x[2]]]
+    i, j, m = (mixed[rng.integers(len(mixed))] if mixed
+               else (int(x) for x in rng.integers(k, size=3)))
+    changed, unreduced, bad_one = c.copy(), c.copy(), list(one)
+    changed[i, j, m] = (c[i, j, m] + rng.integers(1, mods[m])) % mods[m]
+    unreduced[i, j, m] += mods[m] * rng.choice([-2, -1, 1, 2])
+    bad_one[m] = (one[m] + int(rng.integers(1, mods[m]))) % mods[m]
+    return [(changed, one), (unreduced, one), (c[:, :, 1:], one),
+            (c, tuple(bad_one)), (c, one[1:]), (c, (0,) * k)]
+
+
+def test_validate_ring_matches_einsum_oracle():
+    # the matrix-product check reports exactly what the einsum one did, on
+    # every differential ring and on seeded breakages of each
+    rng = np.random.default_rng(0)
+    cases, kinds = 0, set()
+    for key in RING_KEYS:
+        s = as_structure_ring(_ring(key))
+        mods = s.shape.moduli
+        c = np.array(s.tensor)
+        for tensor, one in [(c, s.one)] + _perturbations(mods, c, s.one, rng):
+            got = core.validate_ring(mods, tensor, one)
+            want = oracles.validate_ring(mods, tensor, one)
+            assert (got.ok, got.violations) == (want.ok, want.violations)
+            kinds.update(" ".join(v.split()[:2]) for v in got.violations)
+            cases += 1
+    assert cases == 7 * 110
+    assert kinds == {
+        "tensor shape", "tensor entries", "order incompatibility:",
+        "associativity fails", "identity law", "coefficient vector",
+        "one equals"}
 
 
 @pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ringbench import core
 from ringbench.core import (
     LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
 )
@@ -176,6 +177,28 @@ def test_closure_above_max_table_stops_at_max_elements(closure):
     with pytest.raises(LimitError, match=r"max_elements=4096 exceeded "
                                          r"\(needed 5120\)"):
         closure(r, [(2 ** 30,), (2 ** 40 - 1,)], limits=limits)
+
+
+@pytest.mark.parametrize("closure", [additive_closure, ideal_closure])
+def test_closure_walk_doubles_over_the_multiples(closure, monkeypatch):
+    # reaching max_elements=2^16 over z(2^40) takes log2(2^16) on-demand
+    # sums, as the multiples found grow 1, 2, 4, ..., 2^16: not one per
+    # multiple
+    calls = []
+    outer = core._outer_codes
+    monkeypatch.setattr(core, "_outer_codes", lambda *args: (
+        calls.append(args[3]), outer(*args))[1])
+    with pytest.raises(LimitError, match=r"max_elements=65536 exceeded "
+                                         r"\(needed 65537\)"):
+        closure(integers_mod(2 ** 40), [(1,)])
+    assert calls.count("add") == 16, calls
+    # the error names the first coset count past the limit, as a walk of
+    # one multiple at a time meets it, not the end of a doubling step
+    r, limits = integers_mod(2 ** 40), Limits(max_elements=3000)
+    for gens, needed in (([(1,)], 3001), ([(2 ** 30,), (2 ** 40 - 1,)], 3072)):
+        with pytest.raises(LimitError, match=r"max_elements=3000 exceeded "
+                                             r"\(needed %d\)" % needed):
+            closure(r, gens, limits=limits)
 
 
 def test_nilpotency_none_for_idempotent_ideal():
