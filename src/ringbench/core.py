@@ -154,9 +154,11 @@ def validate_ring(shape, tensor, one):
     Verifies order-compatibility of the structure constants on both sides,
     associativity on all generator triples (enough, by bilinearity), the
     identity law for `one`, and that the ring is not the zero ring.
-    Returns a ValidationReport listing every violation found.  Both sides
-    of associativity are int64 matrix products over a chunk of rows i,
-    their difference is reduced once, and the first failing triple
+    Returns a ValidationReport listing every violation found.  Order
+    compatibility is a divisibility test, so it forms no product.  Both
+    sides of associativity are matrix products over a chunk of rows i,
+    exact at every modulus (float64 while that is exact, else Python
+    ints), their difference is reduced once, and the first failing triple
     (i, j, l) in lexicographic order is reported.
     """
     violations = []
@@ -172,9 +174,11 @@ def validate_ring(shape, tensor, one):
         c = c % mods[None, None, :]
 
     # n_i * c[i][j][m] and n_j * c[i][j][m] must vanish mod n_m, otherwise
-    # the bilinear extension of the tensor is not well defined.
-    left = (mods[:, None, None] * c) % mods[None, None, :]
-    right = (mods[None, :, None] * c) % mods[None, None, :]
+    # the bilinear extension of the tensor is not well defined; n_i * c
+    # vanishes mod n_m exactly when n_m / gcd(n_i, n_m) divides c
+    d = mods // np.gcd(mods[:, None], mods)   # [i, m]
+    left = c % d[:, None, :]
+    right = c % d[None, :, :]
     if left.any():
         i, j, m = [int(x[0]) for x in left.nonzero()]
         violations.append(
@@ -185,6 +189,12 @@ def validate_ring(shape, tensor, one):
         violations.append(
             "order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
             % (j, i, j, m, m))
+
+    # Each product below sums k products of reduced entries, so it is
+    # exact in float64 while k * (max n - 1)**2 < 2**53; past that the
+    # products run on Python ints.
+    num = object if k * (max(shape.moduli) - 1) ** 2 >= 1 << 53 else np.float64
+    c, mods = c.astype(num), mods.astype(num)
 
     # associativity on generator triples: (b_i b_j) b_l == b_i (b_j b_l);
     # chunked over i so wide tensors stay inside a few MB
@@ -206,13 +216,13 @@ def validate_ring(shape, tensor, one):
     except InputError as exc:
         violations.append(str(exc))
         return ValidationReport(False, violations)
-    ev = np.array(e, dtype=np.int64)
+    ev = np.array(e, dtype=num)
     # e * b_j = sum_i e_i c[i][j][:]; b_i * e = sum_j e_j c[i][j][:]
     left_id = (ev @ c.reshape(k, k * k)).reshape(k, k) % mods
     right_id = (ev @ c) % mods
     live = mods > 1
     basis = np.diag(live).astype(np.int64)
-    if (left_id[live] != basis[live]).any() or (right_id[live] != basis[live]).any():
+    if ((left_id != basis) | (right_id != basis))[live].any():
         violations.append("identity law fails for one=%r" % (e,))
     if not any(e):
         violations.append("one equals zero (zero rings are excluded)")

@@ -35,7 +35,7 @@ from ringbench.core import (
 )
 from ringbench.ideals import (
     _additive_mask, _as_ideal, _ideal_gens, _principal_entries, all_ideals,
-    ideal_closure, ideal_power, ideals_by_size, jacobson_radical,
+    ideal_closure, ideal_product, ideals_by_size, jacobson_radical,
     nilpotency_index, prime_radical, quotient,
 )
 
@@ -165,8 +165,9 @@ def verify_ce_counterexample(ring, a, limits=DEFAULT_LIMITS):
 def zero_divisor_symmetry(ring, limits=DEFAULT_LIMITS):
     """Left zero-divisors coincide with right zero-divisors.
 
-    Holds in every centrally essential ring; witness is an element whose
-    annihilators are nontrivial on one side only.  Read off the flags
+    Holds in every finite ring: L_a is injective exactly when a is a
+    unit, exactly when R_a is injective.  The witness would be an element
+    whose annihilators are nontrivial on one side only.  Read off the flags
     l_full (a not a right zero-divisor) and r_full of units_and_regulars.
     """
     rep = units_and_regulars(ring, limits)
@@ -424,22 +425,28 @@ class CentralSeriesReport:
 def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
     """Build the ascending central chain seeded by slices of the prime radical.
 
-    Stage i takes the current factor ring, intersects the last nonzero
-    power of its prime radical with its center, and pulls the result back.
-    Each stage must produce a strictly larger nonzero ideal whose factor is
-    central.  The loop runs until the factor ring is semiprime, i.e. until
-    the chain has absorbed the whole prime radical P; it then closes with R
-    itself once the factor by P is commutative.  Semiprime input yields the
-    empty chain.  Returns a failure report when a stage yields zero or a
+    Stage i takes the factor ring R/acc (R/0 at the first stage),
+    intersects the last nonzero power of its prime radical with its
+    center, and pulls the result back through the labels of R/acc.  Each
+    stage must produce a nonzero ideal whose factor is central.  The loop
+    runs until the factor ring is semiprime, i.e. until the chain has
+    absorbed the whole prime radical P; it then closes with R itself once
+    the factor by P is commutative.  Semiprime input yields the empty
+    chain.  Returns a failure report when a stage yields zero or a
     non-ideal (which happens off the intended class of rings).
+
+    Two failures cannot occur.  The radical's powers reach 0: P = J, and
+    J of a finite ring is nilpotent (Lam, A First Course in Noncommutative
+    Rings, 4.12).  The chain never stalls: a nonzero ideal of R/acc pulls
+    back to an ideal of R strictly above acc.  The check that the factor
+    is central stays as a guard on center().
     """
     if prime_radical(ring, limits).is_zero():
         return CentralSeriesReport(True, (), reason="semiprime: empty chain")
-    acc = frozenset({ring.zero})
+    acc = [ring.zero]
     sizes = [1]
     while True:   # acc strictly grows, so at most log2 |R| stages run
-        q = ring if len(acc) == 1 else quotient(ring, sorted(acc),
-                                                limits=limits)
+        q = quotient(ring, acc, limits=limits)
         p = prime_radical(q, limits)
         if p.is_zero():
             # the chain now ends at P; the last factor must be commutative
@@ -449,33 +456,23 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
             return CentralSeriesReport(
                 False, tuple(sizes),
                 reason="factor by the prime radical is not commutative")
-        k = nilpotency_index(q, p, limits)
-        if k is None:
-            return CentralSeriesReport(False, tuple(sizes),
-                                       reason="prime radical not nilpotent")
-        top = ideal_power(q, p, k - 1, limits)
+        top, nxt = p, ideal_product(q, p, p, limits)
+        while not nxt.is_zero():
+            top, nxt = nxt, ideal_product(q, nxt, p, limits)
         zset = set(center(q, limits).elements())
         slice_elems = [x for x in top.elements if x in zset]
         if len(slice_elems) == 1:
             return CentralSeriesReport(
                 False, tuple(sizes),
                 reason="central slice of the radical power is zero")
-        regrown = ideal_closure(q, slice_elems, limits=limits)
-        if set(regrown.elements) != set(slice_elems):
+        if len(ideal_closure(q, slice_elems, limits=limits)) != len(slice_elems):
             return CentralSeriesReport(
                 False, tuple(sizes),
                 reason="central slice is not a two-sided ideal")
-        # pull back to the original ring through the accumulated quotient
-        if len(acc) == 1:
-            nxt = frozenset(slice_elems)
-        else:
-            qt = q.tables(limits)
-            sliced = np.zeros(q.size, dtype=bool)
-            sliced[[qt.index[x] for x in slice_elems]] = True
-            nxt = frozenset(_mask_elems(ring.tables(limits), sliced[q.labels]))
-        if not acc < nxt:
-            return CentralSeriesReport(False, tuple(sizes),
-                                       reason="chain stalled")
+        qt = q.tables(limits)
+        sliced = qt.mask()
+        sliced[qt.encode(slice_elems)] = True
+        nxt = _mask_elems(ring.tables(limits), sliced[q.labels])
         if not _brackets_inside(ring, nxt, acc, limits):
             return CentralSeriesReport(False, tuple(sizes),
                                        reason="factor is not central")

@@ -72,6 +72,18 @@ def test_parse_rejects_broken_axioms(tmp_path, capsys):
     assert "ring axioms fail" in capsys.readouterr().err
 
 
+def test_report_on_a_modulus_past_int64_products(tmp_path, capsys):
+    # Z_m[x]/(x^2 - 5), m = 2^33 + 17, on the basis 1, x + 2^32 + 3
+    path = tmp_path / "big.ring"
+    path.write_text("shape 8589934609 8589934609\none 1 0\n"
+                    "mul 0 0 -> 1 0\nmul 0 1 -> 0 1\nmul 1 0 -> 0 1\n"
+                    "mul 1 1 -> 2147483627 8589934598\n")
+    assert main(["report", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "size=73786976586895982881" in lines
+    assert "commutative=true" in lines
+
+
 def test_serialize_round_trips_catalog():
     for name in ("z2q8", "ex52", "ex51(3)", "t2z2", "z6"):
         r = catalog(name)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ringbench.core import (
-    ConstructionError, DomainError, InputError, Limits, center,
+    ConstructionError, DomainError, InputError, LimitError, Limits, center,
 )
 from ringbench.construct import (
-    Congruent, Free, MatrixPattern, Tied, Zero, augmentation,
+    Congruent, Free, GroupAlgebra, MatrixPattern, Tied, Zero, augmentation,
     augmentation_ideal, catalog, catalog_names, ex51_ring, ex52_ring,
-    full_matrix_ring, group_algebra, group_sum_element, group_sum_ideal,
-    matrix_pattern_ring, relative_augmentation_ideal, triangular_matrix_ring,
+    exterior_square_ring, full_matrix_ring, group_algebra, group_sum_element,
+    group_sum_ideal, integers_mod, matrix_pattern_ring,
+    relative_augmentation_ideal, triangular_matrix_ring,
 )
 from ringbench.groups import cyclic, quaternion8
 from ringbench.ideals import all_ideals
@@ -181,6 +182,34 @@ def test_pattern_input_validation():
         MatrixPattern(2, {(2, 0): Free(2)})  # outside the grid
     with pytest.raises(InputError):
         MatrixPattern(2, {(0, 0): Free(4), (1, 1): Congruent((0, 0), 3)})
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: GroupAlgebra(1, cyclic(2)), InputError,
+     "coefficient modulus must be at least 2"),
+    (lambda: Free(1), InputError, "free cells need modulus >= 2"),
+    (lambda: Congruent((0, 0), 0), InputError,
+     "congruence step must be positive"),
+    (lambda: MatrixPattern(1, {(0, 0): ("nope",)}), InputError,
+     "unknown cell spec ('nope',)"),
+    (lambda: MatrixPattern(2, {}), InputError,
+     "pattern has no free parameters"),
+    (lambda: matrix_pattern_ring(
+        MatrixPattern(2, {(0, 0): Free(2), (0, 1): Free(2), (1, 1): Free(2)}),
+        limits=Limits(max_elements=4)),
+     LimitError, "limit max_elements=4 exceeded (needed 8)"),
+    (lambda: integers_mod(1), InputError, "modulus must be at least 2"),
+    (lambda: exterior_square_ring(1), InputError,
+     "modulus must be at least 2"),
+    (lambda: relative_augmentation_ideal(catalog("z2q8"), [1]), DomainError,
+     "subgroup must contain the identity"),
+], ids=["group-algebra-mod-1", "free-1", "congruent-0", "unknown-cell",
+        "no-parameters", "pattern-max-elements", "integers-mod-1",
+        "exterior-mod-1", "augmentation-without-identity"])
+def test_constructors_reject_bad_parameters(build, exc, message):
+    with pytest.raises(exc) as err:
+        build()
+    assert str(err.value) == message
 
 
 # -- the catalog -------------------------------------------------------------------

@@ -118,6 +118,50 @@ def test_validate_zero_ring_rejected():
     assert any("zero" in v for v in rep.violations)
 
 
+BIG = 2 ** 33 + 17   # products of two entries mod BIG overflow int64
+
+
+def test_validate_is_exact_past_int64_products():
+    # Z_m[x]/(x^2 - 5) on the basis 1, y = x + t, so y^2 = (5 - t^2) + 2t y
+    t = 2 ** 32 + 3
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1
+    c[1, 1] = ((5 - t * t) % BIG, 2 * t % BIG)
+    assert validate_ring([BIG, BIG], c, (1, 0)).violations == []
+    # Z_m on the basis u = t: u * u = t u, and 1 = t^-1 u
+    assert validate_ring([BIG], [[[t]]], (pow(t, -1, BIG),)).violations == []
+
+
+def _first_nonassociative(mods, c):
+    """The first generator triple (i, j, l) where associativity fails, by
+    a loop over triples on Python ints."""
+    k = len(mods)
+    c = np.asarray(c).tolist()
+    for i, j, l in itertools.product(range(k), repeat=3):
+        for m in range(k):
+            lhs = sum(c[i][j][w] * c[w][l][m] for w in range(k))
+            rhs = sum(c[j][l][w] * c[i][w][m] for w in range(k))
+            if (lhs - rhs) % mods[m]:
+                return i, j, l
+    return None
+
+
+@pytest.mark.parametrize("n", [54_000_000, 55_000_000, BIG])
+def test_validate_reports_the_first_nonassociative_triple(n):
+    # 3 * (n - 1)^2 is just below 2^53 for the first modulus, so its
+    # products run in float64, and past it for the other two
+    rng = np.random.default_rng(n)
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    for j in range(3):
+        c[0, j, j] = c[j, 0, j] = 1
+    c[1:, 1:] = rng.integers(0, n, size=(2, 2, 3))
+    triple = _first_nonassociative([n] * 3, c)
+    assert triple is not None
+    rep = validate_ring([n] * 3, c, (1, 0, 0))
+    assert rep.violations == [
+        "associativity fails on generators (%d, %d, %d)" % triple]
+
+
 # -- structure ring arithmetic ---------------------------------------------
 
 def test_z6_matches_integer_arithmetic():
@@ -378,6 +422,20 @@ def test_quotient_rejects_non_subgroup():
     # closed under multiplication by Z6, but 2 + 3 = 5 is missing
     with pytest.raises(DomainError, match="additive subgroup"):
         QuotientRing(make_zn(6), [(0,), (2,), (3,)])
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda r: SubRing(r, [r.one]), ConstructionError,
+     "subring must contain 0"),
+    (lambda r: SubRing(r, [r.zero]), ConstructionError,
+     "identity (1, 0, 1) not in the subset"),
+    (lambda r: QuotientRing(r, [(0, 1, 0)]), DomainError,
+     "ideal must contain zero"),
+], ids=["subring-without-0", "subring-without-1", "quotient-without-0"])
+def test_views_need_zero_and_the_identity(build, exc, message):
+    with pytest.raises(exc) as err:
+        build(catalog("t2z2"))
+    assert str(err.value) == message
 
 
 def test_quotient_reps_are_least_and_tables_match():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ringbench.core import InputError
+from ringbench.core import InputError, LimitError, Limits
 from ringbench.groups import (
     GroupTable, cyclic, dihedral, direct_product, quaternion8,
 )
@@ -89,6 +89,32 @@ def test_direct_product():
     assert q2.order == 16
     assert not q2.is_abelian()
     assert q2.is_hamiltonian()  # Q8 x C2 keeps every subgroup normal
+
+
+# the smallest loop that is no group: identity 0, every x its own inverse
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: GroupTable([], []), InputError, "empty group"),
+    (lambda: GroupTable("eg", [[0, 1], [1, 0]], limits=Limits(max_group=1)),
+     LimitError, "limit max_group=1 exceeded (needed 2)"),
+    (lambda: GroupTable("eg", [[0, 1], [1, 2]]), InputError,
+     "table entries out of range"),
+    (lambda: GroupTable("abcde", LOOP5), InputError,
+     "table not associative at (b, b, c)"),
+    (lambda: cyclic(0), InputError, "cyclic group order must be positive"),
+    (lambda: dihedral(0), InputError, "dihedral parameter must be positive"),
+    (lambda: direct_product(quaternion8(), quaternion8(),
+                            limits=Limits(max_group=32)),
+     LimitError, "limit max_group=32 exceeded (needed 64)"),
+], ids=["empty", "max-group", "out-of-range", "non-associative", "cyclic-0",
+        "dihedral-0", "product-max-group"])
+def test_group_constructors_reject_bad_input(build, exc, message):
+    with pytest.raises(exc) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_table_validation():

@@ -5,11 +5,11 @@ import pytest
 
 from ringbench import core
 from ringbench.core import (
-    LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
+    DomainError, LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
 )
 from ringbench.construct import catalog, integers_mod
 from ringbench.ideals import (
-    Ideal, additive_closure, all_ideals, ideal_closure,
+    Ideal, additive_closure, all_ideals, ideal_closure, ideals_by_size,
     ideal_lattice, ideal_power, ideal_product, is_semiprime,
     jacobson_radical, nilpotency_index, prime_radical, principal_ideal,
     quotient,
@@ -281,6 +281,23 @@ def test_quotient_of_triangular_by_radical():
         jacobson_radical(q).elements == (q.zero,)
     elems = q.elements()
     assert all(q.mul(a, b) == q.mul(b, a) for a in elems for b in elems)
+
+
+SIDE_MESSAGE = "side must be one of ('two', 'left', 'right')"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda r: ideal_closure(r, [r.one], side="up"), SIDE_MESSAGE),
+    (lambda r: next(ideals_by_size(r, side="up")), SIDE_MESSAGE),
+    (lambda r: quotient(r, ideal_closure(r, [(0, 1, 0)], side="left")),
+     "quotients need a two-sided ideal"),
+    (lambda r: ideal_power(r, jacobson_radical(r), 0),
+     "ideal powers start at 1"),
+], ids=["closure-side", "by-size-side", "one-sided-quotient", "power-0"])
+def test_ideal_operations_reject_bad_arguments(call, message):
+    with pytest.raises(DomainError) as err:
+        call(catalog("t2z2"))
+    assert str(err.value) == message
 
 
 def test_quotient_accepts_only_matching_ring():

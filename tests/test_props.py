@@ -8,7 +8,10 @@ from ringbench.core import (
     LimitError, Limits, _OnDemandTables, center, units_and_regulars,
     validate_ring,
 )
-from ringbench.construct import catalog, exterior_square_ring, group_algebra
+from ringbench.construct import (
+    Free, MatrixPattern, Tied, catalog, exterior_square_ring, group_algebra,
+    matrix_pattern_ring,
+)
 from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
     all_ideals, jacobson_radical, nilpotency_index, prime_radical, quotient,
@@ -378,6 +381,30 @@ def test_central_series_stalls_without_central_slice():
     assert not rep.ok
     assert rep.sizes == (1,)
     assert "zero" in rep.reason
+
+
+def test_central_series_needs_a_commutative_factor_by_the_radical():
+    # M2(F2) x F2[x]/(x^2): P = 0 x (x), and R/P = M2(F2) x F2
+    cells = {(i, j): Free(2) for i in range(2) for j in range(2)}
+    cells.update({(2, 2): Free(2), (2, 3): Free(2), (3, 3): Tied((2, 2))})
+    rep = central_series_through_radical(
+        matrix_pattern_ring(MatrixPattern(4, cells)))
+    assert (rep.ok, rep.sizes, rep.reason) == (
+        False, (1, 2), "factor by the prime radical is not commutative")
+
+
+def test_central_series_needs_the_central_slice_to_be_an_ideal():
+    # {[[A, B], [0, A]] : A, B in M2(F2)}: P is the B block, P^2 = 0, and
+    # its central part, the scalar B, generates all of P
+    cells = {}
+    for i in range(2):
+        for j in range(2):
+            cells[(i, j)] = cells[(i, j + 2)] = Free(2)
+            cells[(i + 2, j + 2)] = Tied((i, j))
+    rep = central_series_through_radical(
+        matrix_pattern_ring(MatrixPattern(4, cells)))
+    assert (rep.ok, rep.sizes, rep.reason) == (
+        False, (1,), "central slice is not a two-sided ideal")
 
 
 # -- ore conditions --------------------------------------------------------------
