@@ -36,7 +36,8 @@ def parse_ring_text(text, name=None):
     Directives, one per line: `name ...`, `shape m1 m2 ...`,
     `one c1 ... ck`, and `mul i j -> c1 ... ck` giving the coefficients of
     the product of basis elements i and j.  Omitted products are zero,
-    `#` starts a comment, and coefficients are reduced modulo the shape.
+    `#` starts a comment, and coefficients are reduced modulo the shape
+    before they are stored as int64.  Moduli must be below 2**63.
     """
     shape = None
     one = None
@@ -63,6 +64,9 @@ def parse_ring_text(text, name=None):
             shape = ints(parts[1:], lineno, "shape moduli")
             if not shape or any(m < 2 for m in shape):
                 raise InputError("line %d: shape needs moduli >= 2" % lineno)
+            if any(m >= 1 << 63 for m in shape):
+                raise InputError("line %d: shape moduli must be below 2**63"
+                                 % lineno)
         elif head == "one":
             one = (ints(parts[1:], lineno, "one coefficients"), lineno)
         elif head == "mul":
@@ -85,14 +89,13 @@ def parse_ring_text(text, name=None):
         raise InputError("line %d: `one` needs %d coefficients"
                          % (one_line, k))
     tensor = np.zeros((k, k, k), dtype=np.int64)
-    mods = np.array(shape, dtype=np.int64)
     for i, j, coeffs, lineno in muls:
         if not (0 <= i < k and 0 <= j < k):
             raise InputError("line %d: indices out of range" % lineno)
         if len(coeffs) != k:
             raise InputError("line %d: product needs %d coefficients"
                              % (lineno, k))
-        tensor[i, j] = np.array(coeffs, dtype=np.int64) % mods
+        tensor[i, j] = [c % m for c, m in zip(coeffs, shape)]
     return StructureRing(shape, tensor,
                          one=tuple(c % m for c, m in zip(one_coeffs, shape)),
                          name=rname)

@@ -27,8 +27,9 @@ element, the Jacobson radical J by trace functionals, and the units on
 R/J: one system per element of each block e*(R/J), one block per
 primitive central idempotent e, with the inverses lifted to R by a
 geometric series in J.  Each elimination mod p is one batched
-_row_reduce_mod_p.  The unit report keeps element indices and decodes
-only what is read.
+_row_reduce_mod_p.  Each product is exact: float64 on BLAS while that
+is exact, else Python ints, by one rule per ring (_exact_tensor).  The
+unit report keeps element indices and decodes only what is read.
 """
 
 import functools
@@ -383,15 +384,33 @@ class StructureRing(Ring):
         row @ _weights; OverflowError from 2**63 elements on."""
         return np.array(self.shape.weights, dtype=np.int64)
 
+    @functools.cached_property
+    def _exact_tensor(self):
+        """The tensor in the one dtype that keeps every product of the F_p
+        path and of _outer_codes exact: float64, so that they run on BLAS,
+        while the widest sum they form stays below 2**53, else Python ints
+        (object).  With k the width and n the largest modulus, every
+        operand entry is below n.  The widest sums are the unreduced
+        two-stage paired product a*b and the check of the unit solutions,
+        k**2 terms below (n - 1)**3 in all, and the trace powers taken mod
+        n*q, q <= k, k terms below (n*k - 1)**2 in all.  Every other
+        product sums at most k terms below (n - 1)**2.  Results are reduced
+        in int64 (_reduced)."""
+        k, n = self.shape.width, max(self.shape.moduli)
+        widest = max(k * k * (n - 1) ** 3, k * (n * k - 1) ** 2)
+        return self.tensor.astype(np.float64 if widest < 1 << 53 else object)
+
     def code_rows(self, codes):
         """The coefficient rows of the elements with these codes."""
         codes = np.asarray(codes, dtype=np.int64)
         return codes[:, None] // self._weights % self._mods
 
     def mul_matrices(self, rows):
-        """Left and right multiplication matrices of each row, (n, k, k) each."""
-        return (np.einsum("ni,ijm->njm", rows, self.tensor),
-                np.einsum("nj,ijm->nim", rows, self.tensor))
+        """Left and right multiplication matrices of each row, (n, k, k)
+        each, unreduced, in the dtype of _exact_tensor."""
+        T, k = self._exact_tensor, self.shape.width
+        return (np.matmul(rows, T.reshape(k, -1)).reshape(-1, k, k),
+                np.matmul(rows, T.transpose(1, 0, 2).reshape(k, -1)).reshape(-1, k, k))
 
     def _table_ops(self, limits):
         return _recurrence_ops(self, self.elements_array(limits))
@@ -747,16 +766,17 @@ def _outer_codes(ring, A, B, op):
     """Codes of a + b (op "add") or a * b (op "mul") for every coefficient
     row a of A and b of B of a structure ring, (len(A), len(B)).  Rows of A
     are taken in chunks of about _CHUNK_BYTES of work.  Products contract
-    the shorter of A and B with the tensor first, once, and reduce it."""
-    mods, w = ring._mods, ring._weights
+    the shorter of A and B with the tensor first, once, and reduce it;
+    both contractions are exact at every modulus (_exact_tensor)."""
+    mods, w, T = ring._mods, ring._weights, ring._exact_tensor
     k = len(mods)
     if op == "mul" and len(A) > len(B):
         # a @ right: column block j is a * (j-th row of B)
-        right = np.tensordot(B, ring.tensor, axes=(1, 1)) % mods
+        right = _reduced(np.tensordot(B, T, axes=(1, 1)), mods).astype(T.dtype)
         right = right.transpose(1, 0, 2).reshape(k, -1)
     elif op == "mul":
         # row j of B @ left[a] is a * b_j
-        left = np.tensordot(A, ring.tensor, axes=(1, 0)) % mods
+        left = _reduced(np.tensordot(A, T, axes=(1, 0)), mods).astype(T.dtype)
     out = np.empty((len(A), len(B)), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * k * (len(B) + k)))
     for s in range(0, len(A), step):
@@ -767,8 +787,15 @@ def _outer_codes(ring, A, B, op):
             rows = (a @ right).reshape(len(a), len(B), k)
         else:
             rows = np.matmul(B, left[s:s + step])
-        out[s:s + step] = rows % mods @ w
+        out[s:s + step] = _reduced(rows, mods) @ w
     return out
+
+
+def _reduced(x, m):
+    """An exact product x, float64 or Python ints (_exact_tensor), reduced
+    mod m in int64, where numpy's % is several times faster than on
+    float64.  Python ints are reduced first, so that they fit."""
+    return (x % m if x.dtype == object else x).astype(np.int64, copy=False) % m
 
 
 def _recurrence_ops(ring, X):
@@ -902,7 +929,8 @@ def center(ring, limits=DEFAULT_LIMITS):
         mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
         idx = mask.nonzero()[0]
     else:
-        idx = np.sort(_span_mod_p(_center_basis(ring, t.p), t.p) @ ring._weights)
+        basis = _center_basis(ring, t.p)
+        idx = np.sort(_span_mod_p(basis, t.p, ring._exact_tensor.dtype) @ ring._weights)
     sub = SubRing(ring, t.decode(idx), name="center", check=False)
     ring._center = sub
     return sub
@@ -981,14 +1009,15 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
 
 def _paired_products(ring, A, B):
     """Coefficient rows of a_i * b_i for the paired rows of A and B of a
-    structure ring, in chunks of about _CHUNK_BYTES of work."""
-    k = len(ring._mods)
+    structure ring, in chunks of about _CHUNK_BYTES of work: L_a = a @ T,
+    then b @ L_a, unreduced in between and exact (_exact_tensor)."""
+    T, k = ring._exact_tensor, len(ring._mods)
     out = np.empty((len(A), k), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * k * k))
     for s in range(0, len(A), step):
-        L = np.einsum("ni,ijm->njm", A[s:s + step], ring.tensor)
-        out[s:s + step] = np.einsum("nj,njm->nm", B[s:s + step], L)
-    return out % ring._mods
+        L = np.matmul(A[s:s + step], T.reshape(k, -1)).reshape(-1, k, k)
+        out[s:s + step] = _reduced(np.matmul(B[s:s + step, None], L)[:, 0], ring._mods)
+    return out
 
 
 def _left_null_mod_p(M, p):
@@ -1046,9 +1075,11 @@ def _reduced_solutions(M):
     return x
 
 
-def _span_mod_p(B, p):
-    """All p^d F_p-combinations of the d rows of B, as rows mod p."""
-    return np.indices((p,) * len(B)).reshape(len(B), p ** len(B)).T @ B % p
+def _span_mod_p(B, p, num):
+    """All p^d F_p-combinations of the d rows of B, as rows mod p, formed
+    in num, the dtype of the ring's _exact_tensor."""
+    combos = np.indices((p,) * len(B)).reshape(len(B), p ** len(B)).T
+    return _reduced(combos @ B.astype(num), p)
 
 
 def _center_basis(ring, p):
@@ -1076,17 +1107,17 @@ def _ce_rank_mod_p(ring, p):
     fails at a when they are zero.  The stacks of a chunk of indices are
     one contraction with the tensor and one _row_reduce_mod_p; chunks
     grow from 16 rows, so a ring that fails early stops early."""
-    Z, k = _center_basis(ring, p), len(ring._mods)
+    Z, k, T = _center_basis(ring, p), len(ring._mods), ring._exact_tensor
     z, n = len(Z), ring.size
     N = _left_null_mod_p(Z.T, p).T
-    W = np.einsum("jl,ilm->ijm", Z, ring.tensor) % p   # b_i * Z, (k, z, k)
-    W = np.concatenate([W @ N, W], axis=2) % p
+    W = _reduced(Z @ T, p).astype(T.dtype)   # b_i * Z, (k, z, k)
+    W = np.concatenate([_reduced(W @ N, p), W], axis=2)   # in T's dtype
     # a chunk's stack and three temporaries of its size in the kernel
     cap = max(1, _CHUNK_BYTES // (32 * z * (2 * k - z)))
     s, step = 0, 16
     while s < n:
         idx = np.arange(s, min(n, s + step))
-        S = np.tensordot(ring.code_rows(idx), W, axes=(1, 0)) % p
+        S = _reduced(np.tensordot(ring.code_rows(idx), W, axes=(1, 0)), p)
         past = np.arange(z) >= _row_reduce_mod_p(S, p, k - z)[:, None]
         ok = (S.any(axis=2) & past).any(axis=1) | (idx == 0)
         if not ok.all():
@@ -1112,15 +1143,15 @@ def _central_blocks(ring):
     number more than b.  Idempotents are never multiplied pairwise: on
     F_2^k every element is one.
     """
-    p = _one_prime(ring)
+    p, num = _one_prime(ring), ring._exact_tensor.dtype
     Z = _center_basis(ring, p)
     F, base, power = np.tile(np.array(ring.one), (len(Z), 1)), Z, p
     while power:   # F = Z^p, row by row, by repeated squaring
         if power & 1:
             F = _paired_products(ring, F, base)
         base, power = _paired_products(ring, base, base), power >> 1
-    S = _left_null_mod_p(F - Z, p) @ Z % p
-    X = _span_mod_p(S, p)
+    S = _reduced(_left_null_mod_p(F - Z, p).astype(num) @ Z, p)
+    X = _span_mod_p(S, p, num)
     idem = X[(_paired_products(ring, X, X) == X).all(axis=1)]
     blocks = np.array([ring.one]) @ ring._weights
     while True:
@@ -1164,11 +1195,11 @@ def _units_through_radical(ring, p, limits):
     Returns the indices of the units and of their inverses, and whether
     L_a and R_a are bijective, per element.
     """
-    X = ring.elements_array(limits)
+    X, num = ring.elements_array(limits), ring._exact_tensor.dtype
     Q, to_q, free = _radical_quotient(ring, p)
     k = len(Q._mods)
     E = Q.code_rows(_central_blocks(Q))
-    L = Q.mul_matrices(E)[0] % p
+    L = _reduced(Q.mul_matrices(E)[0], p)
     dims = _row_reduce_mod_p(L, p, k)
     rows = np.arange(k) < dims[:, None]   # block j's basis: L[j, :dims[j]]
     # block coordinates: y = c @ L[rows], so c = y @ its inverse, and
@@ -1179,8 +1210,9 @@ def _units_through_radical(ring, p, limits):
     place = np.zeros((k, len(dims)), dtype=np.int64)
     place[np.arange(k), block] = p ** (np.cumsum(dims)[block] - 1 - np.arange(k))
     sizes = p ** dims
-    loc = (X @ (to_q @ G[:, k:] % p) % p) @ place + np.cumsum(sizes) - sizes
-    C = np.concatenate([_span_mod_p(B[:d], p) for B, d in zip(L, dims)])
+    to_block = _reduced(to_q.astype(num) @ G[:, k:], p)
+    loc = _reduced(X.astype(num) @ to_block, p) @ place + np.cumsum(sizes) - sizes
+    C = np.concatenate([_span_mod_p(B[:d], p, num) for B, d in zip(L, dims)])
     e_rows = np.repeat(E, sizes, axis=0)
     m = len(C)
     Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
@@ -1194,13 +1226,13 @@ def _units_through_radical(ring, p, limits):
         # c*z = z @ L_c and y*c = y @ R_c: the augmented systems
         # [L_c^T | e] and [R_c^T | e], as (system, row, column)
         M = np.empty((2 * h, k, k + 1), dtype=np.int64)
-        M[:, :, :k] = LR.reshape(-1, k, k).transpose(0, 2, 1) % p
+        M[:, :, :k] = _reduced(LR.reshape(-1, k, k).transpose(0, 2, 1), p)
         M[:, :, k] = np.tile(e, (2, 1))
         full = _row_reduce_mod_p(M, p, k).reshape(2, h) == need[s:s + h]
         x = _reduced_solutions(M).reshape(2, h, k)
         Z[s:s + h] = x[0]
         # a solution stands only if it checks out: z @ L_c = e, y @ R_c = e
-        check = np.einsum("snj,snjm->snm", x, LR) % p
+        check = _reduced(np.matmul(x[:, :, None], LR)[:, :, 0], p)
         ok = (check == e).all(axis=2)
         flags[s:s + h] = full[0] | full[1] << 1 | ok[0] << 2 | ok[1] << 3
     f = np.bitwise_and.reduce(flags[loc], axis=1)   # over a's components
@@ -1247,10 +1279,11 @@ def _radical_basis(ring, p):
     on the ideal I_(i-1), so each step is one left null space, and the
     last I_i is J.
     """
-    k = len(ring._mods)
+    k, num = len(ring._mods), ring._exact_tensor.dtype
     X, q = np.eye(k, dtype=np.int64), 1
     while q <= k and len(X):
-        X = _left_null_mod_p(_trace_functional(ring, X, p, q), p) @ X % p
+        N = _left_null_mod_p(_trace_functional(ring, X, p, q), p)
+        X = _reduced(N.astype(num) @ X, p)
         q *= p
     return X[:_row_reduce_mod_p(X, p, k)]
 
@@ -1258,16 +1291,16 @@ def _radical_basis(ring, p):
 def _trace_functional(ring, X, p, q):
     """g(x*b) = (Tr(L^q) mod p*q) / q for every row x of X and basis
     element b, (len(X), k), with L the left multiplication matrix of x*b
-    over the ring's one prime p."""
-    T, k = ring.tensor, len(ring._mods)
-    prods = np.einsum("ri,ijm->rjm", X, T).reshape(-1, k) % p   # x*b
-    base = np.einsum("ni,ijm->njm", prods, T) % p
-    power, e = np.broadcast_to(np.eye(k, dtype=np.int64), base.shape), q
+    over the ring's one prime p.  The powers are exact (_exact_tensor)."""
+    T, k, m = ring._exact_tensor, len(ring._mods), p * q
+    prods = _reduced(np.tensordot(X, T, axes=(1, 0)), p).reshape(-1, k)   # x*b
+    base = _reduced(np.tensordot(prods, T, axes=(1, 0)), p).astype(T.dtype)
+    power, e = np.broadcast_to(np.eye(k, dtype=T.dtype), base.shape), q
     while e:   # L^q mod p*q by repeated squaring
         if e & 1:
-            power = power @ base % (p * q)
-        base, e = base @ base % (p * q), e >> 1
-    tr = np.trace(power, axis1=1, axis2=2) % (p * q)
+            power = _reduced(power @ base, m).astype(T.dtype)
+        base, e = _reduced(base @ base, m).astype(T.dtype), e >> 1
+    tr = _reduced(np.trace(power, axis1=1, axis2=2), m)
     if (tr % q).any():
         raise RingError("internal: a trace on I_(i-1) is not divisible by p^i")
     return (tr // q).reshape(len(X), k)
@@ -1288,8 +1321,8 @@ def _radical_quotient(ring, p):
     free = np.delete(np.arange(k), pivots)
     image = np.eye(k, dtype=np.int64)
     image[pivots] -= J
-    to_q = image[:, free] % p
-    T = ring.tensor[np.ix_(free, free)] @ to_q % p
-    return (StructureRing([p] * len(free), T, np.array(ring.one) @ to_q % p),
-            to_q, free)
+    to_q, T = image[:, free] % p, ring._exact_tensor
+    T_q = _reduced(T[np.ix_(free, free)] @ to_q, p)
+    one = _reduced(np.array(ring.one, dtype=T.dtype) @ to_q, p)
+    return StructureRing([p] * len(free), T_q, one), to_q, free
 

@@ -41,6 +41,9 @@ def test_parse_reduces_coefficients():
     r = parse_ring_text("shape 3\none 4\nmul 0 0 -> -2\n")
     assert r.one == (1,)
     assert r.mul((2,), (2,)) == (1,)
+    # 2^64 = 1 mod 3, reduced before it meets an int64 array
+    r = parse_ring_text("shape 3\none 1\nmul 0 0 -> 18446744073709551616\n")
+    assert r.tensor.tolist() == [[[1]]]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -82,6 +85,20 @@ def test_report_on_a_modulus_past_int64_products(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "size=73786976586895982881" in lines
     assert "commutative=true" in lines
+
+
+def test_parse_rejects_a_modulus_past_int64(tmp_path, capsys):
+    # the prime 2^64 + 13: element codes and the tensor are int64
+    text = "shape 18446744073709551629\none 1\nmul 0 0 -> 1\n"
+    with pytest.raises(InputError,
+                       match=r"^line 1: shape moduli must be below 2\*\*63$"):
+        parse_ring_text(text)
+    path = tmp_path / "huge.ring"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: shape moduli must be below 2**63" in captured.err
 
 
 def test_serialize_round_trips_catalog():

@@ -827,27 +827,28 @@ def test_blocks_of_a_ring_of_idempotents(monkeypatch):
     for i in range(k):
         c[i, i, i] = 1
     r, copy = (make_ring([2] * k, c, (1,) * k) for _ in range(2))
-    widest, einsum_bytes = [], []
-    einsum = np.einsum
+    widest, product_bytes = [], []
+    matmul = np.matmul
 
     def recorded(ring, A, B, op):
         widest.append(len(A) * len(B))
         return _outer_codes(ring, A, B, op)
 
     def sized(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        einsum_bytes.append(out.nbytes)
+        out = matmul(*args, **kwargs)
+        product_bytes.append(out.nbytes)
         return out
 
     monkeypatch.setattr(core, "_outer_codes", recorded)
     # the squares of all 2048 elements at once would be (2048, k, k)
-    # products, about 2 MB
-    monkeypatch.setattr(np, "einsum", sized)
+    # products, about 2 MB; the paired products and the multiplication
+    # matrices are np.matmul calls
+    monkeypatch.setattr(np, "matmul", sized)
     assert _central_blocks(r).tolist() == [2 ** i for i in range(k)]
     assert max(widest) <= r.size * k
     rep = units_and_regulars(r)
-    monkeypatch.setattr(np, "einsum", einsum)
-    assert 0 < max(einsum_bytes) <= core._CHUNK_BYTES
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert 0 < max(product_bytes) <= core._CHUNK_BYTES
     assert rep.units == (r.one,)
     assert _fields(rep) == _rank_fields(copy, 2)
 
@@ -903,7 +904,7 @@ def _one_prime_rings(key):
 
 
 def _span_codes(ring, basis):
-    span = core._span_mod_p(basis, ring.shape.moduli[0])
+    span = core._span_mod_p(basis, ring.shape.moduli[0], ring._exact_tensor.dtype)
     return sorted((span @ ring._weights).tolist())
 
 
@@ -1062,3 +1063,75 @@ def test_inverse_table_is_built_once_per_prime():
     inv = core._inverses_mod_p(1031)
     assert not inv.flags.writeable
     assert (inv[1:] * np.arange(1, 1031) % 1031 == 1).all()
+
+
+# -- exact products on the F_p path ------------------------------------------
+
+PRODUCT_GROUPS = {1: lambda: cyclic(1), 2: lambda: cyclic(2), 8: quaternion8}
+
+
+def _in_random_basis(p, k, rng):
+    """F_p[G], |G| = k, in the basis b'_i = sum_a P[i, a] b_a for P random
+    in GL_k(F_p), so that its tensor fills [0, p): T' = (P P T) P^-1,
+    formed on Python ints."""
+    from sympy import Matrix
+    s = group_algebra(p, PRODUCT_GROUPS[k]())
+    while True:
+        P = rng.integers(0, p, size=(k, k)).astype(object)
+        if Matrix(P).det() % p:
+            break
+    P_inv = np.array(Matrix(P).inv_mod(p).tolist(), dtype=object)
+    T = np.tensordot(P, np.tensordot(P, s.tensor.astype(object), axes=(1, 1)),
+                     axes=(1, 1)) @ P_inv % p
+    return make_ring([p] * k, T.astype(np.int64),
+                     tuple((np.array(s.one, dtype=object) @ P_inv % p).tolist()))
+
+
+def test_products_are_exact_on_both_sides_of_the_float64_bound():
+    # float64 while k^2 (p - 1)^3 and k (p k - 1)^2 stay below 2^53,
+    # Python ints past it; every product equals the Python-int one
+    rng = np.random.default_rng(2097169)
+    sides = {np.dtype(np.float64): 0, np.dtype(object): 0, "codes": 0}
+    for p, k in itertools.product((2, 3, 7, 8191, 2097169), (1, 2, 8)):
+        r = _in_random_basis(p, k, rng)
+        T = r.tensor.tolist()
+        A, B = (rng.integers(0, p, size=(12, k)) for _ in range(2))
+        a_T = [[[sum(a[i] * T[i][j][m] for i in range(k)) for m in range(k)]
+                for j in range(k)] for a in A.tolist()]
+        T_a = [[[sum(a[j] * T[i][j][m] for j in range(k)) for m in range(k)]
+                for i in range(k)] for a in A.tolist()]
+        want = [[sum(b[j] * L[j][m] for j in range(k)) % p for m in range(k)]
+                for b, L in zip(B.tolist(), a_T)]
+        left, right = r.mul_matrices(A)
+        assert (left.tolist(), right.tolist()) == (a_T, T_a), (p, k)
+        assert core._paired_products(r, A, B).tolist() == want, (p, k)
+        sides[r._exact_tensor.dtype] += 1
+        if r.size >= 2 ** 63:   # element codes are int64
+            continue
+        codes = np.array([[r.shape.index(r.mul(a, b)) for b in map(tuple, B.tolist())]
+                          for a in map(tuple, A.tolist())])
+        assert np.array_equal(_outer_codes(r, A, B, "mul"), codes), (p, k)
+        assert np.array_equal(_outer_codes(r, A, B[:3], "mul"), codes[:, :3])
+        sides["codes"] += 1
+    assert sides == {np.dtype(np.float64): 12, np.dtype(object): 3, "codes": 13}
+
+
+def test_units_past_int64_products():
+    # F_p on the basis u = -1, p the first prime past 2^21: u*u = (p-1)*u.
+    # k^2 (p - 1)^3 >= 2^63 here, so int64 products would wrap
+    p = 2097169
+    r = make_ring([p], [[[p - 1]]], (p - 1,))
+    assert r._exact_tensor.dtype == object
+    rep = units_and_regulars(r, Limits(max_elements=2 ** 22))
+    assert len(rep.unit) == p - 1 and rep.unit[0] == 1
+    # the element c*u times d*u is c*d*(p-1)*u, so the inverse of c*u is
+    # c^-1*u, coded c^-1
+    assert (rep.unit * rep.inverse % p == 1).all()
+
+
+def test_on_demand_products_past_int64():
+    # (2^32 + 5)(2^31 + 7) mod 2^33 + 17, a product near 2^64
+    r = catalog("z(8589934609)")
+    a, b = 2 ** 32 + 5, 2 ** 31 + 7
+    assert r.mul((a,), (b,)) == (5368709121,)
+    assert _OnDemandTables(r).prods([a], [b]).tolist() == [[5368709121]]
