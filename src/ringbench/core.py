@@ -493,7 +493,7 @@ class SubRing(Ring):
         return self._elements
 
     def gens(self):
-        """The greedy additive generators of the tables (_additive_gens_idx)."""
+        """The greedy additive generators of the tables (_span)."""
         t = _tables_or_raise(self, DEFAULT_LIMITS)
         return tuple(t.elems[i] for i in t.gen_idx)
 
@@ -644,11 +644,8 @@ class Tables:
                                         witness=(t.elems[a], t.elems[b]))
         # -a is where row a of add meets zero
         t.neg = (t.add == t.zero).argmax(axis=1).astype(np.int32)
-        if isinstance(ring, SubRing):
-            gen_idx = _additive_gens_idx(t, range(len(t.elems)))
-        else:
-            gen_idx = sorted(t.index[g] for g in ring.gens())
-        t.gen_idx = np.array(gen_idx, dtype=np.int64)
+        t.gen_idx = (_span(t, np.arange(len(t.elems)))[1] if isinstance(ring, SubRing)
+                     else np.sort(t.encode(ring.gens())))
         return t
 
     def sums(self, rows, cols):
@@ -723,19 +720,17 @@ class _OnDemandTables:
 
 class _IndexSet:
     """A set of element indices with the part of a boolean mask's interface
-    the set kernels use: s[i] and s[i] = True for an index or an array of
-    them, s.nonzero(), s.sum() and s.size.  size, the most indices a mask
-    can hold, is max_elements here: holding more raises
-    LimitError(max_elements)."""
+    the set kernels use: s[idx] for an array of indices, s[i] = True for an
+    index or such an array, s.nonzero(), s.sum() and s.size.  size, the
+    most indices a mask can hold, is max_elements here: holding more
+    raises LimitError(max_elements)."""
 
     def __init__(self, limit):
         self.members = set()
         self.size = limit
 
-    def __getitem__(self, i):
-        if np.ndim(i) == 0:
-            return int(i) in self.members
-        return np.array([x in self.members for x in i.tolist()], dtype=bool)
+    def __getitem__(self, idx):
+        return np.array([x in self.members for x in idx.tolist()], dtype=bool)
 
     def __setitem__(self, i, value):   # value is True: sets only grow
         self.members.update(np.ravel(i).tolist())
@@ -765,12 +760,15 @@ def _kernel_tables(ring, limits):
 def _outer_codes(ring, A, B, op):
     """Codes of a + b (op "add") or a * b (op "mul") for every coefficient
     row a of A and b of B of a structure ring, (len(A), len(B)).  Rows of A
-    are taken in chunks of about _CHUNK_BYTES of work.  Products contract
-    the shorter of A and B with the tensor first, once, and reduce it;
-    both contractions are exact at every modulus (_exact_tensor)."""
+    are taken in chunks of about _CHUNK_BYTES of work.  Sums are a - (n - b),
+    in (-n, n) at every modulus n.  Products contract the shorter of A and
+    B with the tensor first, once, and reduce it; both contractions are
+    exact at every modulus (_exact_tensor)."""
     mods, w, T = ring._mods, ring._weights, ring._exact_tensor
     k = len(mods)
-    if op == "mul" and len(A) > len(B):
+    if op == "add":
+        B = mods - B
+    elif len(A) > len(B):
         # a @ right: column block j is a * (j-th row of B)
         right = _reduced(np.tensordot(B, T, axes=(1, 1)), mods).astype(T.dtype)
         right = right.transpose(1, 0, 2).reshape(k, -1)
@@ -782,7 +780,7 @@ def _outer_codes(ring, A, B, op):
     for s in range(0, len(A), step):
         a = A[s:s + step]
         if op == "add":
-            rows = a[:, None, :] + B
+            rows = a[:, None, :] - B
         elif len(A) > len(B):
             rows = (a @ right).reshape(len(a), len(B), k)
         else:
@@ -832,22 +830,22 @@ def _recurrence_ops(ring, X):
 
 
 def _close_additive_mask(t, mask, gidx):
-    """Grow the additive subgroup S held by mask by the generator indices
-    gidx, one gather per generator g outside S.  S + j*g lies in S exactly
-    when j*g does, so the index m = [S + <g> : S] is the least j > 0 with
-    j*g in S, and S + <g> is the m cosets S + j*g for j < m: one
-    t.sums(S, [0, g, ..., (m-1)g]), after a walk over the multiples of g
-    alone.  The walk doubles: from the multiples up to b*g, one
-    t.sums([b*g], [g, ..., b*g]) gives the next b, so it takes about
-    log2(m) lookups.  It stops with LimitError(max_elements) once the
-    cosets found so far hold more than mask.size indices, so neither it
-    nor the gather outgrows an _IndexSet; the error names the first coset
-    count that overflows.  mask must hold a subgroup (at least {0}); it
-    is updated in place and returned."""
-    cur = mask.nonzero()[0]
-    for g in gidx:
-        if mask[g]:
-            continue
+    """Grow the additive subgroup S held by mask, which must hold at least
+    {0}, in place by the indices gidx in order, and return those that grew
+    it, as an array; after each, one vector step drops the candidates
+    already in S.  S + j*g lies in S exactly when j*g does, so the index
+    m = [S + <g> : S] is the least j > 0 with j*g in S, and S + <g> is the
+    m cosets S + j*g for j < m: one t.sums(S, [0, g, ..., (m-1)g]), after
+    a walk over the multiples of g alone.  The walk doubles: from the
+    multiples up to b*g, one t.sums([b*g], [g, ..., b*g]) gives the next
+    b, so it takes about log2(m) lookups.  It stops with
+    LimitError(max_elements) once the cosets found so far hold more than
+    mask.size indices, so neither it nor the gather outgrows an _IndexSet;
+    the error names the first coset count that overflows."""
+    cur, gidx, used = mask.nonzero()[0], np.asarray(gidx, dtype=np.int64), []
+    while (gidx := gidx[~mask[gidx]]).size:
+        g, gidx = gidx[0], gidx[1:]
+        used.append(g)
         steps = [t.zero, g]
         while len(cur) * len(steps) <= mask.size:
             new = t.sums(steps[-1:], steps[1:])[0]
@@ -861,25 +859,15 @@ def _close_additive_mask(t, mask, gidx):
                              len(cur) * (mask.size // len(cur) + 1))
         cur = t.sums(cur, steps).ravel()
         mask[cur] = True
-    return mask
+    return np.array(used, dtype=np.int64)
 
 
-def _additive_gens_idx(t, idx_sorted):
-    """Greedy small additive generating set for a subgroup of indices:
-    each index, in order, that the earlier ones do not generate."""
-    member = np.zeros(len(t.elems), dtype=bool)
-    member[list(idx_sorted)] = True
-    have = np.zeros(len(t.elems), dtype=bool)
-    have[t.zero] = True
-    gens = []
-    for i in idx_sorted:
-        if have[i]:
-            continue
-        gens.append(i)
-        have = _close_additive_mask(t, have, [i])
-        if have.sum() == member.sum():
-            break
-    return gens
+def _span(t, gidx):
+    """The additive span of the indices gidx from {0}, as (mask, those of
+    gidx that the earlier ones do not generate) (_close_additive_mask)."""
+    mask = t.mask()
+    mask[t.zero] = True
+    return mask, _close_additive_mask(t, mask, gidx)
 
 
 def _mask_elems(t, mask):
@@ -1059,8 +1047,14 @@ def _row_reduce_mod_p(A, p, cols):
 @functools.cache
 def _inverses_mod_p(p):
     """The inverses mod p of 0, 1, ..., p - 1, with 0 at 0, as a read-only
-    array built once per prime."""
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    array built once per prime: v**(p - 2) by square and multiply on all v
+    at once, exact while (p - 1)**2 < 2**63, as _row_reduce_mod_p needs."""
+    inv, sq = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
+    for bit in bin(p - 2)[:1:-1]:   # the bits of p - 2, lowest first
+        if bit == "1":
+            inv = inv * sq % p
+        sq = sq * sq % p
+    inv[0] = 0
     inv.flags.writeable = False
     return inv
 
@@ -1172,9 +1166,19 @@ def _one_prime(ring):
     """The one prime p of a structure ring's moduli, or None."""
     mods = set(ring.shape.moduli)
     p = mods.pop()
-    if mods or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        return None
-    return p
+    return None if mods or not _is_prime(p) else p
+
+
+def _is_prime(n):
+    """Miller-Rabin on the prime bases 2 to 37, which is deterministic below
+    3.3 * 10**24, past every modulus of a ring under 2**63 elements."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1
+                                        for r in range(s)) for a in bases)
 
 
 def _units_through_radical(ring, p, limits):

@@ -7,11 +7,14 @@ closure is bounded by its own size, not the ring's, so small ideals of
 large group algebras are built as well.  The ideal generated by S is one
 additive span of products, g*s*h (s*h right, g*s left) over s in S and
 the additive generators g, h of R, with no closure loop; principal ideals
-are rows (aR) or columns (Ra) of the table, or such spans (RaR).  Results
-come back as Ideal values holding sorted element tuples, so every
-downstream consumer sees one deterministic order.
+are rows (aR) or columns (Ra) of the table, or such spans (RaR).  A span
+(core._span) returns the generators it used, and products, each power of
+an ideal and the joins of the sweep start from those.  Results come back
+as Ideal values holding sorted element tuples, so every downstream
+consumer sees one deterministic order.
 
-One enumerator lists ideals: ideals_by_size, a lazy sweep by size band.
+One enumerator lists ideals: ideals_by_size, a lazy sweep by size band
+that joins each ideal it hands out with principal ideals only.
 Complete central essentiality and the least ideal stop it early; whole
 lattices (all_ideals) run it to the end, for the lattice command and
 random quotients.  The radicals need none: J(R) is read off the units,
@@ -24,7 +27,7 @@ import numpy as np
 
 from ringbench.core import (
     DEFAULT_LIMITS, DomainError, LimitError, QuotientRing,
-    _additive_gens_idx, _close_additive_mask, _kernel_tables, _mask_elems,
+    _close_additive_mask, _kernel_tables, _mask_elems, _span,
     _tables_or_raise, units_and_regulars,
 )
 
@@ -62,11 +65,6 @@ class Ideal:
 
 # -- index-mask kernels ----------------------------------------------------------
 
-def _additive_mask(t, gidx):
-    mask = t.mask()
-    mask[t.zero] = True
-    return _close_additive_mask(t, mask, gidx)
-
 def _ideal_gens(t, gidx, side):
     """The products g*s*h (side "two"), s*h ("right") or g*s ("left") for s
     in gidx and g, h additive generators of R, unique.  R has a 1, a sum of
@@ -86,8 +84,7 @@ def additive_closure(ring, gens, limits=DEFAULT_LIMITS):
     """Smallest additive subgroup containing gens, as sorted elements."""
     gens = [ring.element(g) for g in gens]
     t = _kernel_tables(ring, limits)
-    gidx = np.unique(t.encode(gens))
-    return _mask_elems(t, _additive_mask(t, gidx))
+    return _mask_elems(t, _span(t, t.encode(gens))[0])
 
 
 def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
@@ -96,8 +93,7 @@ def ideal_closure(ring, gens, side="two", limits=DEFAULT_LIMITS):
         raise DomainError("side must be one of %r" % (SIDES,))
     gens = tuple(ring.element(g) for g in gens)
     t = _kernel_tables(ring, limits)
-    gidx = np.unique(t.encode(gens))
-    elems = _mask_elems(t, _additive_mask(t, _ideal_gens(t, gidx, side)))
+    elems = _mask_elems(t, _span(t, _ideal_gens(t, t.encode(gens), side))[0])
     return Ideal(ring=ring, elements=elems, gens=gens, side=side)
 
 
@@ -108,8 +104,10 @@ def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):
 # -- the full lattice -------------------------------------------------------------
 
 def _principal_ideals(ring, t, side, limits):
-    """The principal ideals of one sidedness, keyed by mask bytes, each as
-    (mask, (least generator index,), additive generator indices).
+    """The principal ideals of one sidedness, each once, as (mask, (least
+    generator index,), additive generator indices), in (size, elements)
+    order.  Elements ascend with indices, so at one size the first index
+    where two masks differ decides: inverted mask bytes sort like elements.
 
     A right ideal aR is row a of the table and a left one Ra column a; a
     two-sided RaR is the span of _ideal_gens.  Elements in one unit orbit
@@ -130,17 +128,16 @@ def _principal_ideals(ring, t, side, limits):
         seen[orbit.ravel()] = True
         gens = _ideal_gens(t, [i], side)
         if side == "two":
-            mask = _additive_mask(t, gens)
+            mask, gens = _span(t, gens)
         else:
             mask = t.mask()
             mask[t.mul[i] if side == "right" else t.mul[:, i]] = True
         by_key.setdefault(mask.tobytes(), (mask, (i,), gens))
-    return by_key
+    return sorted(by_key.values(), key=lambda e: (e[0].sum(), (~e[0]).tobytes()))
 
 
 def _principal_entries(ring, t, side, limits):
-    """_principal_ideals of one side, built once per ring and kept on it.
-    Callers run their own gates first, and copy the dict to change it."""
+    """_principal_ideals of one side, kept on the ring; callers gate first."""
     cached = getattr(ring, "_principal", None)
     if cached is None:
         cached = ring._principal = {}
@@ -149,16 +146,13 @@ def _principal_entries(ring, t, side, limits):
     return cached[side]
 
 
-def _apart(mask, masks):
-    """Which rows of masks are incomparable with mask."""
-    return (mask & ~masks).any(axis=1) & (masks & ~mask).any(axis=1)
-
-
 def _join(t, a, b):
-    """The join of two (mask, gens, additive gens) entries, as one."""
-    mask = _close_additive_mask(t, a[0].copy(), b[2])
+    """The join of two (mask, gens, additive gens) entries, as one: a's
+    additive gens and those of b that its closure used."""
+    mask = a[0].copy()
+    used = _close_additive_mask(t, mask, b[2])
     return (mask, tuple(sorted(set(a[1]) | set(b[1]))),
-            np.union1d(a[2], b[2]))
+            np.concatenate([a[2], used]))
 
 
 def _as_ideal(ring, t, entry, side):
@@ -178,14 +172,15 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     Built one size band at a time, so a caller that stops early (the CCE
     sweep, the least ideal) does not pay for the rest of the lattice.
     Principal ideals seed the bands (_principal_entries).  Once a band is
-    handed out, each of its ideals is joined with every earlier ideal it
-    is incomparable with; |K + L| = |K||L| / |K & L| >= 2 max(|K|, |L|),
-    so the join falls in a later band.  Complete: an ideal that is a sum
-    of m >= 2 principal ideals, m least, is the join of two smaller
-    incomparable ideals, the sum of the first m - 1 and the last one.
+    handed out, each of its ideals K is joined with every principal ideal
+    handed out before it that K is incomparable with; the join holds K
+    strictly, so it falls in a later band.  Complete: let I = P_1 + ... +
+    P_m, m >= 2 least.  If m = 2, the later of P_1, P_2 meets the earlier.
+    If m >= 3, a least P_j precedes the sum of the others, which holds
+    each other P_i strictly, and meets it.
 
     A principal ideal records its least generator as gens; a join records
-    the sorted union of the gens of the first pair joined into it.
+    the sorted union of the gens of the pair first joined into it.
     The gates run on every call: max_lattice, then max_table, then
     max_ideals after the principal pass and on each new join.
     """
@@ -194,9 +189,11 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     if ring.size > limits.max_lattice:
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
     t = _tables_or_raise(ring, limits)
-    pending = dict(_principal_entries(ring, t, side, limits))
+    parts = _principal_entries(ring, t, side, limits)
+    masks = np.array([entry[0] for entry in parts])
+    pending = {entry[0].tobytes(): entry for entry in parts}
     _check_ideal_count(len(pending), limits)
-    done = []   # entries handed out, in order
+    handed = seen = 0   # parts[:seen] are handed out
     while pending:
         size = min(entry[0].sum() for entry in pending.values())
         band = sorted(((_as_ideal(ring, t, entry, side), key)
@@ -206,14 +203,16 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
         for ideal, _ in band:
             yield ideal
         for _, key in band:
-            if done:
-                masks = np.array([entry[0] for entry in done])
-                for i in np.nonzero(_apart(pending[key][0], masks))[0]:
-                    joined = _join(t, pending[key], done[i])
-                    if joined[0].tobytes() not in pending:
-                        pending[joined[0].tobytes()] = joined
-                        _check_ideal_count(len(done) + len(pending), limits)
-            done.append(pending.pop(key))
+            entry = pending.pop(key)
+            handed += 1
+            seen += seen < len(parts) and entry is parts[seen]
+            old = masks[:seen]
+            apart = (entry[0] & ~old).any(1) & (old & ~entry[0]).any(1)
+            for i in np.nonzero(apart)[0]:
+                joined = _join(t, entry, parts[i])
+                if joined[0].tobytes() not in pending:
+                    pending[joined[0].tobytes()] = joined
+                    _check_ideal_count(handed + len(pending), limits)
 
 
 def _check_ideal_count(count, limits):
@@ -311,26 +310,32 @@ def quotient(ring, ideal, name=None, limits=DEFAULT_LIMITS):
 def ideal_product(ring, a, b, limits=DEFAULT_LIMITS):
     """I*K: additive span of pairwise products (via additive generators)."""
     t = _tables_or_raise(ring, limits)
-    prods = np.unique(t.prods(_additive_gens_idx(t, t.encode(a.elements)),
-                              _additive_gens_idx(t, t.encode(b.elements))))
-    return Ideal(ring=ring, elements=_mask_elems(t, _additive_mask(t, prods)),
+    prods = np.unique(t.prods(_span(t, t.encode(a.elements))[1],
+                              _span(t, t.encode(b.elements))[1]))
+    return Ideal(ring=ring, elements=_mask_elems(t, _span(t, prods)[0]),
                  gens=t.decode(prods), side="two")
+
+
+def _power_masks(t, idx):
+    """The masks of I, I^2, I^3, ... for the ideal I spanned by the indices
+    idx, up to the first that equals the one before it.  I^(n+1) is the
+    span of the products of the generators I^n's span used with I's."""
+    mask, gens = _span(t, idx)
+    masks, used = [mask], gens
+    while True:
+        mask, used = _span(t, t.prods(used, gens).ravel())
+        if (mask == masks[-1]).all():
+            return masks
+        masks.append(mask)
 
 
 def nilpotency_index(ring, ideal, limits=DEFAULT_LIMITS):
     """Least n with I^n = 0, or None if the powers stabilize above 0."""
     if ideal.is_zero():
         return 1
-    power = ideal
-    n = 1
-    while True:
-        nxt = ideal_product(ring, power, ideal, limits)
-        n += 1
-        if nxt.is_zero():
-            return n
-        if nxt.member == power.member:
-            return None
-        power = nxt
+    t = _tables_or_raise(ring, limits)
+    masks = _power_masks(t, t.encode(ideal.elements))
+    return len(masks) if masks[-1].sum() == 1 else None
 
 
 def ideal_power(ring, ideal, n, limits=DEFAULT_LIMITS):
@@ -353,11 +358,9 @@ def jacobson_radical(ring, limits=DEFAULT_LIMITS):
     is_unit[rep.unit] = True
     one_minus = t.add[t.one][t.neg]          # y -> 1 - y
     jmask = is_unit[one_minus[t.mul]].all(axis=0)
-    elems = _mask_elems(t, jmask)
-    gens = tuple(t.elems[i] for i in _additive_gens_idx(
-        t, list(np.nonzero(jmask)[0])))
-    ring._jacobson_cache = Ideal(ring=ring, elements=elems, gens=gens,
-                                 side="two")
+    ring._jacobson_cache = Ideal(
+        ring=ring, elements=_mask_elems(t, jmask),
+        gens=t.decode(_span(t, np.nonzero(jmask)[0])[1]), side="two")
     return ring._jacobson_cache
 
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _ce_rank_mod_p,
-    _close_additive_mask, _kernel_tables, _mask_elems, _tables_or_raise,
-    center, units_and_regulars,
+    _close_additive_mask, _kernel_tables, _mask_elems, _span,
+    _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
-    _additive_mask, _as_ideal, _ideal_gens, _principal_entries, all_ideals,
-    ideal_closure, ideal_product, ideals_by_size, jacobson_radical,
-    nilpotency_index, prime_radical, quotient,
+    _as_ideal, _ideal_gens, _power_masks, _principal_entries, all_ideals,
+    ideal_closure, ideals_by_size, jacobson_radical, nilpotency_index,
+    prime_radical, quotient,
 )
 
 WITNESS_MAP_LIMIT = 8192
@@ -247,20 +247,19 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
     ideal contains a principal one.  The largest two-sided ideal inside aR
     is {x in aR : g*x in aR for every generator g}: it is two-sided, and it
     holds every two-sided ideal inside aR.  It is found for every principal
-    ideal at once (ideals._principal_entries, in order of least generator);
-    the witness is the least a != 0 where it is zero, right ideals first
-    (mirrored for Ra).
+    ideal at once (ideals._principal_entries); the witness is the least
+    a != 0 where it is zero, right ideals first (mirrored for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        entries = list(_principal_entries(ring, t, side, limits).values())
+        entries = _principal_entries(ring, t, side, limits)
         masks = np.array([entry[0] for entry in entries])
         keep = masks.copy()
         for g in t.gen_idx:
             keep &= masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
         only_zero = (keep.sum(axis=1) == 1) & (masks.sum(axis=1) > 1)
         if only_zero.any():
-            a = t.elems[entries[int(np.argmax(only_zero))][1][0]]
+            a = t.elems[min(e[1][0] for e, z in zip(entries, only_zero) if z)]
             return Verdict(False, witness=(side, a),
                            detail="principal %s ideal of %s holds no "
                                   "nonzero two-sided ideal"
@@ -326,9 +325,7 @@ def is_uniserial(ring, limits=DEFAULT_LIMITS):
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        # elements ascend with indices, so index tuples sort like elements
-        seq = sorted(_principal_entries(ring, t, side, limits).values(),
-                     key=lambda e: (e[0].sum(), tuple(np.nonzero(e[0])[0])))
+        seq = _principal_entries(ring, t, side, limits)
         for low, high in zip(seq, seq[1:]):
             if (low[0] & ~high[0]).any():
                 pair = (_as_ideal(ring, t, low, side),
@@ -377,10 +374,10 @@ def lie_series(ring, flavor="bracket", limits=DEFAULT_LIMITS):
             sizes.append(1)
             terms.append((ring.zero,))
             return LieSeries(flavor, tuple(sizes), len(terms), tuple(terms))
-        cur = brackets
         if flavor == "ideal":
-            cur = _ideal_gens(t, brackets, "two")
-        terms.append(_mask_elems(t, _additive_mask(t, cur)))
+            brackets = _ideal_gens(t, brackets, "two")
+        mask, cur = _span(t, brackets)
+        terms.append(_mask_elems(t, mask))
         sizes.append(len(terms[-1]))
         if sizes[-1] == sizes[-2]:
             return LieSeries(flavor, tuple(sizes), None, tuple(terms))
@@ -456,11 +453,11 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
             return CentralSeriesReport(
                 False, tuple(sizes),
                 reason="factor by the prime radical is not commutative")
-        top, nxt = p, ideal_product(q, p, p, limits)
-        while not nxt.is_zero():
-            top, nxt = nxt, ideal_product(q, nxt, p, limits)
-        zset = set(center(q, limits).elements())
-        slice_elems = [x for x in top.elements if x in zset]
+        t = _tables_or_raise(q, limits)
+        sliced = t.mask()
+        sliced[t.encode(center(q, limits).elements())] = True
+        sliced &= _power_masks(t, t.encode(p.elements))[-2]
+        slice_elems = _mask_elems(t, sliced)
         if len(slice_elems) == 1:
             return CentralSeriesReport(
                 False, tuple(sizes),
@@ -469,9 +466,6 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
             return CentralSeriesReport(
                 False, tuple(sizes),
                 reason="central slice is not a two-sided ideal")
-        qt = q.tables(limits)
-        sliced = qt.mask()
-        sliced[qt.encode(slice_elems)] = True
         nxt = _mask_elems(ring.tables(limits), sliced[q.labels])
         if not _brackets_inside(ring, nxt, acc, limits):
             return CentralSeriesReport(False, tuple(sizes),
@@ -688,14 +682,11 @@ def random_subring(rng, max_size=512, limits=DEFAULT_LIMITS):
     gens = [t.ring.one]
     for _ in range(rng.randint(1, 3)):
         gens.append(tuple(rng.randrange(mod) for _ in range(k)))
-    have = np.unique(t.encode(gens))
-    mask = _additive_mask(t, have)
+    mask, have = _span(t, t.encode(gens))
     new = have
     while new.size and mask.sum() <= max_size:
-        prods = np.unique(np.concatenate([t.prods(new, have).ravel(),
-                                          t.prods(have, new).ravel()]))
-        new = prods[~mask[prods]]
-        mask = _close_additive_mask(t, mask, new)
+        new = _close_additive_mask(t, mask, np.concatenate(
+            [t.prods(new, have).ravel(), t.prods(have, new).ravel()]))
         have = np.concatenate([have, new])
     if mask.sum() > max_size:
         return None

@@ -87,6 +87,24 @@ def test_report_on_a_modulus_past_int64_products(tmp_path, capsys):
     assert "commutative=true" in lines
 
 
+def test_report_on_a_prime_past_2_62(capsys):
+    # the prime test runs on every on-demand lookup; by trial division it
+    # took about a minute per lookup at this modulus
+    assert main(["report", "z(4611686018427388039)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:8] == [
+        "size=4611686018427388039",
+        "center_size=skipped;limit=max_elements",
+        "jacobson_size=skipped;limit=max_table",
+        "jacobson_index=skipped;limit=max_table",
+        "prime_radical_size=skipped;limit=max_table",
+        "prime_radical_index=skipped;limit=max_table",
+        "units=skipped;limit=max_elements",
+        "commutative=true",
+    ]
+    assert "completely_centrally_essential=true" in lines
+
+
 def test_parse_rejects_a_modulus_past_int64(tmp_path, capsys):
     # the prime 2^64 + 13: element codes and the tensor are int64
     text = "shape 18446744073709551629\none 1\nmul 0 0 -> 1\n"

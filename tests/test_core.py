@@ -1065,6 +1065,13 @@ def test_inverse_table_is_built_once_per_prime():
     assert (inv[1:] * np.arange(1, 1031) % 1031 == 1).all()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 8191])
+def test_inverse_table_matches_pow(p):
+    # the vectorised Fermat powers agree with Python's modular inverse
+    want = [0] + [pow(v, -1, p) for v in range(1, p)]
+    assert core._inverses_mod_p(p).tolist() == want
+
+
 # -- exact products on the F_p path ------------------------------------------
 
 PRODUCT_GROUPS = {1: lambda: cyclic(1), 2: lambda: cyclic(2), 8: quaternion8}
@@ -1135,3 +1142,23 @@ def test_on_demand_products_past_int64():
     a, b = 2 ** 32 + 5, 2 ** 31 + 7
     assert r.mul((a,), (b,)) == (5368709121,)
     assert _OnDemandTables(r).prods([a], [b]).tolist() == [[5368709121]]
+
+
+def test_on_demand_sums_past_2_62():
+    # (p - 1) + (p - 1) for the first prime past 2^62: a + b wraps int64
+    p = 4611686018427388039
+    r = catalog("z(%d)" % p)
+    assert r.add((p - 1,), (p - 1,)) == (p - 2,)
+    assert _OnDemandTables(r).sums([p - 1], [p - 1]).tolist() == [[p - 2]]
+
+
+def test_prime_test_is_exact():
+    # Miller-Rabin on the bases 2 to 37 against trial division, then two
+    # moduli whose trial division would take minutes
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert ([n for n in range(10 ** 4) if core._is_prime(n)]
+            == [n for n in range(10 ** 4) if trial(n)])
+    p = 4611686018427388039
+    assert core._one_prime(catalog("z(%d)" % p)) == p
+    assert core._one_prime(catalog("z(%d)" % (2147483647 * 2147483629))) is None

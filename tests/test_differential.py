@@ -41,7 +41,7 @@ from ringbench.ideals import (
 from ringbench import core, props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
-    completely_centrally_essential, full_report,
+    completely_centrally_essential, full_report, is_commutative,
     is_strongly_bounded, is_uniserial, lie_series, sample_rings,
     zero_divisor_symmetry,
 )
@@ -152,17 +152,32 @@ def test_additive_closure_matches_breadth_first_oracle():
             gidx += [gidx[0], t.zero, int(rng.choice(inside))]
             rng.shuffle(gidx)
             want = oracles._close_additive_mask(t, start.copy(), gidx)
-            got = core._close_additive_mask(t, start.copy(), gidx)
+            got = start.copy()
+            used = core._close_additive_mask(t, got, gidx)
             assert np.array_equal(got, want), (key, gidx)
+            # the generators used: each, in order, outside the span so far
+            have, greedy = start.copy(), []
+            for g in gidx:
+                if not have[g]:
+                    greedy.append(g)
+                    have = oracles._close_additive_mask(t, have, [g])
+            assert used.tolist() == greedy, (key, gidx)
+            # from {0}, over the subgroup itself: the oracle's greedy set
+            members = np.flatnonzero(want)
+            mask, used_0 = core._span(t, members)
+            assert np.array_equal(mask, want), key
+            assert (used_0.tolist()
+                    == oracles._additive_gens_idx(t, members)), key
             dense += 1
             if lazy is None:
                 continue
             mask = lazy.mask()
             mask[lazy.encode(t.decode(inside))] = True
             lazy_gidx = lazy.encode(t.decode(gidx)).tolist()
-            got = core._close_additive_mask(lazy, mask, lazy_gidx)
-            assert (sorted(lazy.decode(got.nonzero()[0]))
+            lazy_used = core._close_additive_mask(lazy, mask, lazy_gidx)
+            assert (sorted(lazy.decode(mask.nonzero()[0]))
                     == sorted(_mask_elems(t, want))), (key, gidx)
+            assert lazy.decode(lazy_used) == t.decode(used), (key, gidx)
             on_demand += 1
     # structure rings: the catalog rings and one-sided-op
     assert (dense, on_demand) == (4 * len(RING_KEYS), 4 * 9)
@@ -955,10 +970,12 @@ def test_theorem_invariants_hold_wherever_answered():
     # (Markov and Tuganbaev), on the catalog, the seeded sample
     # streams and two rings above max_table, which skip the radical keys
     # and local.  24 of the 54 semiprime rings are CE, all commutative.
+    # A CE ring with tables is Abelian, its idempotents central, and R/J
+    # is commutative: a noncentral idempotent of R/J would lift to R.
     rings = [catalog(name) for name in CATALOG + ("z3q8", "ext2(7)")]
     rings += [ring for sample in SAMPLES for ring in _samples(*sample)]
-    cases = dict.fromkeys(("P=J", "units", "CCE", "CE", "local", "not local",
-                           "semiprime"), 0)
+    cases = dict.fromkeys(("P=J", "units", "CCE", "CE", "Abelian", "local",
+                           "not local", "semiprime"), 0)
     for ring in rings:
         v = {key: val for key, (val, _) in full_report(ring).values.items()}
         if {"jacobson_size", "prime_radical_size"} <= v.keys():
@@ -974,6 +991,14 @@ def test_theorem_invariants_hold_wherever_answered():
         if v.get("centrally_essential"):
             assert zero_divisor_symmetry(ring).holds
             cases["CE"] += 1
+            t = ring.tables()
+            if t is not None:
+                ar = np.arange(len(t.elems))
+                idem = ar[t.mul[ar, ar] == ar]
+                assert (t.prods(idem, t.gen_idx)
+                        == t.prods(t.gen_idx, idem).T).all()
+                assert is_commutative(quotient(ring, jacobson_radical(ring)))
+                cases["Abelian"] += 1
         if {"local", "jacobson_size", "units"} <= v.keys():
             assert v["local"] == (v["jacobson_size"] + v["units"] == v["size"])
             cases["local" if v["local"] else "not local"] += 1
@@ -981,4 +1006,5 @@ def test_theorem_invariants_hold_wherever_answered():
             assert v["commutative"] or not v["centrally_essential"]
             cases["semiprime"] += 1
     assert cases == {"P=J": 108, "units": 110, "CCE": 43, "CE": 47,
-                     "local": 26, "not local": 82, "semiprime": 54}
+                     "Abelian": 47, "local": 26, "not local": 82,
+                     "semiprime": 54}

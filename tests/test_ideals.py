@@ -5,7 +5,7 @@ import pytest
 
 from ringbench import core
 from ringbench.core import (
-    DomainError, LimitError, Limits, SubRing, _additive_gens_idx, make_ring,
+    DomainError, LimitError, Limits, SubRing, _span, make_ring,
 )
 from ringbench.construct import catalog, integers_mod
 from ringbench.ideals import (
@@ -66,7 +66,7 @@ def test_additive_gens_regenerate():
     r = make_zn(12)
     ideal = ideal_closure(r, [(2,)])
     t = r.tables()
-    gens = t.decode(_additive_gens_idx(t, t.encode(ideal.elements)))
+    gens = t.decode(_span(t, t.encode(ideal.elements))[1])
     assert gens == ((2,),)
     assert additive_closure(r, gens) == ideal.elements
 
