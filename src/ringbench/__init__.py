@@ -27,8 +27,8 @@ from ringbench.props import (
     zero_divisor_symmetry,
 )
 
-# the symbolic layer imports sympy, which no finite-ring path needs, so its
-# names are looked up on ringbench.symbolic at each access
+# no finite-ring path needs the symbolic layer, so it is imported on first
+# use: its names are looked up on ringbench.symbolic at each access
 _SYMBOLIC = ("function_field", "jet_verify", "triangle_verify")
 
 

@@ -109,7 +109,8 @@ def _principal_ideals(ring, t, side, limits):
     order.  Elements ascend with indices, so at one size the first index
     where two masks differ decides: inverted mask bytes sort like elements.
 
-    A right ideal aR is row a of the table and a left one Ra column a; a
+    A right ideal aR is row a of the table and a left one Ra column a, and
+    that row or column at the additive generators of R generates it; a
     two-sided RaR is the span of _ideal_gens.  Elements in one unit orbit
     (u*a*v for two-sided, u*a for left, a*v for right ideals) generate the
     same ideal, so one is built per orbit, under the orbit's first index."""
@@ -126,12 +127,13 @@ def _principal_ideals(ring, t, side, limits):
         if side != "right":
             orbit = t.prods(units, orbit)
         seen[orbit.ravel()] = True
-        gens = _ideal_gens(t, [i], side)
         if side == "two":
-            mask, gens = _span(t, gens)
+            mask, gens = _span(t, _ideal_gens(t, [i], side))
         else:
+            row = t.mul[i] if side == "right" else t.mul[:, i]
             mask = t.mask()
-            mask[t.mul[i] if side == "right" else t.mul[:, i]] = True
+            mask[row] = True
+            gens = row[t.gen_idx]
         by_key.setdefault(mask.tobytes(), (mask, (i,), gens))
     return sorted(by_key.values(), key=lambda e: (e[0].sum(), (~e[0]).tobytes()))
 
@@ -147,12 +149,12 @@ def _principal_entries(ring, t, side, limits):
 
 
 def _join(t, a, b):
-    """The join of two (mask, gens, additive gens) entries, as one: a's
-    additive gens and those of b that its closure used."""
+    """The join of an entry a with a principal entry b, as (mask, gens):
+    a's mask closed under b's additive generators.  No later join closes
+    under a join's own additive generators, so none are kept."""
     mask = a[0].copy()
-    used = _close_additive_mask(t, mask, b[2])
-    return (mask, tuple(sorted(set(a[1]) | set(b[1]))),
-            np.concatenate([a[2], used]))
+    _close_additive_mask(t, mask, b[2])
+    return mask, tuple(sorted(set(a[1]) | set(b[1])))
 
 
 def _as_ideal(ring, t, entry, side):

@@ -26,7 +26,10 @@ replaced with its kernel _row_reduce_mod_p, so the rank oracle shares no
 elimination code with the path it checks.  The
 fraction field is sympy's FracField, which the symbolic verifiers used
 before they kept unreduced fraction pairs: it reduces every result by a
-multivariate gcd.  Differential tests compare against them.
+multivariate gcd.  The random fraction and its printed form are the
+sympy-ring draw and rendering the verifiers used before their fraction
+pairs held plain-int polynomials.  Differential tests compare against
+them.
 """
 
 import itertools
@@ -34,6 +37,8 @@ import itertools
 import numpy as np
 from sympy import GF
 from sympy.polys.fields import field as _fraction_field
+from sympy.printing.precedence import PRECEDENCE
+from sympy.printing.str import StrPrinter
 
 from ringbench.core import (
     AdditiveShape, ConstructionError, InputError, StructureRing,
@@ -551,4 +556,40 @@ def rf_eq(f, g):
 
 def as_frac(field_, r):
     """The FracField element of a symbolic.RationalFunction pair."""
-    return field_(r.num) / field_(r.den)
+    ring = field_.ring
+    return field_(ring.from_dict(r.num)) / field_(ring.from_dict(r.den))
+
+
+def random_rational_pair(rng, ring, degree=2, terms=2):
+    """The (numerator, denominator) of symbolic.random_rational, drawn in
+    sympy's PolyRing by the same rng calls in the same order."""
+    p = ring.domain.characteristic()
+
+    def poly():
+        total = ring.zero
+        for _ in range(terms):
+            term = ring(rng.randrange(1, p))
+            for _ in range(rng.randint(0, degree)):
+                term *= rng.choice(ring.gens)
+            total += term
+        return total
+
+    num = poly()
+    if rng.random() < 0.5:
+        return num, ring.one
+    den = poly()
+    while not den:
+        den = poly()
+    return num, den
+
+
+def fraction_str(num, den):
+    """num/den in lowest terms, as sympy's StrPrinter writes the pair of
+    PolyElements."""
+    num, den = num.cancel(den)
+    printer = StrPrinter()
+    if den == 1:
+        return printer._print(num)
+    return "%s/%s" % (
+        printer.parenthesize(num, PRECEDENCE["Mul"], strict=True),
+        printer.parenthesize(den, PRECEDENCE["Atom"], strict=True))

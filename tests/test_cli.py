@@ -403,15 +403,21 @@ def test_suite_output_is_byte_identical(capsys):
 
 
 def test_import_leaves_sympy_unloaded():
-    # only the symbolic verifiers need sympy; their names on the package
-    # load it on first use and are the module's own objects
+    # both verifiers run on plain-int polynomials, and sympy is loaded only
+    # to print a fraction in lowest terms; the symbolic names on the package
+    # are the module's own objects
     src = os.path.dirname(os.path.dirname(ringbench.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     script = (
         "import ringbench, ringbench.cli, sys\n"
         "assert 'sympy' not in sys.modules\n"
-        "verify = ringbench.triangle_verify\n"
+        "assert ringbench.triangle_verify(p=5, samples=20, seed=1).ok\n"
+        "assert ringbench.jet_verify(p=7, samples=20, seed=1).ok\n"
+        "assert 'sympy' not in sys.modules\n"
+        "field, (t,) = ringbench.function_field(5, 't')\n"
+        "assert str(1 / t) == '1 mod 5/t'\n"
         "assert 'sympy' in sys.modules\n"
+        "verify = ringbench.triangle_verify\n"
         "assert verify is sys.modules['ringbench.symbolic'].triangle_verify\n"
         "assert not hasattr(ringbench, 'no_such_name')\n")
     subprocess.run([sys.executable, "-c", script], env=env, check=True,

@@ -1,7 +1,9 @@
 """Exact rational-function arithmetic, derivations, and the two
-derivation-built matrix rings.  The unreduced fraction pairs are checked
-against sympy's FracField (tests/oracles.py), and mutation checks show
-that the verifiers reject a wrong identity."""
+derivation-built matrix rings.  The polynomial kernel is checked against
+sympy's PolyElement, the unreduced fraction pairs against sympy's
+FracField, and the draw and printed form against the sympy-ring versions
+they replaced (tests/oracles.py).  Broken carriers show that the
+verifiers reject a wrong identity, one failure branch each."""
 
 import random
 
@@ -94,6 +96,75 @@ def test_pair_arithmetic_matches_frac_field(p, names):
         assert (f == g) == oracles.rf_eq(frac_f, frac_g)
         assert (f == f + g) == (not frac_g)
         assert bool(f) == bool(frac_f)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("names", ("t", "x,y"))
+def test_polynomial_kernel_matches_sympy(p, names):
+    ring = oracles.frac_field(p, names)[0].ring
+    k = len(ring.gens)
+    rng = random.Random(10 * p + k)
+
+    # derivatives drop the terms at multiples of p
+    exponents = (0, 1, 2, p - 1, p, p + 1, 2 * p)
+
+    def draw():
+        return {tuple(rng.choice(exponents) for _ in range(k)):
+                rng.randrange(1, p) for _ in range(rng.randint(0, 4))}
+
+    def check(got, want):
+        want.strip_zero()
+        assert all(0 < c < p for c in got.values())
+        assert ring.from_dict(got) == want
+
+    dropped = cancelled = 0
+    for _ in range(200):
+        a = draw()
+        # b cancels some of a's terms mod p
+        b = {**draw(), **{m: p - c for m, c in a.items() if rng.random() < 0.5}}
+        sa, sb = ring.from_dict(a), ring.from_dict(b)
+        total = symbolic._add(a, b, p)
+        check(total, sa + sb)
+        check(symbolic._neg(a, p), -sa)
+        check(symbolic._mul(a, b, p), sa * sb)
+        check(symbolic._add(a, symbolic._neg(a, p), p), ring.zero)
+        for i, x in enumerate(ring.gens):
+            d = symbolic._derivative(a, i, p)
+            check(d, sa.diff(x))
+            dropped += len(d) < sum(1 for m in a if m[i])
+        cancelled += len(total) < len(a.keys() | b.keys())
+    assert dropped and cancelled
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("names", ("t", "x,y"))
+def test_random_rational_is_the_sympy_draw(p, names):
+    # the same rng calls in the same order, so every seeded verifier run
+    # draws what it drew on sympy's ring, and prints it the same way
+    field_, _ = function_field(p, names)
+    ring = oracles.frac_field(p, names)[0].ring
+    for seed in range(20):
+        rng, old = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            f = random_rational(rng, field_)
+            num, den = oracles.random_rational_pair(old, ring)
+            assert ring.from_dict(f.num) == num
+            assert ring.from_dict(f.den) == den
+            assert str(f) == oracles.fraction_str(num, den)
+        assert rng.getstate() == old.getstate()
+
+
+def test_str_is_the_sympy_rendering():
+    field_, (x, y) = function_field(5, "x,y")
+    tfield, (t,) = function_field(5, ("t",))
+    assert [str(e) for e in triangle_embed(field_, x * y, x)[1]] \
+        == ["0 mod 5", "x*y", "x"]
+    assert str(jet_embed(tfield, (t * t + 1) / t)[1][0]) \
+        == "(t**2 + 4 mod 5)/(t**2)"
+    assert str(1 / t) == "1 mod 5/t"
+    assert str(2 * t / (3 * t ** 2)) == "2 mod 5/(3 mod 5*t)"
+    assert str((t + 1) / (t * t + 2 * t + 1)) == "1 mod 5/(t + 1 mod 5)"
+    assert str(field_) == "F_5(x, y)" and str(tfield) == "F_5(t)"
 
 
 def test_division_by_zero_rejected():
@@ -239,6 +310,12 @@ def test_jet_rejects_a_witness_from_another_field():
     for witness, other in ((t7 ** 2 + t7, r"F_7\(t\)"), (s, r"F_5\(s\)")):
         with pytest.raises(InputError, match=other + r", not of F_5\(t\)"):
             jet_verify(p=5, samples=1, witness=witness)
+    with pytest.raises(InputError, match=r"F_5\(s\), not of F_7\(t\)"):
+        t7 + s
+    # a field of the same characteristic and names reads the same pairs
+    field_, (t,) = function_field(5, "t")
+    t5 = function_field(5, ["t"])[1][0]
+    assert field_(t5) == t and (t + t5).field is field_
 
 
 # -- the equality is not weaker than the field's --------------------------------
@@ -289,7 +366,7 @@ def test_closure_check_degrees_stay_bounded(monkeypatch):
         return mat_eq(a, b)
 
     def total_degree(poly):
-        return max((sum(m) for m in poly.itermonoms()), default=0)
+        return max((sum(m) for m in poly), default=0)
 
     monkeypatch.setattr(symbolic, "mat_eq", recording_mat_eq)
     assert triangle_verify(p=5, samples=100, seed=0).ok
@@ -298,3 +375,117 @@ def test_closure_check_degrees_stay_bounded(monkeypatch):
         for entry in (e for m in pair for row in m for e in row):
             assert total_degree(entry.num) <= bound
             assert total_degree(entry.den) <= bound
+
+
+# -- every failure branch is reached by a broken carrier --------------------------
+
+_REAL = {name: getattr(symbolic, name) for name in (
+    "triangle_embed", "triangle_product", "jet_embed", "shift_matrix")}
+
+
+def _swapped_embed(field_, f, g):
+    # the derivations trade places: still closed, but [x, y] = -1
+    f, g = field_(f), field_(g)
+    x, y = field_.gens[:2]
+    z = field_.zero
+    return ((f, f.diff(y), g), (z, f, f.diff(x)), (z, z, f))
+
+
+def _swapped_product(field_, f1, g1, f2, g2):
+    x, y = field_.gens[:2]
+    return f1 * f2, f1 * g2 + g1 * f2 + f1.diff(y) * f2.diff(x)
+
+
+def _shifted_embed(field_, f, g):
+    # the same set of matrices with its corner offset by one, so
+    # embed(0, 0) is not the zero matrix
+    return _REAL["triangle_embed"](field_, f, field_(g) + 1)
+
+
+def _shifted_product(field_, f1, g1, f2, g2):
+    f, g = _REAL["triangle_product"](field_, f1, g1 + 1, f2, g2 + 1)
+    return f, g - 1
+
+
+def _corner(*cells, scale=1):
+    def corner(field_, g):
+        m = [[field_.zero] * 3 for _ in range(3)]
+        for i, j in cells:
+            m[i][j] = scale * field_(g)
+        return tuple(map(tuple, m))
+    return corner
+
+
+def _jet_with(**slots):
+    # jet_embed with entry (i, j) of slot "ij" replaced by slot(field_, a)
+    def embed(field_, a):
+        a = field_(a)
+        m = [list(row) for row in _REAL["jet_embed"](field_, a)]
+        for cell, value in slots.items():
+            m[int(cell[1])][int(cell[2])] = value(field_, a)
+        return tuple(map(tuple, m))
+    return embed
+
+
+def _short_shift(field_):
+    m = [list(row) for row in _REAL["shift_matrix"](field_)]
+    m[3][2] = field_.zero
+    return tuple(map(tuple, m))
+
+
+def _d_dt(field_, a):
+    return a.diff(field_.gens[0])
+
+
+_BROKEN = {
+    "commutator corner is not 1": (
+        triangle_verify, {"triangle_embed": _swapped_embed,
+                          "triangle_product": _swapped_product}),
+    "zero embedding not absorbing": (
+        triangle_verify, {"triangle_embed": _shifted_embed,
+                          "triangle_product": _shifted_product}),
+    "corner line is not an ideal": (
+        triangle_verify, {"corner_matrix": _corner((0, 1))}),
+    "corner product wrong": (
+        triangle_verify, {"corner_matrix": _corner((0, 2), scale=2)}),
+    "additivity failed": (
+        jet_verify, {"jet_embed": _jet_with(e03=lambda field_, a: field_.one)}),
+    "multiplicativity failed at a=(3 mod 5*t + 4 mod 5)/(2 mod 5*t + 3 mod 5)"
+    " b=3 mod 5*t**2 + 2 mod 5": (
+        jet_verify, {"jet_embed": _jet_with(e10=lambda field_, a: a)}),
+    "shift is not nilpotent of index 4": (
+        jet_verify, {"shift_matrix": _short_shift}),
+    # a ring homomorphism with embed(1) = diag(1, 1, 1, 0)
+    "embedded 1 is not central": (
+        jet_verify, {"jet_embed": _jet_with(e33=lambda field_, a: field_.zero)}),
+    # two 2x2 jet blocks: a homomorphism with embed(1) = 1
+    "embed(b)*shift^2 != b*shift^2": (
+        jet_verify, {"jet_embed": _jet_with(e32=_d_dt)}),
+    # the derivative two steps below the diagonal: the commutator with the
+    # shift is da * shift^3
+    "commutator lies in the shift-squared ideal: (0 mod 5, 1 mod 5)": (
+        jet_verify, {"jet_embed": _jet_with(e10=lambda field_, a: field_.zero,
+                                            e20=_d_dt)}),
+}
+
+
+@pytest.mark.parametrize("failure", _BROKEN)
+def test_a_broken_carrier_meets_its_failure_branch(monkeypatch, failure):
+    verify, patches = _BROKEN[failure]
+    for name, broken in patches.items():
+        monkeypatch.setattr(symbolic, name, broken)
+    rep = verify(p=5, seed=0)
+    assert not rep.ok
+    assert rep.failure == failure
+
+
+def test_a_corner_that_is_not_square_zero_needs_a_zero_draw(monkeypatch):
+    # Where the drawn f is non-zero, m = embed(f, g) is invertible, and
+    # m*c = c*m = f*h*E02 forces the corner matrix c to be h*E02, whose
+    # square is zero.  A corner that also fills (1, 1) is seen only on a
+    # draw with f = 0: seed 20 draws one first.
+    monkeypatch.setattr(symbolic, "corner_matrix", _corner((0, 2), (1, 1)))
+    rep = triangle_verify(p=5, seed=20)
+    assert (rep.ok, rep.checked, rep.failure) == \
+        (False, 102, "corner line does not square to zero")
+    assert triangle_verify(p=5, seed=0).failure == "corner line is not an ideal"
