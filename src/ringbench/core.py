@@ -961,7 +961,11 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
     index report (UnitReport).
 
     In a finite ring an element is regular (no one-sided zero divisor) iff
-    it is a unit; every call checks that on the indices.  Above max_table
+    it is a unit; every call checks that on the indices.  On dense tables
+    the units are the two-sided solutions of a*b = 1, and the flags come
+    from kernels: x -> a*x is an endomorphism of the finite additive
+    group, so it is bijective iff its kernel, the zeros of row a, is {0};
+    column a gives x -> x*a.  Above max_table
     only the rings that _kernel_tables reads mod p are decided, by linear
     algebra mod p: on the blocks of R/J, J the radical from trace
     functionals, with inverses lifted to R by a geometric series and
@@ -983,9 +987,9 @@ def units_and_regulars(ring, limits=DEFAULT_LIMITS):
         two_sided = hit & hit.T
         unit = np.nonzero(two_sided.any(axis=1))[0]
         inverse = two_sided[unit].argmax(axis=1)
-        ar = np.arange(len(t.elems), dtype=np.int32)
-        l_full = (np.sort(t.mul, axis=1) == ar).all(axis=1)
-        r_full = (np.sort(t.mul.T, axis=1) == ar).all(axis=1)
+        kernel = t.mul == t.zero
+        l_full = np.count_nonzero(kernel, axis=1) == 1
+        r_full = np.count_nonzero(kernel, axis=0) == 1
     else:
         unit, inverse, l_full, r_full = _units_through_radical(ring, t.p, limits)
     rep = UnitReport(unit, inverse, l_full, r_full, t.decode)

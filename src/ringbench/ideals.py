@@ -14,11 +14,13 @@ as Ideal values holding sorted element tuples, so every downstream
 consumer sees one deterministic order.
 
 One enumerator lists ideals: ideals_by_size, a lazy sweep by size band
-that joins each ideal it hands out with principal ideals only.
-Complete central essentiality and the least ideal stop it early; whole
-lattices (all_ideals) run it to the end, for the lattice command and
-random quotients.  The radicals need none: J(R) is read off the units,
-and in a finite ring the prime radical equals J(R).
+that joins each ideal it hands out with principal ideals only, all of
+them at once through the coset labels of the ideal.  Complete central
+essentiality and the least ideal stop it early; whole lattices
+(all_ideals) run it to the end, for the lattice command and random
+quotients.  The radicals need none: J(R) is the union of the principal
+left ideals inside {y : 1 - y is a unit}, and in a finite ring the prime
+radical equals J(R).
 """
 
 from dataclasses import dataclass, field
@@ -26,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, DomainError, LimitError, QuotientRing,
-    _close_additive_mask, _kernel_tables, _mask_elems, _span,
-    _tables_or_raise, units_and_regulars,
+    DEFAULT_LIMITS, DomainError, LimitError, QuotientRing, _kernel_tables,
+    _mask_elems, _span, _tables_or_raise, units_and_regulars,
 )
 
 SIDES = ("two", "left", "right")
@@ -148,13 +149,20 @@ def _principal_entries(ring, t, side, limits):
     return cached[side]
 
 
-def _join(t, a, b):
-    """The join of an entry a with a principal entry b, as (mask, gens):
-    a's mask closed under b's additive generators.  No later join closes
-    under a join's own additive generators, so none are kept."""
-    mask = a[0].copy()
-    _close_additive_mask(t, mask, b[2])
-    return mask, tuple(sorted(set(a[1]) | set(b[1])))
+def _coset_labels(t, gens):
+    """The least index of each coset x + K, K the additive span of the
+    indices gens (index order is element order).  Per generator g the
+    running minimum takes in x + g, x + 2g, x + 4g, ... and stops at the
+    first doubling that changes nothing: then lab[x] <= lab[x + 2^r g]
+    for every x, so no further multiple of g lowers it, odd orders too."""
+    lab = np.arange(len(t.elems))
+    for g in gens:
+        while True:   # g runs through the generator's doublings
+            low = np.minimum(lab, lab[t.add[g]])
+            if (low == lab).all():
+                break
+            lab, g = low, t.add[g, g]
+    return lab
 
 
 def _as_ideal(ring, t, entry, side):
@@ -180,6 +188,12 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     P_m, m >= 2 least.  If m = 2, the later of P_1, P_2 meets the earlier.
     If m >= 3, a least P_j precedes the sum of the others, which holds
     each other P_i strictly, and meets it.
+
+    All joins of K are read off one labelling of its cosets
+    (_coset_labels): x lies in K + P exactly when the coset x + K meets
+    P, so one scatter of each P's labels and one gather through K's give
+    every join at once.  An entry carries the additive generators it is
+    labelled by, a principal ideal its own and a join the pair's.
 
     A principal ideal records its least generator as gens; a join records
     the sorted union of the gens of the pair first joined into it.
@@ -209,11 +223,19 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
             handed += 1
             seen += seen < len(parts) and entry is parts[seen]
             old = masks[:seen]
-            apart = (entry[0] & ~old).any(1) & (old & ~entry[0]).any(1)
-            for i in np.nonzero(apart)[0]:
-                joined = _join(t, entry, parts[i])
-                if joined[0].tobytes() not in pending:
-                    pending[joined[0].tobytes()] = joined
+            apart = np.nonzero((entry[0] & ~old).any(1)
+                               & (old & ~entry[0]).any(1))[0]
+            if not apart.size:
+                continue
+            lab = _coset_labels(t, entry[2])
+            hit = np.zeros((len(apart), len(t.elems)), dtype=bool)
+            rows, cols = np.nonzero(masks[apart])
+            hit[rows, lab[cols]] = True
+            for i, mask in zip(apart, hit[:, lab]):
+                if mask.tobytes() not in pending:
+                    pending[mask.tobytes()] = (
+                        mask, tuple(sorted(set(entry[1]) | set(parts[i][1]))),
+                        np.concatenate([entry[2], parts[i][2]]))
                     _check_ideal_count(handed + len(pending), limits)
 
 
@@ -350,16 +372,20 @@ def ideal_power(ring, ideal, n, limits=DEFAULT_LIMITS):
 
 
 def jacobson_radical(ring, limits=DEFAULT_LIMITS):
-    """J(R) = {x : 1 - a*x is a unit for every a}, via dense tables."""
+    """J(R) = {x : 1 - a*x is a unit for every a}, that is {x : Rx <= Q}
+    for Q = {y : 1 - y is a unit} (Lam, A First Course in Noncommutative
+    Rings, 4.1; in a finite ring a left inverse is two-sided).  So J(R)
+    is the union of the principal left ideals inside Q: one mask test
+    over the left principal entries, on dense tables."""
     t = _tables_or_raise(ring, limits)
     cached = getattr(ring, "_jacobson_cache", None)
     if cached is not None:
         return cached
-    rep = units_and_regulars(ring, limits)
-    is_unit = np.zeros(len(t.elems), dtype=bool)
-    is_unit[rep.unit] = True
-    one_minus = t.add[t.one][t.neg]          # y -> 1 - y
-    jmask = is_unit[one_minus[t.mul]].all(axis=0)
+    quasi = t.mask()
+    quasi[units_and_regulars(ring, limits).unit] = True
+    quasi = quasi[t.add[t.one][t.neg]]       # y -> whether 1 - y is a unit
+    masks = np.array([e[0] for e in _principal_entries(ring, t, "left", limits)])
+    jmask = masks[(masks <= quasi).all(axis=1)].any(axis=0)
     ring._jacobson_cache = Ideal(
         ring=ring, elements=_mask_elems(t, jmask),
         gens=t.decode(_span(t, np.nonzero(jmask)[0])[1]), side="two")

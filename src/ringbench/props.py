@@ -18,8 +18,8 @@ on the principal one-sided ideals, which
 are the rows and columns of the multiplication table, one per ideal from
 the principal pass of ideals.  Every other ideal, a Lie term included,
 is one additive span of products (ideals._ideal_gens).  Complete central
-essentiality sweeps the two-sided ideals by size and stops at the first
-failing quotient.
+essentiality sweeps the two-sided ideals by size, builds a quotient only
+for a noncommutative factor and stops at the first failing one.
 """
 
 import functools
@@ -200,7 +200,11 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
     reported is the first one in (size, elements) order whose quotient is
     not centrally essential, and the sweep builds no larger ideal than
     that one's band needs.  Commutative rings pass outright (every factor
-    ring is commutative).
+    ring is commutative).  R/I is commutative exactly when I holds every
+    bracket g*h - h*g of additive generators, since the bracket is
+    bilinear and I additive; those brackets are found once, and a
+    quotient is built, and its CE decided, only for an ideal that misses
+    one.  checked_ideals counts every proper nonzero ideal swept.
     """
     if is_commutative(ring, limits):
         return CCEReport(True, ring.size)
@@ -210,14 +214,17 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
                          failing_ideal=None,
                          quotient_counterexample=base.counterexample)
     checked = 0
-    for ideal in ideals_by_size(ring, limits=limits):
-        if ideal.is_zero() or ideal.is_whole():
+    sweep = ideals_by_size(ring, limits=limits)
+    next(sweep)   # the zero ideal comes first, once the sweep's gates ran
+    t = ring.tables(limits)
+    brackets = set(t.decode(np.unique(_brackets(t, t.gen_idx, t.gen_idx))))
+    for ideal in sweep:
+        if ideal.is_whole():
             continue
-        q = quotient(ring, ideal, limits=limits)
         checked += 1
-        if is_commutative(q, limits):
+        if brackets <= ideal.member:   # R/I is commutative
             continue
-        rep = centrally_essential(q, limits)
+        rep = centrally_essential(quotient(ring, ideal, limits=limits), limits)
         if not rep:
             return CCEReport(False, base.center_size, checked_ideals=checked,
                              failing_ideal=ideal,
@@ -227,16 +234,38 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
 
 # -- one-sided ideal symmetry: invariant, strongly bounded --------------------------
 
+def _two_sided_cores(ring, t, side, limits):
+    """The principal ideals of one side (ideals._principal_entries) with,
+    per entry, the largest two-sided ideal inside it, as (entries, masks,
+    cores).  For a right ideal aR that is {x in aR : g*x in aR for every
+    additive generator g}: it is two-sided, and it holds every two-sided
+    ideal inside aR (mirrored for Ra)."""
+    entries = _principal_entries(ring, t, side, limits)
+    masks = np.array([entry[0] for entry in entries])
+    cores = masks.copy()
+    for g in t.gen_idx:
+        cores &= masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
+    return entries, masks, cores
+
+
 def is_invariant(ring, limits=DEFAULT_LIMITS):
-    """All one-sided ideals two-sided, i.e. aR = Ra for every a."""
+    """All one-sided ideals two-sided, i.e. aR = Ra for every a.
+
+    aR = Ra for every a exactly when every principal right and left ideal
+    is two-sided: a two-sided aR holds Ra, and the mirror image.  So an
+    entry fails when its two-sided core is smaller than itself
+    (_two_sided_cores).  Each entry records the least index generating
+    it, so the witness, the least recorded index over the failing entries
+    of both sides, is the least a with aR != Ra."""
     t = _tables_or_raise(ring, limits)
-    rows = np.sort(t.mul, axis=1)
-    cols = np.sort(t.mul.T, axis=1)
-    agree = (rows == cols).all(axis=1)
-    if agree.all():
+    bad = []
+    for side in ("right", "left"):
+        entries, masks, cores = _two_sided_cores(ring, t, side, limits)
+        fails = (masks != cores).any(axis=1)
+        bad += [e[1][0] for e, f in zip(entries, fails) if f]
+    if not bad:
         return Verdict(True)
-    a = int(np.nonzero(~agree)[0][0])
-    return Verdict(False, witness=t.elems[a],
+    return Verdict(False, witness=t.elems[min(bad)],
                    detail="aR and Ra differ as sets")
 
 
@@ -244,20 +273,15 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
     """Every nonzero one-sided ideal contains a nonzero two-sided ideal.
 
     Checking principal one-sided ideals suffices: any nonzero one-sided
-    ideal contains a principal one.  The largest two-sided ideal inside aR
-    is {x in aR : g*x in aR for every generator g}: it is two-sided, and it
-    holds every two-sided ideal inside aR.  It is found for every principal
-    ideal at once (ideals._principal_entries); the witness is the least
-    a != 0 where it is zero, right ideals first (mirrored for Ra).
+    ideal contains a principal one.  The largest two-sided ideal inside
+    each principal ideal is found at once (_two_sided_cores); the witness
+    is the least a != 0 where it is zero, right ideals first (mirrored
+    for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        entries = _principal_entries(ring, t, side, limits)
-        masks = np.array([entry[0] for entry in entries])
-        keep = masks.copy()
-        for g in t.gen_idx:
-            keep &= masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
-        only_zero = (keep.sum(axis=1) == 1) & (masks.sum(axis=1) > 1)
+        entries, masks, cores = _two_sided_cores(ring, t, side, limits)
+        only_zero = (cores.sum(axis=1) == 1) & (masks.sum(axis=1) > 1)
         if only_zero.any():
             a = t.elems[min(e[1][0] for e, z in zip(entries, only_zero) if z)]
             return Verdict(False, witness=(side, a),

@@ -28,8 +28,14 @@ fraction field is sympy's FracField, which the symbolic verifiers used
 before they kept unreduced fraction pairs: it reduces every result by a
 multivariate gcd.  The random fraction and its printed form are the
 sympy-ring draw and rendering the verifiers used before their fraction
-pairs held plain-int polynomials.  Differential tests compare against
-them.
+pairs held plain-int polynomials.  The unit flags and the invariance
+test sort every row and column of the table, and the Jacobson radical
+gathers 1 - a*x for every pair: the paths the package replaced with
+kernels, the two-sided cores of principal ideals and the principal left
+ideals inside {y : 1 - y is a unit}.  The sweep joins each ideal with a
+principal one by one closure walk per pair, as the size-band sweep did
+before it read all joins off coset labels.  Differential tests compare
+against them.
 """
 
 import itertools
@@ -41,10 +47,12 @@ from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.str import StrPrinter
 
 from ringbench.core import (
-    AdditiveShape, ConstructionError, InputError, StructureRing,
-    ValidationReport, _outer_codes,
+    DEFAULT_LIMITS, AdditiveShape, ConstructionError, InputError,
+    StructureRing, ValidationReport, _outer_codes,
 )
-from ringbench.ideals import Ideal, _mask_elems, nilpotency_index, quotient
+from ringbench.ideals import (
+    Ideal, _mask_elems, _principal_entries, nilpotency_index, quotient,
+)
 from ringbench.props import (
     CCEReport, LieSeries, centrally_essential, is_commutative,
 )
@@ -208,6 +216,63 @@ def strongly_bounded(ring):
             if len(largest_inner_ideal(ring, elems, side=side)) == 1:
                 return False, (side, t.elems[a])
     return True, None
+
+
+def unit_flags(t):
+    """(l_full, r_full) of the unit report by sorting: x -> a*x is
+    bijective when row a of the table, sorted, is every index once, and
+    x -> x*a when column a is."""
+    every = np.arange(len(t.elems))
+    return ((np.sort(t.mul, axis=1) == every).all(axis=1),
+            (np.sort(t.mul.T, axis=1) == every).all(axis=1))
+
+
+def is_invariant(ring):
+    """(holds, witness): aR = Ra compared as sorted rows and columns of
+    the table; the witness is the least a where they differ."""
+    t = ring.tables()
+    agree = (np.sort(t.mul, axis=1) == np.sort(t.mul.T, axis=1)).all(axis=1)
+    if agree.all():
+        return True, None
+    return False, t.elems[int(np.argmin(agree))]
+
+
+def jacobson_radical(ring):
+    """Elements of {x : 1 - a*x is a unit for every a}, one unit lookup
+    per pair (a, x): the whole table gathered through y -> 1 - y."""
+    t = ring.tables()
+    hit = t.mul == t.one
+    is_unit = (hit & hit.T).any(axis=1)
+    one_minus = t.add[t.one][t.neg]
+    return _mask_elems(t, is_unit[one_minus[t.mul]].all(axis=0))
+
+
+def sweep(ring, side="two"):
+    """ideals_by_size run to the end with its joins as they were made
+    before coset labels: each ideal handed out is closed under the
+    additive generators of every earlier principal ideal it is
+    incomparable with, one breadth-first walk per pair."""
+    t = ring.tables()
+    parts = _principal_entries(ring, t, side, DEFAULT_LIMITS)
+    masks = np.array([entry[0] for entry in parts])
+    pending = {entry[0].tobytes(): entry[:2] for entry in parts}
+    out, seen = [], 0
+    while pending:
+        size = min(entry[0].sum() for entry in pending.values())
+        band = sorted(((_mask_elems(t, entry[0]), key)
+                       for key, entry in pending.items()
+                       if entry[0].sum() == size))
+        for elems, key in band:
+            mask, gens = pending.pop(key)
+            out.append(Ideal(ring=ring, elements=elems, side=side,
+                             gens=tuple(t.elems[g] for g in gens)))
+            seen += seen < len(parts) and key == parts[seen][0].tobytes()
+            for i, part in enumerate(parts[:seen]):
+                if (mask & ~part[0]).any() and (part[0] & ~mask).any():
+                    joined = _close_additive_mask(t, mask.copy(), part[2])
+                    pending.setdefault(joined.tobytes(), (
+                        joined, tuple(sorted(set(gens) | set(part[1])))))
+    return out
 
 
 def prime_radical(ring, two_sided=None):

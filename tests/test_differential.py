@@ -1,8 +1,9 @@
 """Ideal closures, principal-ideal deciders, the CCE sweep by size bands,
-the quotient and subring views and their tables, the structure-ring
-export and the Lie series against the oracles in tests/oracles.py, plus
-regressions for limit-gated caches, the central-series check and the
-complete ideal check of quotients.
+the unit flags, invariance, J and the joins by coset labels, the
+quotient and subring views and their tables, the structure-ring export
+and the Lie series against the oracles in tests/oracles.py, plus
+regressions for limit-gated caches, the answers under small limits, the
+central-series check and the complete ideal check of quotients.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, the center from its F_p basis against the
@@ -25,8 +26,8 @@ from sympy import Matrix
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, StructureRing,
-    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes, center,
-    make_ring, units_and_regulars,
+    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes, _span,
+    center, make_ring, units_and_regulars,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
@@ -35,14 +36,14 @@ from ringbench.construct import (
 )
 from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
-    SIDES, additive_closure, all_ideals, ideal_closure, ideal_lattice,
-    ideals_by_size, jacobson_radical, prime_radical, quotient,
+    SIDES, _coset_labels, additive_closure, all_ideals, ideal_closure,
+    ideal_lattice, ideals_by_size, jacobson_radical, prime_radical, quotient,
 )
 from ringbench import core, props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report, is_commutative,
-    is_strongly_bounded, is_uniserial, lie_series, sample_rings,
+    is_invariant, is_strongly_bounded, is_uniserial, lie_series, sample_rings,
     zero_divisor_symmetry,
 )
 from tests import oracles
@@ -235,6 +236,48 @@ def test_cce_by_size_bands_matches_lattice_oracle(key):
             == (expected.failing_ideal and expected.failing_ideal.elements))
 
 
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_theorem_paths_match_their_oracles(key):
+    # unit flags from kernels, invariance from two-sided cores and J from
+    # principal left ideals, against the sorts and the n^2 gather
+    ring = _ring(key)
+    rep = units_and_regulars(ring)
+    l_full, r_full = oracles.unit_flags(ring.tables())
+    assert np.array_equal(rep.l_full, l_full)
+    assert np.array_equal(rep.r_full, r_full)
+    v = is_invariant(ring)
+    assert (v.holds, v.witness) == oracles.is_invariant(ring)
+    assert jacobson_radical(ring).elements == oracles.jacobson_radical(ring)
+
+
+@pytest.mark.parametrize("key", RING_KEYS, ids=_key_id)
+def test_joins_by_coset_labels_match_closure_walks(key):
+    # every lattice, elements and the gens each ideal records, against the
+    # sweep that closed each pair by a breadth-first walk
+    ring = _ring(key)
+    for side in SIDES:
+        assert (_ideal_data(all_ideals(ring, side=side))
+                == _ideal_data(oracles.sweep(ring, side))), side
+
+
+@pytest.mark.parametrize("name", CATALOG + ("ext2(5)",))
+def test_coset_labels_are_least_coset_members(name):
+    # doubling over additive generators against the n x |I| gather, on
+    # every ideal of each side; ext2(3) and ext2(5) have odd additive
+    # orders, ex51(3) elements of order 8
+    ring = catalog(name)
+    t = ring.tables()
+    for side in SIDES:
+        for ideal in all_ideals(ring, side, Limits(max_lattice=1024)):
+            idx = t.encode(ideal.elements)
+            want = t.add[:, idx].min(axis=1)
+            gens = _span(t, idx)[1]
+            assert np.array_equal(_coset_labels(t, gens), want), side
+            # generators repeated, 0 among them, in another order
+            again = np.concatenate([gens[::-1], [t.zero], gens])
+            assert np.array_equal(_coset_labels(t, again), want), side
+
+
 @pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)"], ids=_key_id)
 def test_least_ideal_is_the_first_minimal_ideal(key):
     ring = _ring(key)
@@ -296,6 +339,86 @@ DENSE = Limits(max_table=4096)
 
 
 # -- caches and limits ---------------------------------------------------------
+
+# The jacobson_size, invariant and completely_centrally_essential values
+# of full_report under small limits, skip reasons included, as the row
+# sorts, the n^2 radical gather and the per-pair join walks printed them.
+SMALL_LIMIT_VALUES = [
+    (Limits(max_ideals=2), {
+        "z2q8": ("128", "true", "skipped;limit=max_ideals"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals"),
+        "ext2(3)": ("27", "true", "false;witness=self"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_ideals"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+    (Limits(max_ideals=10), {
+        "z2q8": ("128", "true", "skipped;limit=max_ideals"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals"),
+        "ext2(3)": ("27", "true", "false;witness=self"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_ideals"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+    (Limits(max_lattice=64), {
+        "z2q8": ("128", "true", "skipped;limit=max_lattice"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_lattice"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice"),
+        "ext2(3)": ("27", "true", "false;witness=self"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_lattice"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+    (Limits(max_elements=100), {
+        "z2q8": ("skipped;limit=max_elements",) * 3,
+        "z2d4": ("skipped;limit=max_elements",) * 3,
+        "ex52": ("skipped;limit=max_elements",) * 3,
+        "ex51(3)": ("skipped;limit=max_elements",) * 3,
+        "ext2(3)": ("27", "true", "false;witness=self"),
+        "ext2(4)": ("skipped;limit=max_elements",) * 3,
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+    (Limits(max_table=64), {
+        "z2q8": ("skipped;limit=max_table",) * 3,
+        "z2d4": ("skipped;limit=max_table",) * 3,
+        "ex52": ("skipped;limit=max_table",) * 3,
+        "ex51(3)": ("skipped;limit=max_table",) * 3,
+        "ext2(3)": ("skipped;limit=max_table",
+                    "skipped;limit=max_table", "false;witness=self"),
+        "ext2(4)": ("skipped;limit=max_table",) * 3,
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+    (Limits(max_table=200, max_lattice=100), {
+        "z2q8": ("skipped;limit=max_table",
+                 "skipped;limit=max_table", "skipped;limit=max_lattice"),
+        "z2d4": ("skipped;limit=max_table",
+                 "skipped;limit=max_table", "skipped;limit=max_lattice"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice"),
+        "ext2(3)": ("27", "true", "false;witness=self"),
+        "ext2(4)": ("skipped;limit=max_table",
+                    "skipped;limit=max_table", "skipped;limit=max_lattice"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+    }),
+]
+
+
+@pytest.mark.parametrize("limits, values", SMALL_LIMIT_VALUES)
+def test_theorem_paths_answer_alike_under_small_limits(limits, values):
+    keys = ("jacobson_size", "invariant", "completely_centrally_essential")
+    for name in CATALOG:
+        got = dict(line.split("=", 1)
+                   for line in full_report(catalog(name), limits).lines())
+        assert tuple(got[key] for key in keys) == values[name], name
+
 
 def test_tables_cache_checks_max_table_on_every_call():
     ring = catalog("ex52")
