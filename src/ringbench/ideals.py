@@ -14,15 +14,19 @@ as Ideal values holding sorted element tuples, so every downstream
 consumer sees one deterministic order.
 
 One enumerator lists ideals: ideals_by_size, a lazy sweep by size band
-that joins each ideal it hands out with principal ideals only, all of
-them at once through the coset labels of the ideal.  Complete central
-essentiality and the least ideal stop it early; whole lattices
-(all_ideals) run it to the end, for the lattice command and random
-quotients.  The radicals need none: J(R) is the union of the principal
-left ideals inside {y : 1 - y is a unit}, and in a finite ring the prime
-radical equals J(R).
+seeded by the principal table of each side (_principal_table: masks,
+least generators, additive generators, one-sided cores, in _mask_order)
+that joins each ideal it hands out with principal ideals only, all at
+once through its coset labels.  Complete central essentiality and the
+least ideal stop it early; all_ideals runs it to the end, and a
+LatticeReport reads its order off one strict-containment matrix.  The
+radicals need no lattice: J(R) is the union of the principal left ideals
+inside {y : 1 - y is a unit}, and in a finite ring P(R) = J(R).
 """
 
+import functools
+from collections import namedtuple
+from itertools import compress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +37,7 @@ from ringbench.core import (
 )
 
 SIDES = ("two", "left", "right")
+_PrincipalTable = namedtuple("_PrincipalTable", "masks least gens cores")
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,18 @@ def principal_ideal(ring, a, side="two", limits=DEFAULT_LIMITS):
 
 # -- the full lattice -------------------------------------------------------------
 
+def _mask_order(mask):
+    """The (size, elements) order of ideals on their masks: elements ascend
+    with indices, so inverted mask bytes sort like elements at one size."""
+    return np.count_nonzero(mask), (~mask).tobytes()
+
+
 def _principal_ideals(ring, t, side, limits):
-    """The principal ideals of one sidedness, each once, as (mask, (least
-    generator index,), additive generator indices), in (size, elements)
-    order.  Elements ascend with indices, so at one size the first index
-    where two masks differ decides: inverted mask bytes sort like elements.
+    """The principal ideals of one sidedness, each once, in _mask_order:
+    masks (m, n), least generating indices, additive generator indices and
+    cores, the largest two-sided ideal inside each.  For aR that is {x in
+    aR : g*x in aR for every additive generator g}: two-sided, it holds
+    every two-sided ideal inside aR (mirrored for Ra).
 
     A right ideal aR is row a of the table and a left one Ra column a, and
     that row or column at the additive generators of R generates it; a
@@ -135,15 +147,18 @@ def _principal_ideals(ring, t, side, limits):
             mask = t.mask()
             mask[row] = True
             gens = row[t.gen_idx]
-        by_key.setdefault(mask.tobytes(), (mask, (i,), gens))
-    return sorted(by_key.values(), key=lambda e: (e[0].sum(), (~e[0]).tobytes()))
+        by_key.setdefault(_mask_order(mask), (mask, i, gens))
+    masks, least, gens = zip(*(by_key[key] for key in sorted(by_key)))
+    masks = np.array(masks)
+    cores = masks   # a two-sided ideal is its own core
+    for g in t.gen_idx if side != "two" else ():
+        cores = cores & masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
+    return _PrincipalTable(masks, np.array(least), gens, cores)
 
 
-def _principal_entries(ring, t, side, limits):
+def _principal_table(ring, t, side, limits):
     """_principal_ideals of one side, kept on the ring; callers gate first."""
-    cached = getattr(ring, "_principal", None)
-    if cached is None:
-        cached = ring._principal = {}
+    cached = vars(ring).setdefault("_principal", {})
     if side not in cached:
         cached[side] = _principal_ideals(ring, t, side, limits)
     return cached[side]
@@ -165,9 +180,9 @@ def _coset_labels(t, gens):
     return lab
 
 
-def _as_ideal(ring, t, entry, side):
-    return Ideal(ring=ring, elements=_mask_elems(t, entry[0]),
-                 gens=tuple(t.elems[g] for g in entry[1]), side=side)
+def _as_ideal(ring, t, mask, gens, side):
+    return Ideal(ring=ring, elements=_mask_elems(t, mask), gens=t.decode(gens),
+                 side=side)
 
 
 def all_ideals(ring, side="two", limits=DEFAULT_LIMITS):
@@ -181,67 +196,61 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
 
     Built one size band at a time, so a caller that stops early (the CCE
     sweep, the least ideal) does not pay for the rest of the lattice.
-    Principal ideals seed the bands (_principal_entries).  Once a band is
-    handed out, each of its ideals K is joined with every principal ideal
+    Principal ideals (_principal_table) seed the bands, sorted by
+    _mask_order, and an ideal is decoded only when it is handed out.
+    Then each ideal K of the band is joined with every principal ideal
     handed out before it that K is incomparable with; the join holds K
-    strictly, so it falls in a later band.  Complete: let I = P_1 + ... +
-    P_m, m >= 2 least.  If m = 2, the later of P_1, P_2 meets the earlier.
-    If m >= 3, a least P_j precedes the sum of the others, which holds
-    each other P_i strictly, and meets it.
+    strictly, so it falls in a later band.  Complete: let I = P_1 + ...
+    + P_m, m >= 2 least.  If m = 2, the later of P_1, P_2 meets the
+    earlier.  If m >= 3, a least P_j precedes the sum of the others,
+    which holds each other P_i strictly, and meets it.
 
     All joins of K are read off one labelling of its cosets
     (_coset_labels): x lies in K + P exactly when the coset x + K meets
     P, so one scatter of each P's labels and one gather through K's give
-    every join at once.  An entry carries the additive generators it is
-    labelled by, a principal ideal its own and a join the pair's.
+    every join at once.  A pending ideal carries the additive generators
+    it is labelled by, a principal ideal its own and a join the pair's.
 
     A principal ideal records its least generator as gens; a join records
     the sorted union of the gens of the pair first joined into it.
     The gates run on every call: max_lattice, then max_table, then
-    max_ideals after the principal pass and on each new join.
+    max_ideals on the ideals handed out and pending, before each band.
     """
     if side not in SIDES:
         raise DomainError("side must be one of %r" % (SIDES,))
     if ring.size > limits.max_lattice:
         raise LimitError("max_lattice", limits.max_lattice, ring.size)
     t = _tables_or_raise(ring, limits)
-    parts = _principal_entries(ring, t, side, limits)
-    masks = np.array([entry[0] for entry in parts])
-    pending = {entry[0].tobytes(): entry for entry in parts}
-    _check_ideal_count(len(pending), limits)
-    handed = seen = 0   # parts[:seen] are handed out
+    table = _principal_table(ring, t, side, limits)
+    keys = [_mask_order(mask) for mask in table.masks]
+    pending = {key: (mask, (least,), gens) for key, mask, least, gens
+               in zip(keys, table.masks, table.least, table.gens)}
+    handed = seen = 0   # the first seen principal ideals are handed out
     while pending:
-        size = min(entry[0].sum() for entry in pending.values())
-        band = sorted(((_as_ideal(ring, t, entry, side), key)
-                       for key, entry in pending.items()
-                       if entry[0].sum() == size),
-                      key=lambda pair: pair[0].elements)
-        for ideal, _ in band:
-            yield ideal
-        for _, key in band:
-            entry = pending.pop(key)
+        if handed + len(pending) > limits.max_ideals:
+            raise LimitError("max_ideals", limits.max_ideals)
+        size = min(key[0] for key in pending)
+        band = sorted(key for key in pending if key[0] == size)
+        for key in band:
+            mask, gens, _ = pending[key]
+            yield _as_ideal(ring, t, mask, gens, side)
+        for key in band:
+            mask, gens, add = pending.pop(key)
             handed += 1
-            seen += seen < len(parts) and entry is parts[seen]
-            old = masks[:seen]
-            apart = np.nonzero((entry[0] & ~old).any(1)
-                               & (old & ~entry[0]).any(1))[0]
+            seen += seen < len(keys) and key == keys[seen]
+            old = table.masks[:seen]
+            apart = np.nonzero((mask & ~old).any(1) & (old & ~mask).any(1))[0]
             if not apart.size:
                 continue
-            lab = _coset_labels(t, entry[2])
+            lab = _coset_labels(t, add)
             hit = np.zeros((len(apart), len(t.elems)), dtype=bool)
-            rows, cols = np.nonzero(masks[apart])
+            rows, cols = np.nonzero(table.masks[apart])
             hit[rows, lab[cols]] = True
-            for i, mask in zip(apart, hit[:, lab]):
-                if mask.tobytes() not in pending:
-                    pending[mask.tobytes()] = (
-                        mask, tuple(sorted(set(entry[1]) | set(parts[i][1]))),
-                        np.concatenate([entry[2], parts[i][2]]))
-                    _check_ideal_count(handed + len(pending), limits)
-
-
-def _check_ideal_count(count, limits):
-    if count > limits.max_ideals:
-        raise LimitError("max_ideals", limits.max_ideals)
+            for i, joined in zip(apart, hit[:, lab]):
+                new = _mask_order(joined)
+                if new not in pending:
+                    pending[new] = (joined, tuple(sorted({*gens, table.least[i]})),
+                                    np.concatenate([add, table.gens[i]]))
 
 
 @dataclass
@@ -256,43 +265,44 @@ class LatticeReport:
     def size(self):
         return len(self.ideals)
 
+    @functools.cached_property
+    def below(self):
+        """below[i, j] when ideal i lies strictly inside ideal j, from the
+        count of i's elements outside j."""
+        index = {}
+        masks = np.zeros((len(self.ideals), self.ring.size), dtype=np.float32)
+        for k, ideal in enumerate(self.ideals):
+            masks[k, [index.setdefault(e, len(index)) for e in ideal.elements]] = 1
+        inside = masks @ (1 - masks).T == 0
+        return inside & ~inside.T
+
     def is_chain(self):
-        """(True, None) when totally ordered, else (False, (I, K)) witness."""
-        seq = self.ideals  # already sorted by (size, elements)
-        for prev, cur in zip(seq, seq[1:]):
-            if not prev.member <= cur.member:
-                return False, (prev, cur)
-        return True, None
+        """(True, None) when totally ordered, else (False, (I, K)) witness:
+        the first consecutive pair, in (size, elements) order, that is not
+        nested."""
+        apart = ~self.below.diagonal(1)
+        if not apart.any():
+            return True, None
+        k = apart.argmax()
+        return False, self.ideals[k:k + 2]
 
     def minimal_nonzero(self):
         """Ideals covering 0: nonzero, containing no other nonzero ideal."""
-        nz = [i for i in self.ideals if not i.is_zero()]
-        out = []
-        for i in nz:
-            if not any(j.member < i.member for j in nz if j is not i):
-                out.append(i)
-        return tuple(out)
+        nonzero = np.array([not i.is_zero() for i in self.ideals])
+        return tuple(compress(self.ideals,
+                              nonzero & ~self.below[nonzero].any(axis=0)))
 
     def maximal_proper(self):
-        prop = [i for i in self.ideals if not i.is_whole()]
-        out = []
-        for i in prop:
-            if not any(i.member < j.member for j in prop if j is not i):
-                out.append(i)
-        return tuple(out)
+        proper = np.array([not i.is_whole() for i in self.ideals])
+        return tuple(compress(self.ideals,
+                              proper & ~self.below[:, proper].any(axis=1)))
 
     def covers(self):
-        """Hasse diagram edges (lower, upper), deterministic order."""
-        seq = self.ideals
-        edges = []
-        for i, low in enumerate(seq):
-            for j, high in enumerate(seq):
-                if low is high or not low.member < high.member:
-                    continue
-                if any(low.member < mid.member < high.member for mid in seq):
-                    continue
-                edges.append((i, j))
-        return tuple(edges)
+        """Hasse diagram edges (lower, upper), in that order: no ideal lies
+        between; a float32 count of 0/1 terms is 0 exactly when none does."""
+        below = self.below.astype(np.float32)
+        edges = np.argwhere(self.below & (below @ below == 0))
+        return tuple(map(tuple, edges.tolist()))
 
     def to_dot(self):
         lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
@@ -367,7 +377,10 @@ def ideal_power(ring, ideal, n, limits=DEFAULT_LIMITS):
         raise DomainError("ideal powers start at 1")
     power = ideal
     for _ in range(n - 1):
-        power = ideal_product(ring, power, ideal, limits)
+        power, last = ideal_product(ring, power, ideal, limits), power
+        if power.elements == last.elements:
+            break   # a product's gens depend on its operands' elements only,
+            # so every later power is this one, gens included
     return power
 
 
@@ -376,7 +389,7 @@ def jacobson_radical(ring, limits=DEFAULT_LIMITS):
     for Q = {y : 1 - y is a unit} (Lam, A First Course in Noncommutative
     Rings, 4.1; in a finite ring a left inverse is two-sided).  So J(R)
     is the union of the principal left ideals inside Q: one mask test
-    over the left principal entries, on dense tables."""
+    over the masks of the left principal table, on dense tables."""
     t = _tables_or_raise(ring, limits)
     cached = getattr(ring, "_jacobson_cache", None)
     if cached is not None:
@@ -384,7 +397,7 @@ def jacobson_radical(ring, limits=DEFAULT_LIMITS):
     quasi = t.mask()
     quasi[units_and_regulars(ring, limits).unit] = True
     quasi = quasi[t.add[t.one][t.neg]]       # y -> whether 1 - y is a unit
-    masks = np.array([e[0] for e in _principal_entries(ring, t, "left", limits)])
+    masks = _principal_table(ring, t, "left", limits).masks
     jmask = masks[(masks <= quasi).all(axis=1)].any(axis=0)
     ring._jacobson_cache = Ideal(
         ring=ring, elements=_mask_elems(t, jmask),

@@ -13,10 +13,10 @@ elements), the units are decided on the blocks of R/J and lifted to R,
 and the Ore check follows; most other deciders skip on max_table.  The
 Lie series and the central-series check gather their brackets from the
 dense tables, and no decider loops over elements in Python.
-One-sided questions (invariant, strongly bounded, uniserial) are decided
-on the principal one-sided ideals, which
-are the rows and columns of the multiplication table, one per ideal from
-the principal pass of ideals.  Every other ideal, a Lie term included,
+One-sided questions (invariant, strongly bounded, uniserial) are array
+reductions over the principal table of each side (ideals._principal_table):
+rows and columns of the multiplication table, one per ideal, with their
+two-sided cores.  Every other ideal, a Lie term included,
 is one additive span of products (ideals._ideal_gens).  Complete central
 essentiality sweeps the two-sided ideals by size, builds a quotient only
 for a noncommutative factor and stops at the first failing one.
@@ -34,7 +34,7 @@ from ringbench.core import (
     _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
-    _as_ideal, _ideal_gens, _power_masks, _principal_entries, all_ideals,
+    _as_ideal, _ideal_gens, _power_masks, _principal_table, all_ideals,
     ideal_closure, ideals_by_size, jacobson_radical, nilpotency_index,
     prime_radical, quotient,
 )
@@ -234,35 +234,20 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
 
 # -- one-sided ideal symmetry: invariant, strongly bounded --------------------------
 
-def _two_sided_cores(ring, t, side, limits):
-    """The principal ideals of one side (ideals._principal_entries) with,
-    per entry, the largest two-sided ideal inside it, as (entries, masks,
-    cores).  For a right ideal aR that is {x in aR : g*x in aR for every
-    additive generator g}: it is two-sided, and it holds every two-sided
-    ideal inside aR (mirrored for Ra)."""
-    entries = _principal_entries(ring, t, side, limits)
-    masks = np.array([entry[0] for entry in entries])
-    cores = masks.copy()
-    for g in t.gen_idx:
-        cores &= masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
-    return entries, masks, cores
-
-
 def is_invariant(ring, limits=DEFAULT_LIMITS):
     """All one-sided ideals two-sided, i.e. aR = Ra for every a.
 
     aR = Ra for every a exactly when every principal right and left ideal
-    is two-sided: a two-sided aR holds Ra, and the mirror image.  So an
-    entry fails when its two-sided core is smaller than itself
-    (_two_sided_cores).  Each entry records the least index generating
-    it, so the witness, the least recorded index over the failing entries
-    of both sides, is the least a with aR != Ra."""
+    is two-sided: a two-sided aR holds Ra, and the mirror image.  So a
+    principal ideal fails when its two-sided core is smaller than itself
+    (ideals._principal_table).  Each records the least index generating
+    it, so the witness, the least such index over the failing ideals of
+    both sides, is the least a with aR != Ra."""
     t = _tables_or_raise(ring, limits)
     bad = []
     for side in ("right", "left"):
-        entries, masks, cores = _two_sided_cores(ring, t, side, limits)
-        fails = (masks != cores).any(axis=1)
-        bad += [e[1][0] for e, f in zip(entries, fails) if f]
+        table = _principal_table(ring, t, side, limits)
+        bad.extend(table.least[(table.masks != table.cores).any(axis=1)])
     if not bad:
         return Verdict(True)
     return Verdict(False, witness=t.elems[min(bad)],
@@ -274,16 +259,16 @@ def is_strongly_bounded(ring, limits=DEFAULT_LIMITS):
 
     Checking principal one-sided ideals suffices: any nonzero one-sided
     ideal contains a principal one.  The largest two-sided ideal inside
-    each principal ideal is found at once (_two_sided_cores); the witness
-    is the least a != 0 where it is zero, right ideals first (mirrored
-    for Ra).
+    each principal ideal is its core (ideals._principal_table); the
+    witness is the least a != 0 where it is zero, right ideals first
+    (mirrored for Ra).
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        entries, masks, cores = _two_sided_cores(ring, t, side, limits)
-        only_zero = (cores.sum(axis=1) == 1) & (masks.sum(axis=1) > 1)
+        table = _principal_table(ring, t, side, limits)
+        only_zero = (table.cores.sum(1) == 1) & (table.masks.sum(1) > 1)
         if only_zero.any():
-            a = t.elems[min(e[1][0] for e, z in zip(entries, only_zero) if z)]
+            a = t.elems[table.least[only_zero].min()]
             return Verdict(False, witness=(side, a),
                            detail="principal %s ideal of %s holds no "
                                   "nonzero two-sided ideal"
@@ -349,15 +334,16 @@ def is_uniserial(ring, limits=DEFAULT_LIMITS):
     """
     t = _tables_or_raise(ring, limits)
     for side in ("right", "left"):
-        seq = _principal_entries(ring, t, side, limits)
-        for low, high in zip(seq, seq[1:]):
-            if (low[0] & ~high[0]).any():
-                pair = (_as_ideal(ring, t, low, side),
-                        _as_ideal(ring, t, high, side))
-                return Verdict(False, witness=(side, pair),
-                               detail="%s ideals of sizes %d and %d are "
-                                      "incomparable" % (side, pair[0].size,
-                                                        pair[1].size))
+        table = _principal_table(ring, t, side, limits)
+        apart = (table.masks[:-1] & ~table.masks[1:]).any(axis=1)
+        if apart.any():
+            k = int(apart.argmax())
+            pair = tuple(_as_ideal(ring, t, table.masks[j], table.least[j:j + 1],
+                                   side) for j in (k, k + 1))
+            return Verdict(False, witness=(side, pair),
+                           detail="%s ideals of sizes %d and %d are "
+                                  "incomparable" % (side, pair[0].size,
+                                                    pair[1].size))
     return Verdict(True)
 
 

@@ -51,7 +51,7 @@ from ringbench.core import (
     StructureRing, ValidationReport, _outer_codes,
 )
 from ringbench.ideals import (
-    Ideal, _mask_elems, _principal_entries, nilpotency_index, quotient,
+    Ideal, _mask_elems, _principal_table, nilpotency_index, quotient,
 )
 from ringbench.props import (
     CCEReport, LieSeries, centrally_essential, is_commutative,
@@ -253,25 +253,26 @@ def sweep(ring, side="two"):
     additive generators of every earlier principal ideal it is
     incomparable with, one breadth-first walk per pair."""
     t = ring.tables()
-    parts = _principal_entries(ring, t, side, DEFAULT_LIMITS)
-    masks = np.array([entry[0] for entry in parts])
-    pending = {entry[0].tobytes(): entry[:2] for entry in parts}
+    table = _principal_table(ring, t, side, DEFAULT_LIMITS)
+    pending = {mask.tobytes(): (mask, (least,))
+               for mask, least in zip(table.masks, table.least)}
     out, seen = [], 0
     while pending:
-        size = min(entry[0].sum() for entry in pending.values())
-        band = sorted(((_mask_elems(t, entry[0]), key)
-                       for key, entry in pending.items()
-                       if entry[0].sum() == size))
+        size = min(mask.sum() for mask, _ in pending.values())
+        band = sorted(((_mask_elems(t, mask), key)
+                       for key, (mask, _) in pending.items()
+                       if mask.sum() == size))
         for elems, key in band:
             mask, gens = pending.pop(key)
             out.append(Ideal(ring=ring, elements=elems, side=side,
                              gens=tuple(t.elems[g] for g in gens)))
-            seen += seen < len(parts) and key == parts[seen][0].tobytes()
-            for i, part in enumerate(parts[:seen]):
-                if (mask & ~part[0]).any() and (part[0] & ~mask).any():
-                    joined = _close_additive_mask(t, mask.copy(), part[2])
+            seen += seen < len(table.masks) and key == table.masks[seen].tobytes()
+            for part, least, add in zip(table.masks[:seen], table.least,
+                                        table.gens):
+                if (mask & ~part).any() and (part & ~mask).any():
+                    joined = _close_additive_mask(t, mask.copy(), add)
                     pending.setdefault(joined.tobytes(), (
-                        joined, tuple(sorted(set(gens) | set(part[1])))))
+                        joined, tuple(sorted(set(gens) | {least}))))
     return out
 
 

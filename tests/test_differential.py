@@ -1,5 +1,6 @@
-"""Ideal closures, principal-ideal deciders, the CCE sweep by size bands,
-the unit flags, invariance, J and the joins by coset labels, the
+"""Ideal closures, principal-ideal deciders and the cores of the principal
+tables, the CCE sweep by size bands, the unit flags, invariance, J and
+the joins by coset labels, the
 quotient and subring views and their tables, the structure-ring export
 and the Lie series against the oracles in tests/oracles.py, plus
 regressions for limit-gated caches, the answers under small limits, the
@@ -36,8 +37,9 @@ from ringbench.construct import (
 )
 from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
-    SIDES, _coset_labels, additive_closure, all_ideals, ideal_closure,
-    ideal_lattice, ideals_by_size, jacobson_radical, prime_radical, quotient,
+    SIDES, _coset_labels, _principal_table, additive_closure, all_ideals,
+    ideal_closure, ideal_lattice, ideals_by_size, jacobson_radical,
+    prime_radical, quotient,
 )
 from ringbench import core, props
 from ringbench.props import (
@@ -278,6 +280,27 @@ def test_coset_labels_are_least_coset_members(name):
             assert np.array_equal(_coset_labels(t, again), want), side
 
 
+def test_principal_cores_are_the_largest_two_sided_ideals_inside():
+    # each core of a one-sided principal table against the largest ideal of
+    # the two-sided lattice oracle inside that principal ideal, on the
+    # catalog rings up to 512 elements and a handful of sampled rings
+    smaller = 0
+    samples = _samples(5, 60, 256)[:8]
+    for ring in [catalog(name) for name in CATALOG] + list(samples):
+        t = ring.tables()
+        two = np.array([np.isin(np.arange(ring.size), t.encode(i.elements))
+                        for i in oracles.lattice(ring, "two")])
+        for side in ("right", "left"):
+            table = _principal_table(ring, t, side, Limits())
+            for mask, core in zip(table.masks, table.cores):
+                inside = two[(two <= mask).all(axis=1)]
+                largest = inside[inside.sum(axis=1).argmax()]
+                assert (inside <= largest).all(), side
+                assert np.array_equal(core, largest), side
+                smaller += not np.array_equal(core, mask)
+    assert smaller > 0
+
+
 @pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)"], ids=_key_id)
 def test_least_ideal_is_the_first_minimal_ideal(key):
     ring = _ring(key)
@@ -340,80 +363,120 @@ DENSE = Limits(max_table=4096)
 
 # -- caches and limits ---------------------------------------------------------
 
-# The jacobson_size, invariant and completely_centrally_essential values
-# of full_report under small limits, skip reasons included, as the row
-# sorts, the n^2 radical gather and the per-pair join walks printed them.
+# The jacobson_size, invariant, completely_centrally_essential,
+# strongly_bounded and uniserial values of full_report under small limits,
+# skip reasons included, as the row sorts, the n^2 radical gather, the
+# per-pair join walks and the principal entry tuples printed them.
 SMALL_LIMIT_VALUES = [
     (Limits(max_ideals=2), {
-        "z2q8": ("128", "true", "skipped;limit=max_ideals"),
-        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals"),
-        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals"),
-        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals"),
-        "ext2(3)": ("27", "true", "false;witness=self"),
-        "ext2(4)": ("128", "true", "skipped;limit=max_ideals"),
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("128", "true", "skipped;limit=max_ideals", "true",
+                 "false;witness=right:4,4"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals",
+                 "true", "false;witness=right:4,4"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals", "true",
+                 "false;witness=right:2,2"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals",
+                    "true", "false;witness=right:2,2"),
+        "ext2(3)": ("27", "true", "false;witness=self", "true",
+                    "false;witness=right:9,9"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_ideals", "true",
+                    "false;witness=right:4,4"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
     (Limits(max_ideals=10), {
-        "z2q8": ("128", "true", "skipped;limit=max_ideals"),
-        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals"),
-        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals"),
-        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals"),
-        "ext2(3)": ("27", "true", "false;witness=self"),
-        "ext2(4)": ("128", "true", "skipped;limit=max_ideals"),
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("128", "true", "skipped;limit=max_ideals", "true",
+                 "false;witness=right:4,4"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_ideals",
+                 "true", "false;witness=right:4,4"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_ideals", "true",
+                 "false;witness=right:2,2"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_ideals",
+                    "true", "false;witness=right:2,2"),
+        "ext2(3)": ("27", "true", "false;witness=self", "true",
+                    "false;witness=right:9,9"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_ideals", "true",
+                    "false;witness=right:4,4"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
     (Limits(max_lattice=64), {
-        "z2q8": ("128", "true", "skipped;limit=max_lattice"),
-        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_lattice"),
-        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice"),
-        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice"),
-        "ext2(3)": ("27", "true", "false;witness=self"),
-        "ext2(4)": ("128", "true", "skipped;limit=max_lattice"),
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("128", "true", "skipped;limit=max_lattice", "true",
+                 "false;witness=right:4,4"),
+        "z2d4": ("128", "false;witness=a3+a3b", "skipped;limit=max_lattice",
+                 "true", "false;witness=right:4,4"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice",
+                 "true", "false;witness=right:2,2"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice",
+                    "true", "false;witness=right:2,2"),
+        "ext2(3)": ("27", "true", "false;witness=self", "true",
+                    "false;witness=right:9,9"),
+        "ext2(4)": ("128", "true", "skipped;limit=max_lattice", "true",
+                    "false;witness=right:4,4"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
     (Limits(max_elements=100), {
-        "z2q8": ("skipped;limit=max_elements",) * 3,
-        "z2d4": ("skipped;limit=max_elements",) * 3,
-        "ex52": ("skipped;limit=max_elements",) * 3,
-        "ex51(3)": ("skipped;limit=max_elements",) * 3,
-        "ext2(3)": ("27", "true", "false;witness=self"),
-        "ext2(4)": ("skipped;limit=max_elements",) * 3,
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("skipped;limit=max_elements",) * 5,
+        "z2d4": ("skipped;limit=max_elements",) * 5,
+        "ex52": ("skipped;limit=max_elements",) * 5,
+        "ex51(3)": ("skipped;limit=max_elements",) * 5,
+        "ext2(3)": ("27", "true", "false;witness=self", "true",
+                    "false;witness=right:9,9"),
+        "ext2(4)": ("skipped;limit=max_elements",) * 5,
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
     (Limits(max_table=64), {
-        "z2q8": ("skipped;limit=max_table",) * 3,
-        "z2d4": ("skipped;limit=max_table",) * 3,
-        "ex52": ("skipped;limit=max_table",) * 3,
-        "ex51(3)": ("skipped;limit=max_table",) * 3,
-        "ext2(3)": ("skipped;limit=max_table",
-                    "skipped;limit=max_table", "false;witness=self"),
-        "ext2(4)": ("skipped;limit=max_table",) * 3,
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("skipped;limit=max_table",) * 5,
+        "z2d4": ("skipped;limit=max_table",) * 5,
+        "ex52": ("skipped;limit=max_table",) * 5,
+        "ex51(3)": ("skipped;limit=max_table",) * 5,
+        "ext2(3)": ("skipped;limit=max_table", "skipped;limit=max_table",
+                    "false;witness=self", "skipped;limit=max_table",
+                    "skipped;limit=max_table"),
+        "ext2(4)": ("skipped;limit=max_table",) * 5,
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
     (Limits(max_table=200, max_lattice=100), {
-        "z2q8": ("skipped;limit=max_table",
-                 "skipped;limit=max_table", "skipped;limit=max_lattice"),
-        "z2d4": ("skipped;limit=max_table",
-                 "skipped;limit=max_table", "skipped;limit=max_lattice"),
-        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice"),
-        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice"),
-        "ext2(3)": ("27", "true", "false;witness=self"),
-        "ext2(4)": ("skipped;limit=max_table",
-                    "skipped;limit=max_table", "skipped;limit=max_lattice"),
-        "m2z2": ("1", "false;witness=e22", "false;witness=self"),
-        "t2z2": ("2", "false;witness=e22", "false;witness=self"),
+        "z2q8": ("skipped;limit=max_table", "skipped;limit=max_table",
+                 "skipped;limit=max_lattice", "skipped;limit=max_table",
+                 "skipped;limit=max_table"),
+        "z2d4": ("skipped;limit=max_table", "skipped;limit=max_table",
+                 "skipped;limit=max_lattice", "skipped;limit=max_table",
+                 "skipped;limit=max_table"),
+        "ex52": ("64", "false;witness=a22", "skipped;limit=max_lattice",
+                 "true", "false;witness=right:2,2"),
+        "ex51(3)": ("64", "false;witness=t", "skipped;limit=max_lattice",
+                    "true", "false;witness=right:2,2"),
+        "ext2(3)": ("27", "true", "false;witness=self", "true",
+                    "false;witness=right:9,9"),
+        "ext2(4)": ("skipped;limit=max_table", "skipped;limit=max_table",
+                    "skipped;limit=max_lattice", "skipped;limit=max_table",
+                    "skipped;limit=max_table"),
+        "m2z2": ("1", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:4,4"),
+        "t2z2": ("2", "false;witness=e22", "false;witness=self",
+                 "false;witness=right:e22", "false;witness=right:2,2"),
     }),
 ]
 
 
 @pytest.mark.parametrize("limits, values", SMALL_LIMIT_VALUES)
 def test_theorem_paths_answer_alike_under_small_limits(limits, values):
-    keys = ("jacobson_size", "invariant", "completely_centrally_essential")
+    keys = ("jacobson_size", "invariant", "completely_centrally_essential",
+            "strongly_bounded", "uniserial")
     for name in CATALOG:
         got = dict(line.split("=", 1)
                    for line in full_report(catalog(name), limits).lines())

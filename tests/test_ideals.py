@@ -1,5 +1,7 @@
 """Ideal closures, lattices, radicals, quotients."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,25 @@ def test_ideal_product_and_power():
     cube = ideal_power(r, i2, 3)
     assert cube.elements == ((0,),)
     assert nilpotency_index(r, i2) == 3
+
+
+@pytest.mark.parametrize("name, make", [
+    ("ex52", lambda r: jacobson_radical(r)),
+    ("z(8)", lambda r: ideal_closure(r, [(2,)])),
+    ("ex52", lambda r: ideal_closure(r, [r.one])),   # idempotent: R^2 = R
+])
+def test_ideal_power_stops_once_the_powers_stop_changing(name, make):
+    # every power past the first repeat equals it, gens included, so a
+    # huge exponent costs no more than reaching that power
+    ring = catalog(name)
+    ideal = make(ring)
+    power, nxt = ideal, ideal_product(ring, ideal, ideal)
+    while nxt.elements != power.elements:
+        power, nxt = nxt, ideal_product(ring, nxt, ideal)
+    start = time.perf_counter()
+    got = ideal_power(ring, ideal, 10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert (got.elements, got.gens) == (nxt.elements, nxt.gens)
 
 
 def test_product_with_the_zero_ideal_is_zero():
