@@ -10,6 +10,7 @@ properties only under --strict).
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -96,9 +97,35 @@ def parse_ring_text(text, name=None):
             raise InputError("line %d: product needs %d coefficients"
                              % (lineno, k))
         tensor[i, j] = [c % m for c, m in zip(coeffs, shape)]
-    return StructureRing(shape, tensor,
-                         one=tuple(c % m for c, m in zip(one_coeffs, shape)),
-                         name=rname)
+    try:
+        return StructureRing(shape, tensor,
+                             one=tuple(c % m for c, m in zip(one_coeffs, shape)),
+                             name=rname)
+    except InputError as exc:
+        raise _with_spec_lines(exc, muls, one_line) from None
+
+
+def _with_spec_lines(exc, muls, one_line):
+    """The axiom error of a parsed tensor, each violation followed by the
+    spec lines it involves: for associativity on (i, j, l) the `mul i j`
+    and `mul j l` lines, for an order incompatibility in c[i][j] the `mul
+    i j` line (the last of each, as the tensor keeps), and for the
+    identity law or 1 = 0 the `one` line."""
+    last = {(i, j): lineno for i, j, _, lineno in muls}
+    notes = []
+    for violation in str(exc).removeprefix("ring axioms fail: ").split("; "):
+        nums = [int(x) for x in re.findall(r"\d+", violation)]
+        if violation.startswith("associativity"):
+            pairs = dict.fromkeys([tuple(nums[:2]), tuple(nums[1:])])
+        elif violation.startswith("order"):   # n_a * c[i][j][m] ... mod n_m
+            pairs = [tuple(nums[1:3])]
+        else:   # the identity law or one equals zero
+            notes.append("%s (line %d)" % (violation, one_line))
+            continue
+        notes.append("%s (%s)" % (violation, ", ".join(
+            "line %d" % last[p] if p in last else "no `mul %d %d` line" % p
+            for p in pairs)))
+    return InputError("ring axioms fail: " + "; ".join(notes))
 
 
 def serialize_ring(ring, limits=DEFAULT_LIMITS):

@@ -7,7 +7,7 @@ closure is bounded by its own size, not the ring's, so small ideals of
 large group algebras are built as well.  The ideal generated by S is one
 additive span of products, g*s*h (s*h right, g*s left) over s in S and
 the additive generators g, h of R, with no closure loop; principal ideals
-are rows (aR) or columns (Ra) of the table, or such spans (RaR).  A span
+are rows (aR) or columns (Ra) of the table, and RaR = R(aR).  A span
 (core._span) returns the generators it used, and products, each power of
 an ideal and the joins of the sweep start from those.  Results come back
 as Ideal values holding sorted element tuples, so every downstream
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, DomainError, LimitError, QuotientRing, _kernel_tables,
-    _mask_elems, _span, _tables_or_raise, units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, DomainError, LimitError, QuotientRing,
+    _close_additive_mask, _kernel_tables, _mask_elems, _span, _tables_or_raise,
+    units_and_regulars,
 )
 
 SIDES = ("two", "left", "right")
@@ -122,37 +123,36 @@ def _principal_ideals(ring, t, side, limits):
     aR : g*x in aR for every additive generator g}: two-sided, it holds
     every two-sided ideal inside aR (mirrored for Ra).
 
-    A right ideal aR is row a of the table and a left one Ra column a, and
-    that row or column at the additive generators of R generates it; a
-    two-sided RaR is the span of _ideal_gens.  Elements in one unit orbit
-    (u*a*v for two-sided, u*a for left, a*v for right ideals) generate the
-    same ideal, so one is built per orbit, under the orbit's first index."""
-    n = len(t.elems)
-    units = units_and_regulars(ring, limits).unit
-    by_key = {}
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = np.array([i])
-        if side != "left":
-            orbit = np.unique(t.mul[i, units])
-        if side != "right":
-            orbit = t.prods(units, orbit)
-        seen[orbit.ravel()] = True
-        if side == "two":
-            mask, gens = _span(t, _ideal_gens(t, [i], side))
-        else:
-            row = t.mul[i] if side == "right" else t.mul[:, i]
-            mask = t.mask()
-            mask[row] = True
-            gens = row[t.gen_idx]
-        by_key.setdefault(_mask_order(mask), (mask, i, gens))
+    aR is row a of the table, spanned by its entries at the additive
+    generators of R, and (a*u)R = aR for units u: one row is read per orbit
+    a*U, under its least index, a row minimum of t.mul[:, units] (chunked
+    by _CHUNK_BYTES; columns and U*a for Ra).  RaR = R(aR) is P = aR when P
+    is its own core, else P closed under g*p for g, p additive generators
+    of R and P.  Each x has a right entry e with least[e] <= x and RxR =
+    R P_e, so walking them by ascending least keeps least generators."""
+    mul = t.mul.T if side == "left" else t.mul   # row a is aR, or Ra if left
+    by_key = {}   # _mask_order -> (mask, least index, additive generators)
+    if side == "two":
+        right = _principal_table(ring, t, "right", limits)
+        for e in np.argsort(right.least):
+            mask, gens = right.masks[e].copy(), right.gens[e]
+            if (mask != right.cores[e]).any():
+                gens = np.concatenate([gens, _close_additive_mask(
+                    t, mask, np.unique(t.prods(t.gen_idx, gens)))])
+            by_key.setdefault(_mask_order(mask), (mask, right.least[e], gens))
+    else:
+        units = units_and_regulars(ring, limits).unit
+        step = max(1, _CHUNK_BYTES // (mul.itemsize * len(units)))
+        least = np.unique(np.concatenate([mul[lo:lo + step, units].min(1)
+                                          for lo in range(0, len(mul), step)]))
+        masks = np.zeros((len(least), len(mul)), dtype=bool)
+        masks[np.arange(len(least))[:, None], mul[least]] = True
+        for entry in zip(masks, least, mul[np.ix_(least, t.gen_idx)]):
+            by_key.setdefault(_mask_order(entry[0]), entry)
     masks, least, gens = zip(*(by_key[key] for key in sorted(by_key)))
-    masks = np.array(masks)
-    cores = masks   # a two-sided ideal is its own core
+    cores = masks = np.array(masks)   # a two-sided ideal is its own core
     for g in t.gen_idx if side != "two" else ():
-        cores = cores & masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
+        cores = cores & masks[:, mul[g]]
     return _PrincipalTable(masks, np.array(least), gens, cores)
 
 

@@ -34,8 +34,11 @@ gathers 1 - a*x for every pair: the paths the package replaced with
 kernels, the two-sided cores of principal ideals and the principal left
 ideals inside {y : 1 - y is a unit}.  The sweep joins each ideal with a
 principal one by one closure walk per pair, as the size-band sweep did
-before it read all joins off coset labels.  Differential tests compare
-against them.
+before it read all joins off coset labels.  The principal table loops
+over the elements, one ideal per unit orbit and two-sided one span of
+products each, as the package did before it read its two-sided table
+off the right one and its one-sided tables off the orbit minima.
+Differential tests compare against them.
 """
 
 import itertools
@@ -48,10 +51,11 @@ from sympy.printing.str import StrPrinter
 
 from ringbench.core import (
     DEFAULT_LIMITS, AdditiveShape, ConstructionError, InputError,
-    StructureRing, ValidationReport, _outer_codes,
+    StructureRing, ValidationReport, _outer_codes, _span, units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _mask_elems, _principal_table, nilpotency_index, quotient,
+    Ideal, _ideal_gens, _mask_elems, _mask_order, _principal_table,
+    nilpotency_index, quotient,
 )
 from ringbench.props import (
     CCEReport, LieSeries, centrally_essential, is_commutative,
@@ -274,6 +278,42 @@ def sweep(ring, side="two"):
                     pending.setdefault(joined.tobytes(), (
                         joined, tuple(sorted(set(gens) | {least}))))
     return out
+
+
+def principal_table(ring, side):
+    """(masks, least, gens, cores) of the principal table as it was built
+    before the two-sided table was read off the right one: a Python loop
+    over the elements that skips each unit orbit (u*a*v two-sided, u*a
+    left, a*v right) after its least member.  That member's ideal is row
+    or column a of the table, or two-sided the span of _ideal_gens, and
+    the first of each ideal, in _mask_order, is kept."""
+    t = ring.tables()
+    units = units_and_regulars(ring).unit
+    by_key = {}
+    seen = np.zeros(len(t.elems), dtype=bool)
+    for i in range(len(t.elems)):
+        if seen[i]:
+            continue
+        orbit = np.array([i])
+        if side != "left":
+            orbit = np.unique(t.mul[i, units])
+        if side != "right":
+            orbit = t.prods(units, orbit)
+        seen[orbit.ravel()] = True
+        if side == "two":
+            mask, gens = _span(t, _ideal_gens(t, [i], side))
+        else:
+            row = t.mul[i] if side == "right" else t.mul[:, i]
+            mask = t.mask()
+            mask[row] = True
+            gens = row[t.gen_idx]
+        by_key.setdefault(_mask_order(mask), (mask, i, gens))
+    masks, least, gens = zip(*(by_key[key] for key in sorted(by_key)))
+    masks = np.array(masks)
+    cores = masks
+    for g in t.gen_idx if side != "two" else ():
+        cores = cores & masks[:, t.mul[g] if side == "right" else t.mul[:, g]]
+    return masks, np.array(least), gens, cores
 
 
 def prime_radical(ring, two_sided=None):

@@ -46,6 +46,10 @@ def test_parse_reduces_coefficients():
     assert r.tensor.tolist() == [[[1]]]
 
 
+T2Z2 = ("shape 2 2 2\none 1 0 1\nmul 0 0 -> 1 0 0\nmul 0 1 -> 0 1 0\n"
+        "mul 1 2 -> 0 1 0\nmul 2 2 -> 0 0 1\n")   # upper triangular 2x2 over Z2
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("one 1\n", "missing `shape`"),
     ("shape 2\n", "missing `one`"),
@@ -56,6 +60,17 @@ def test_parse_reduces_coefficients():
     ("shape 1 2\none 0 1\n", "moduli >= 2"),
     ("shape 2\none x\n", "integers"),
     ("flavor 2\n", "unknown directive"),
+    # axiom errors name the `mul` lines of the products involved, the last
+    # of a repeated one, or the `one` line
+    (T2Z2 + "mul 1 2 -> 0 0 1\n",
+     "associativity fails on generators (0, 1, 2) (line 4, line 7)"),
+    (T2Z2 + "mul 2 2 -> 0 1 1\n",
+     "associativity fails on generators (0, 2, 2) (no `mul 0 2` line, line 7)"),
+    ("shape 2 4\none 1 0\nmul 0 0 -> 1 0\nmul 0 1 -> 0 0\nmul 1 0 -> 0 1\n"
+     "mul 0 1 -> 0 1\n", "n_0 * c[0][1][1] != 0 mod n_1 (line 6)"),
+    ("shape 2\none 1\nmul 0 0 -> 0\n", "identity law fails for one=(1,) (line 2)"),
+    ("shape 2\none 0\nmul 0 0 -> 1\n",
+     "; one equals zero (zero rings are excluded) (line 2)"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(InputError) as err:

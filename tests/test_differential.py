@@ -41,7 +41,7 @@ from ringbench.ideals import (
     ideal_closure, ideal_lattice, ideals_by_size, jacobson_radical,
     prime_radical, quotient,
 )
-from ringbench import core, props
+from ringbench import core, ideals, props
 from ringbench.props import (
     _brackets_inside, central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report, is_commutative,
@@ -299,6 +299,45 @@ def test_principal_cores_are_the_largest_two_sided_ideals_inside():
                 assert np.array_equal(core, largest), side
                 smaller += not np.array_equal(core, mask)
     assert smaller > 0
+
+
+@pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)", "ex51(2)"],
+                         ids=_key_id)
+def test_principal_tables_match_the_per_orbit_oracle(key):
+    # masks, least generators and cores against the loop over unit orbits;
+    # the additive generators, which differ, must span each mask, and a
+    # two-sided entry is the ideal its least generator generates
+    ring = _ring(key)
+    t = ring.tables()
+    for side in SIDES:
+        table = _principal_table(ring, t, side, Limits())
+        masks, least, _, cores = oracles.principal_table(ring, side)
+        assert np.array_equal(table.masks, masks), side
+        assert np.array_equal(table.least, least), side
+        assert np.array_equal(table.cores, cores), side
+        for mask, i, gens in zip(table.masks, table.least, table.gens):
+            assert np.array_equal(_span(t, gens)[0], mask), side
+            if side == "two":
+                assert (ideal_closure(ring, [t.elems[i]]).elements
+                        == _mask_elems(t, mask))
+
+
+@pytest.mark.parametrize("name, units", [("ext2(5)", 500), ("ex52", 64)])
+def test_orbit_minima_do_not_depend_on_the_chunk(name, units, monkeypatch):
+    # the row minima of t.mul[:, units] in chunks of 1 and 7 rows against
+    # one chunk, on both one-sided tables
+    ring = catalog(name)
+    t = ring.tables()
+    assert len(units_and_regulars(ring).unit) == units
+    tables = {}
+    for rows in (ring.size, 7, 1):
+        monkeypatch.setattr(ideals, "_CHUNK_BYTES", rows * units * t.mul.itemsize)
+        tables[rows] = [ideals._principal_ideals(ring, t, side, Limits())
+                        for side in ("left", "right")]
+    for rows in (7, 1):
+        for got, want in zip(tables[rows], tables[ring.size]):
+            for a, b in zip(got, want):
+                assert len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 @pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)"], ids=_key_id)

@@ -1,11 +1,12 @@
 """Fuzz of ring spec text: mutants of the serialized catalog rings either
-parse or raise InputError, and `ringbench report` on them exits 0 or 2
-with at most one line on stderr.  Derandomized, so every run draws the
-same examples."""
+parse or raise an InputError that names a spec line wherever one is
+involved, and `ringbench report` on them exits 0 or 2 with at most one
+line on stderr.  Derandomized, so every run draws the same examples."""
 
 import contextlib
 import functools
 import io
+import re
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_mutated_spec_text_parses_or_raises_input_error(text):
         parse_ring_text(text)
     except InputError as exc:
         assert "\n" not in str(exc)
+        # every error names a spec line, unless the line it wants is absent
+        assert (re.search(r"line \d+", str(exc))
+                or str(exc) in ("missing `shape` line", "missing `one` line"))
 
 
 @hypothesis.settings(FUZZ, max_examples=200)
