@@ -17,7 +17,8 @@ it reuses cached work, so a verdict or a skip never depends on earlier
 calls.
 
 _kernel_tables alone decides how a ring is read: through its dense index
-tables (Tables) up to max_table elements, and above it, for a whole
+tables (Tables, in the index dtype of _index_dtype: int16 up to 2**15
+elements, int32 above) up to max_table elements, and above it, for a whole
 structure ring of fewer than 2**63 elements only, through sums and
 products computed on demand (_OnDemandTables), whose prime p, if any,
 names the F_p path.  The set kernels, subring tables, the sampler and the
@@ -470,7 +471,7 @@ class SubRing(Ring):
 
         def lookup(c):
             pos = np.minimum(np.searchsorted(idx, c), len(idx) - 1)
-            return np.where(idx[pos] == c, pos, -1).astype(np.int32)
+            return np.where(idx[pos] == c, pos, -1).astype(_index_dtype(len(idx)))
 
         return lookup(bt.sums(idx, idx)), lookup(bt.prods(idx, idx))
 
@@ -532,7 +533,8 @@ class QuotientRing(Ring):
                               "would be the zero ring")
         least = bt.add[:, ideal].min(axis=1)   # index order is element order
         self._reps = np.unique(least)
-        self.labels = np.searchsorted(self._reps, least).astype(np.int32)
+        self.labels = np.searchsorted(self._reps, least).astype(
+            _index_dtype(len(self._reps)))
         self.labels.setflags(write=False)
         self.base = base
         self._bt = bt
@@ -612,15 +614,27 @@ def _base_indices(bt, elems):
     return np.unique(np.array(idx, dtype=np.int64))
 
 
+def _index_dtype(n):
+    """The dtype of every dense index table over n elements: the narrowest
+    signed one that holds the indices 0 .. n - 1 and the sentinel -1 of a
+    sum or product that leaves a subring.  int16 up to 2**15 elements,
+    int32 above; tables stop at max_table far below 2**31."""
+    return np.int16 if n <= 2 ** 15 else np.int32
+
+
 class Tables:
-    """Dense index tables: add/mul as (N, N) arrays of element indices.
+    """Dense index tables: add/mul as (N, N) arrays of element indices, in
+    _index_dtype(N), so a table of up to 2**15 elements takes 2 bytes per
+    entry.  Arithmetic on entries that can pass N widens them first, as
+    _recurrence_ops forms its flat index in intp.
 
     Element order matches ring.elements().  ring._table_ops gives add and
-    mul: a whole structure ring builds each row from a lower one by
-    additive recurrence (_recurrence_ops), a quotient gathers them from
-    the base's tables through its labels, and a subring reads its base's
-    sums and products.  neg is derived from add once they are checked
-    closed.  Built through Ring.tables, which gates on max_table.
+    mul: a whole structure ring sums per-coordinate tables for add and
+    builds each row of mul from a lower one (_recurrence_ops), a quotient
+    gathers them from the base's tables through its labels, and a subring
+    reads its base's sums and products.  neg is derived from add once
+    they are checked closed.  Built through Ring.tables, which gates on
+    max_table.
     """
 
     __slots__ = ("ring", "elems", "index", "add", "mul", "neg",
@@ -643,7 +657,7 @@ class Tables:
                 raise ConstructionError("subset not %s closed" % what,
                                         witness=(t.elems[a], t.elems[b]))
         # -a is where row a of add meets zero
-        t.neg = (t.add == t.zero).argmax(axis=1).astype(np.int32)
+        t.neg = (t.add == t.zero).argmax(axis=1).astype(_index_dtype(len(t.elems)))
         t.gen_idx = (_span(t, np.arange(len(t.elems)))[1] if isinstance(ring, SubRing)
                      else np.sort(t.encode(ring.gens())))
         return t
@@ -798,34 +812,38 @@ def _reduced(x, m):
 
 def _recurrence_ops(ring, X):
     """add and mul tables of a whole structure ring, whose rows X are all
-    its elements in order, each row built from a lower one.
+    its elements in order, in _index_dtype(n).
 
-    Let b_i be the basis vector of the first nonzero coordinate of a, so
-    a - b_i is a lower index.  Then
+    add is the Kronecker sum of the per-coordinate tables
+    ((a + b) mod n_i) * w_i, one broadcast per coordinate from the last
+    (w_i = 1) to the first.  mul builds each row from a lower one: let b_i
+    be the basis vector of the first nonzero coordinate of a, so a - b_i
+    is a lower index, and
 
-        add[a] = succ_i[add[a - b_i]],   where succ_i[x] = x + b_i,
         mul[a] = add[mul[a - b_i], mul[b_i]],
 
     with the k rows mul[b_i] contracted from the tensor (_outer_codes).
     The rows whose first nonzero coordinate is i, with digit d there, are
     the block [d w_i, (d + 1) w_i) of place value w_i, and their a - b_i
-    are the block before it, so each block is one gather.  mul needs
-    whole rows of add, so add is finished first."""
+    are the block before it, so each block is one take on add.ravel().
+    Its flat index mul[a - b_i] * n + mul[b_i] is formed in intp, where
+    it stays below n**2 <= 2**62 for every ring with an index dtype, so
+    it cannot wrap as it would in the table's own dtype."""
     mods, w = ring._mods, ring._weights
     n, k = X.shape
-    ar = np.arange(n)[:, None]
-    # x + b_i: digit i of x steps up by one, from n_i - 1 back to 0
-    succ = np.where(X == mods - 1, ar - (mods - 1) * w, ar + w).T
+    dtype = _index_dtype(n)
+    add = np.zeros((1, 1), dtype=dtype)
+    for n_i, w_i in zip(mods[::-1], w[::-1]):
+        d = np.arange(n_i)
+        a_i = ((d[:, None] + d) % n_i * w_i).astype(dtype)
+        add = (a_i[:, None, :, None] + add[None, :, None, :]).reshape(n_i * w_i, -1)
     gen_mul = _outer_codes(ring, np.eye(k, dtype=np.int64) % mods, X, "mul")
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    add[0], mul[0] = ar[:, 0], 0
-    blocks = [(i, d * int(w[i]), int(w[i])) for i in range(k - 1, -1, -1)
-              for d in range(1, int(mods[i]))]
-    for i, lo, wi in blocks:
-        add[lo:lo + wi] = succ[i][add[lo - wi:lo]]
-    for i, lo, wi in blocks:
-        mul[lo:lo + wi] = add[mul[lo - wi:lo], gen_mul[i]]
+    mul, flat = np.zeros((n, n), dtype=dtype), add.ravel()   # mul[0] = 0
+    for i in range(k - 1, -1, -1):
+        wi = int(w[i])
+        for lo in range(wi, int(mods[i]) * wi, wi):
+            mul[lo:lo + wi] = flat.take(mul[lo - wi:lo].astype(np.intp) * n
+                                        + gen_mul[i])
     return add, mul
 
 

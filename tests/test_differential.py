@@ -784,7 +784,7 @@ def test_subring_tables_match_oracle(key):
         t = sub.tables()
         for table, expected in zip((t.add, t.mul, t.neg),
                                    oracles.subring_tables(sub)):
-            assert table.dtype == np.int32
+            assert table.dtype == np.int16   # at most 2**15 elements
             assert np.array_equal(table, expected)
         assert (t.add[np.arange(sub.size), t.neg] == t.zero).all()
 
@@ -822,6 +822,40 @@ def test_quotient_rejects_every_one_sided_ideal_of_the_catalog():
     assert rejected == 106
 
 
+def _least_coset_labels(bt, ideal):
+    """Least coset representatives of the ideal with indices `ideal`, read
+    off the base tables one coset at a time: the least unlabelled index x
+    is the least member of x + I.  Returns (reps, label of each index)."""
+    labels, reps = np.full(len(bt.elems), -1), []
+    for x in range(len(bt.elems)):
+        if labels[x] < 0:
+            labels[bt.add[x, ideal]] = len(reps)
+            reps.append(x)
+    return np.array(reps), labels
+
+
+@pytest.mark.parametrize("name", ["ex52", "ext2(4)"])
+def test_quotient_tables_are_least_coset_labels_in_the_index_dtype(name):
+    ring = catalog(name)
+    bt = ring.tables()
+    for ideal in all_ideals(ring):
+        if ideal.is_whole():
+            continue
+        q = quotient(ring, ideal)
+        reps, labels = _least_coset_labels(bt, bt.encode(ideal.elements))
+        assert q.elements() == bt.decode(reps)
+        assert q.labels.dtype == np.int16   # at most 2**15 elements
+        assert np.array_equal(q.labels, labels)
+        t = q.tables()
+        block = np.ix_(reps, reps)
+        for table, expected in ((t.add, labels[bt.add[block]]),
+                                (t.mul, labels[bt.mul[block]]),
+                                (t.neg, labels[bt.neg[reps]])):
+            assert table.dtype == np.int16
+            assert ((0 <= table) & (table < q.size)).all()
+            assert np.array_equal(table, expected)
+
+
 # -- on-demand tables above max_table ----------------------------------------------
 
 SAMPLE_DIGESTS = {
@@ -856,9 +890,21 @@ def test_recurrence_tables_match_tensor_contraction(name):
     assert len(t.elems) == ring.size <= DENSE.max_table
     X = ring.elements_array()
     for table, op in ((t.add, "add"), (t.mul, "mul")):
-        assert table.dtype == np.int32
+        assert table.dtype == np.int16   # at most 2**15 elements
         assert np.array_equal(table, _outer_codes(ring, X, X, op))
+    assert t.neg.dtype == np.int16
     assert np.array_equal(t.neg, (-X) % ring._mods @ ring._weights)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2 ** 15 - 1, np.int16), (2 ** 15, np.int16), (2 ** 15 + 1, np.int32)])
+def test_index_dtype_is_the_narrowest_that_holds_every_index(n, expected):
+    # the rule alone, at the int16 boundary; no table is built
+    ends = np.array([-1, n - 1])   # the sentinel and the largest index
+    assert core._index_dtype(n) is expected
+    assert np.array_equal(ends.astype(expected), ends)
+    assert expected is np.int16 or not np.array_equal(ends.astype(np.int16),
+                                                      ends)
 
 
 @pytest.mark.parametrize("name", TABLE_RINGS)

@@ -1,18 +1,25 @@
-"""Fuzz of ring spec text: mutants of the serialized catalog rings either
-parse or raise an InputError that names a spec line wherever one is
-involved, and `ringbench report` on them exits 0 or 2 with at most one
-line on stderr.  Derandomized, so every run draws the same examples."""
+"""Fuzz of ring spec text and of limits.  Mutants of the serialized
+catalog rings either parse or raise an InputError that names a spec line
+wherever one is involved, and `ringbench report` on them exits 0 or 2
+with at most one line on stderr.  Under small drawn limits, `ringbench
+report` on a catalog ring answers each key as under the default limits
+or skips it naming a lowered limit, and --strict exits 3 exactly when a
+key is skipped.  Derandomized, so every run draws the same examples."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import re
+from unittest import mock
 
 import pytest
 
+from ringbench import cli
 from ringbench.cli import main, parse_ring_text, serialize_ring
 from ringbench.construct import catalog
-from ringbench.core import InputError
+from ringbench.core import DEFAULT_LIMITS, InputError
+from ringbench.props import full_report
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -101,3 +108,59 @@ def test_report_on_mutated_spec_text_exits_0_or_2(text, spec_path):
     assert code in (0, 2)
     assert len(err.getvalue().splitlines()) == (code == 2)
     assert bool(out.getvalue()) == (code == 0)
+
+
+# every catalog ring with at most 1024 elements; each answers all its keys
+# under the default limits
+LIMIT_RINGS = ("z2q8", "z2d4", "ex52", "ex51(3)", "ext2(3)", "ext2(4)",
+               "ext2(5)", "m2z2", "t2z2")
+LIMIT_FIELDS = ("max_elements", "max_ideals", "max_lattice", "max_table")
+
+
+@functools.lru_cache(maxsize=None)
+def _default_lines(name):
+    return tuple(full_report(catalog(name)).lines())
+
+
+@st.composite
+def small_limits(draw):
+    """A catalog ring and, for each limit, its default or a value from 1
+    to twice the ring's size, which may lie above the default."""
+    name = draw(st.sampled_from(LIMIT_RINGS))
+    size = catalog(name).size
+    lowered = draw(st.sets(st.sampled_from(LIMIT_FIELDS), min_size=1))
+    values = {f: draw(st.integers(1, 2 * size)) for f in sorted(lowered)}
+    return name, dataclasses.replace(DEFAULT_LIMITS, **values)
+
+
+@hypothesis.settings(FUZZ, max_examples=150)
+@hypothesis.given(drawn=small_limits(), strict=st.booleans())
+def test_report_under_small_limits_names_each_skip(drawn, strict):
+    # max_elements and max_ideals go in as flags, the other two as the
+    # CLI's defaults, which have no flag
+    name, limits = drawn
+    lowered = {f for f in LIMIT_FIELDS
+               if getattr(limits, f) < getattr(DEFAULT_LIMITS, f)}
+    argv = ["--max-elements", str(limits.max_elements),
+            "--max-ideals", str(limits.max_ideals)]
+    argv += ["--strict"] * strict + ["report", name]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "DEFAULT_LIMITS", limits), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    if not lines:   # the ring itself is built on tables under the limits
+        assert code == 3
+        (line,) = err.getvalue().splitlines()
+        assert re.match(r"error: limit (\w+)=", line).group(1) in lowered
+        return
+    assert not err.getvalue()
+    skipped = False
+    for line, default in zip(lines, _default_lines(name), strict=True):
+        key = default.split("=", 1)[0]
+        if line.startswith(key + "=skipped;limit="):
+            assert line.split(";limit=")[1] in lowered
+            skipped = True
+        else:
+            assert line == default
+    assert code == (3 if strict and skipped else 0)
