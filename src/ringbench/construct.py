@@ -13,8 +13,8 @@ import re
 import numpy as np
 
 from ringbench.core import (
-    DEFAULT_LIMITS, ConstructionError, DomainError, InputError, LimitError,
-    StructureRing, _tables_or_raise,
+    DEFAULT_LIMITS, AdditiveShape, ConstructionError, DomainError, InputError,
+    LimitError, StructureRing, _tables_or_raise,
 )
 from ringbench.groups import dihedral, quaternion8
 from ringbench.ideals import Ideal, ideal_closure, principal_ideal
@@ -279,6 +279,7 @@ def matrix_pattern_ring(pattern, basis_names=None, name=None,
         size *= q
     if size > limits.max_elements:
         raise LimitError("max_elements", limits.max_elements, size)
+    shape = AdditiveShape(shape)   # its moduli fit the int64 matrices below
 
     gens = []
     for m in range(k):

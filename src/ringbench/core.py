@@ -99,6 +99,8 @@ class AdditiveShape:
         mods = tuple(int(n) for n in self.moduli)
         if not mods or any(n < 1 for n in mods):
             raise InputError("shape moduli must be integers >= 1: %r" % (self.moduli,))
+        if any(n >= 2 ** 63 for n in mods):   # the tensor and codes are int64
+            raise InputError("shape moduli must be below 2**63: %r" % (mods,))
         object.__setattr__(self, "moduli", mods)
 
     @property
@@ -512,8 +514,8 @@ class QuotientRing(Ring):
     every entry is a base element, 0 is in I, I + I lies in I, and so do
     I*g and g*I for every additive generator g of the base, which covers
     all of R since products are bilinear.  I must be proper: the zero ring
-    is no ring here (validate_ring).  A base without tables raises
-    LimitError(max_table).
+    is no ring here (validate_ring).  Then _coset_labels labels the
+    cosets.  A base without tables raises LimitError(max_table).
     """
 
     def __init__(self, base, ideal_elems, name=None, limits=DEFAULT_LIMITS):
@@ -531,7 +533,7 @@ class QuotientRing(Ring):
         if inside.all():
             raise DomainError("the ideal is the whole ring; the quotient "
                               "would be the zero ring")
-        least = bt.add[:, ideal].min(axis=1)   # index order is element order
+        least = _coset_labels(bt, ideal)
         self._reps = np.unique(least)
         self.labels = np.searchsorted(self._reps, least).astype(
             _index_dtype(len(self._reps)))
@@ -886,6 +888,19 @@ def _span(t, gidx):
     mask = t.mask()
     mask[t.zero] = True
     return mask, _close_additive_mask(t, mask, gidx)
+
+
+def _coset_labels(t, idx):
+    """The least index of each coset x + I, for quotients and the joins of
+    the ideal sweep; I is the additive subgroup at the indices idx, and
+    index order is element order.  Addition commutes, so row i of add is
+    column i, and x + I's least member is the least x + i: a running
+    minimum over I's rows, read in chunks of about _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // t.add[0].nbytes)
+    lab = t.add[idx[:step]].min(axis=0)
+    for lo in range(step, len(idx), step):
+        np.minimum(lab, t.add[idx[lo:lo + step]].min(axis=0), out=lab)
+    return lab
 
 
 def _mask_elems(t, mask):

@@ -8,17 +8,17 @@ large group algebras are built as well.  The ideal generated by S is one
 additive span of products, g*s*h (s*h right, g*s left) over s in S and
 the additive generators g, h of R, with no closure loop; principal ideals
 are rows (aR) or columns (Ra) of the table, and RaR = R(aR).  A span
-(core._span) returns the generators it used, and products, each power of
-an ideal and the joins of the sweep start from those.  Results come back
-as Ideal values holding sorted element tuples, so every downstream
-consumer sees one deterministic order.
+(core._span) returns the generators it used, and products and each power
+of an ideal start from those.  Results come back as Ideal values holding
+sorted element tuples, so every downstream consumer sees one
+deterministic order.
 
 One enumerator lists ideals: ideals_by_size, a lazy sweep by size band
 seeded by the principal table of each side (_principal_table: masks,
-least generators, additive generators, one-sided cores, in _mask_order)
-that joins each ideal it hands out with principal ideals only, all at
-once through its coset labels.  Complete central essentiality and the
-least ideal stop it early; all_ideals runs it to the end, and a
+least generators and one-sided cores, in _mask_order) that joins each
+ideal it hands out with principal ideals only, all at once through its
+coset labels (core._coset_labels).  Complete central essentiality and
+the least ideal stop it early; all_ideals runs it to the end, and a
 LatticeReport reads its order off one strict-containment matrix.  The
 radicals need no lattice: J(R) is the union of the principal left ideals
 inside {y : 1 - y is a unit}, and in a finite ring P(R) = J(R).
@@ -33,12 +33,12 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, DomainError, LimitError, QuotientRing,
-    _close_additive_mask, _kernel_tables, _mask_elems, _span, _tables_or_raise,
-    units_and_regulars,
+    _close_additive_mask, _coset_labels, _kernel_tables, _mask_elems, _span,
+    _tables_or_raise, units_and_regulars,
 )
 
 SIDES = ("two", "left", "right")
-_PrincipalTable = namedtuple("_PrincipalTable", "masks least gens cores")
+_PrincipalTable = namedtuple("_PrincipalTable", "masks least cores")
 
 
 @dataclass(frozen=True)
@@ -118,28 +118,28 @@ def _mask_order(mask):
 
 def _principal_ideals(ring, t, side, limits):
     """The principal ideals of one sidedness, each once, in _mask_order:
-    masks (m, n), least generating indices, additive generator indices and
-    cores, the largest two-sided ideal inside each.  For aR that is {x in
-    aR : g*x in aR for every additive generator g}: two-sided, it holds
-    every two-sided ideal inside aR (mirrored for Ra).
+    masks (m, n), least generating indices and cores, the largest
+    two-sided ideal inside each.  For aR that is {x in aR : g*x in aR for
+    every additive generator g}: two-sided, it holds every two-sided
+    ideal inside aR (mirrored for Ra).
 
     aR is row a of the table, spanned by its entries at the additive
     generators of R, and (a*u)R = aR for units u: one row is read per orbit
     a*U, under its least index, a row minimum of t.mul[:, units] (chunked
     by _CHUNK_BYTES; columns and U*a for Ra).  RaR = R(aR) is P = aR when P
-    is its own core, else P closed under g*p for g, p additive generators
-    of R and P.  Each x has a right entry e with least[e] <= x and RxR =
-    R P_e, so walking them by ascending least keeps least generators."""
+    is its own core, else P closed under g*a*h for g, h additive generators
+    of R.  Each x has a right entry e with least[e] <= x and RxR = R P_e,
+    so walking them by ascending least keeps least generators."""
     mul = t.mul.T if side == "left" else t.mul   # row a is aR, or Ra if left
-    by_key = {}   # _mask_order -> (mask, least index, additive generators)
+    by_key = {}   # _mask_order -> (mask, least index)
     if side == "two":
         right = _principal_table(ring, t, "right", limits)
         for e in np.argsort(right.least):
-            mask, gens = right.masks[e].copy(), right.gens[e]
+            mask, a = right.masks[e].copy(), right.least[e]
             if (mask != right.cores[e]).any():
-                gens = np.concatenate([gens, _close_additive_mask(
-                    t, mask, np.unique(t.prods(t.gen_idx, gens)))])
-            by_key.setdefault(_mask_order(mask), (mask, right.least[e], gens))
+                _close_additive_mask(t, mask, np.unique(
+                    t.prods(t.gen_idx, t.mul[a, t.gen_idx])))
+            by_key.setdefault(_mask_order(mask), (mask, a))
     else:
         units = units_and_regulars(ring, limits).unit
         step = max(1, _CHUNK_BYTES // (mul.itemsize * len(units)))
@@ -147,13 +147,13 @@ def _principal_ideals(ring, t, side, limits):
                                           for lo in range(0, len(mul), step)]))
         masks = np.zeros((len(least), len(mul)), dtype=bool)
         masks[np.arange(len(least))[:, None], mul[least]] = True
-        for entry in zip(masks, least, mul[np.ix_(least, t.gen_idx)]):
+        for entry in zip(masks, least):
             by_key.setdefault(_mask_order(entry[0]), entry)
-    masks, least, gens = zip(*(by_key[key] for key in sorted(by_key)))
+    masks, least = zip(*(by_key[key] for key in sorted(by_key)))
     cores = masks = np.array(masks)   # a two-sided ideal is its own core
     for g in t.gen_idx if side != "two" else ():
         cores = cores & masks[:, mul[g]]
-    return _PrincipalTable(masks, np.array(least), gens, cores)
+    return _PrincipalTable(masks, np.array(least), cores)
 
 
 def _principal_table(ring, t, side, limits):
@@ -162,22 +162,6 @@ def _principal_table(ring, t, side, limits):
     if side not in cached:
         cached[side] = _principal_ideals(ring, t, side, limits)
     return cached[side]
-
-
-def _coset_labels(t, gens):
-    """The least index of each coset x + K, K the additive span of the
-    indices gens (index order is element order).  Per generator g the
-    running minimum takes in x + g, x + 2g, x + 4g, ... and stops at the
-    first doubling that changes nothing: then lab[x] <= lab[x + 2^r g]
-    for every x, so no further multiple of g lowers it, odd orders too."""
-    lab = np.arange(len(t.elems))
-    for g in gens:
-        while True:   # g runs through the generator's doublings
-            low = np.minimum(lab, lab[t.add[g]])
-            if (low == lab).all():
-                break
-            lab, g = low, t.add[g, g]
-    return lab
 
 
 def _as_ideal(ring, t, mask, gens, side):
@@ -205,11 +189,10 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     earlier.  If m >= 3, a least P_j precedes the sum of the others,
     which holds each other P_i strictly, and meets it.
 
-    All joins of K are read off one labelling of its cosets
-    (_coset_labels): x lies in K + P exactly when the coset x + K meets
-    P, so one scatter of each P's labels and one gather through K's give
-    every join at once.  A pending ideal carries the additive generators
-    it is labelled by, a principal ideal its own and a join the pair's.
+    All joins of K are read off one labelling of its cosets by their
+    least members (core._coset_labels, on K's elements): x lies in K + P
+    exactly when the coset x + K meets P, so one scatter of each P's
+    labels and one gather through K's give every join at once.
 
     A principal ideal records its least generator as gens; a join records
     the sorted union of the gens of the pair first joined into it.
@@ -223,8 +206,8 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
     t = _tables_or_raise(ring, limits)
     table = _principal_table(ring, t, side, limits)
     keys = [_mask_order(mask) for mask in table.masks]
-    pending = {key: (mask, (least,), gens) for key, mask, least, gens
-               in zip(keys, table.masks, table.least, table.gens)}
+    pending = {key: (mask, (least,))
+               for key, mask, least in zip(keys, table.masks, table.least)}
     handed = seen = 0   # the first seen principal ideals are handed out
     while pending:
         if handed + len(pending) > limits.max_ideals:
@@ -232,25 +215,24 @@ def ideals_by_size(ring, side="two", limits=DEFAULT_LIMITS):
         size = min(key[0] for key in pending)
         band = sorted(key for key in pending if key[0] == size)
         for key in band:
-            mask, gens, _ = pending[key]
+            mask, gens = pending[key]
             yield _as_ideal(ring, t, mask, gens, side)
         for key in band:
-            mask, gens, add = pending.pop(key)
+            mask, gens = pending.pop(key)
             handed += 1
             seen += seen < len(keys) and key == keys[seen]
             old = table.masks[:seen]
             apart = np.nonzero((mask & ~old).any(1) & (old & ~mask).any(1))[0]
             if not apart.size:
                 continue
-            lab = _coset_labels(t, add)
+            lab = _coset_labels(t, np.flatnonzero(mask))
             hit = np.zeros((len(apart), len(t.elems)), dtype=bool)
             rows, cols = np.nonzero(table.masks[apart])
             hit[rows, lab[cols]] = True
             for i, joined in zip(apart, hit[:, lab]):
                 new = _mask_order(joined)
                 if new not in pending:
-                    pending[new] = (joined, tuple(sorted({*gens, table.least[i]})),
-                                    np.concatenate([add, table.gens[i]]))
+                    pending[new] = (joined, tuple(sorted({*gens, table.least[i]})))
 
 
 @dataclass

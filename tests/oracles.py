@@ -254,8 +254,8 @@ def jacobson_radical(ring):
 def sweep(ring, side="two"):
     """ideals_by_size run to the end with its joins as they were made
     before coset labels: each ideal handed out is closed under the
-    additive generators of every earlier principal ideal it is
-    incomparable with, one breadth-first walk per pair."""
+    elements of every earlier principal ideal it is incomparable with,
+    one breadth-first walk per pair."""
     t = ring.tables()
     table = _principal_table(ring, t, side, DEFAULT_LIMITS)
     pending = {mask.tobytes(): (mask, (least,))
@@ -271,10 +271,10 @@ def sweep(ring, side="two"):
             out.append(Ideal(ring=ring, elements=elems, side=side,
                              gens=tuple(t.elems[g] for g in gens)))
             seen += seen < len(table.masks) and key == table.masks[seen].tobytes()
-            for part, least, add in zip(table.masks[:seen], table.least,
-                                        table.gens):
+            for part, least in zip(table.masks[:seen], table.least):
                 if (mask & ~part).any() and (part & ~mask).any():
-                    joined = _close_additive_mask(t, mask.copy(), add)
+                    joined = _close_additive_mask(t, mask.copy(),
+                                                  np.flatnonzero(part))
                     pending.setdefault(joined.tobytes(), (
                         joined, tuple(sorted(set(gens) | {least}))))
     return out

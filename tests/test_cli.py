@@ -298,7 +298,11 @@ def test_quotient_bad_gens(capsys):
      "whole ring"),
     (["quotient", "z2q8", "--gens", "0,0,0,0,0,0,0,1", "export"],
      "whole ring"),
-], ids=["ex51-m1", "quotient-whole-report", "quotient-whole-export"])
+    (["report", "z(%d)" % 2 ** 63], "below 2**63"),
+    (["report", "ext2(%d)" % 2 ** 63], "below 2**63"),
+    (["--max-elements", str(10 ** 40), "report", "ex51(63)"], "below 2**63"),
+], ids=["ex51-m1", "quotient-whole-report", "quotient-whole-export",
+        "z-2to63", "ext2-2to63", "ex51-m63"])
 def test_no_zero_ring_and_no_bad_parameter_exits_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -72,6 +72,15 @@ def test_shape_rejects_bad_moduli():
         AdditiveShape(())
 
 
+def test_shape_moduli_stop_below_2_63():
+    # the tensor and the element codes are int64: StructureRing and
+    # validate_ring both take the shape first, so neither overflows
+    for build in (make_ring, validate_ring):
+        with pytest.raises(InputError, match=r"^shape moduli must be below 2\*\*63"):
+            build([2 ** 63], [[[1]]], (1,))
+    assert catalog("z(%d)" % (2 ** 63 - 1)).size == 2 ** 63 - 1
+
+
 # -- validation -------------------------------------------------------------
 
 def test_validate_accepts_z6():

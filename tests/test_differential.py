@@ -27,7 +27,7 @@ from sympy import Matrix
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, StructureRing,
-    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes, _span,
+    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes,
     center, make_ring, units_and_regulars,
 )
 from ringbench.construct import (
@@ -37,7 +37,7 @@ from ringbench.construct import (
 )
 from ringbench.groups import cyclic, dihedral, direct_product, quaternion8
 from ringbench.ideals import (
-    SIDES, _coset_labels, _principal_table, additive_closure, all_ideals,
+    SIDES, _principal_table, additive_closure, all_ideals,
     ideal_closure, ideal_lattice, ideals_by_size, jacobson_radical,
     prime_radical, quotient,
 )
@@ -264,20 +264,38 @@ def test_joins_by_coset_labels_match_closure_walks(key):
 
 @pytest.mark.parametrize("name", CATALOG + ("ext2(5)",))
 def test_coset_labels_are_least_coset_members(name):
-    # doubling over additive generators against the n x |I| gather, on
-    # every ideal of each side; ext2(3) and ext2(5) have odd additive
-    # orders, ex51(3) elements of order 8
+    # the row minimum over I against the walk that labels one coset at a
+    # time, on every ideal of each side; ext2(3) and ext2(5) have odd
+    # additive orders, ex51(3) elements of order 8
     ring = catalog(name)
     t = ring.tables()
     for side in SIDES:
         for ideal in all_ideals(ring, side, Limits(max_lattice=1024)):
             idx = t.encode(ideal.elements)
-            want = t.add[:, idx].min(axis=1)
-            gens = _span(t, idx)[1]
-            assert np.array_equal(_coset_labels(t, gens), want), side
-            # generators repeated, 0 among them, in another order
-            again = np.concatenate([gens[::-1], [t.zero], gens])
-            assert np.array_equal(_coset_labels(t, again), want), side
+            reps, labels = _least_coset_labels(t, idx)
+            assert np.array_equal(core._coset_labels(t, idx), reps[labels]), side
+
+
+@pytest.mark.parametrize("name", ["ext2(4)", "ex52"])
+def test_coset_labels_do_not_depend_on_the_chunk(name, monkeypatch):
+    # quotient labels and the lattices of all three sides, with I's rows
+    # read 1 and 7 at a time, against one chunk; fresh rings each time, so
+    # no principal table or lattice is reused
+    def labelled():
+        ring = catalog(name)
+        lattices = [all_ideals(ring, side) for side in SIDES]
+        labels = [QuotientRing(ring, ideal.elements).labels
+                  for ideal in lattices[0] if not ideal.is_whole()]
+        return [_ideal_data(ideals) for ideals in lattices], labels
+
+    row = catalog(name).tables().add[0].nbytes
+    want_lattices, want_labels = labelled()
+    for rows in (7, 1):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", rows * row)
+        lattices, labels = labelled()
+        assert lattices == want_lattices, rows
+        assert len(labels) == len(want_labels) > 1
+        assert all(map(np.array_equal, labels, want_labels)), rows
 
 
 def test_principal_cores_are_the_largest_two_sided_ideals_inside():
@@ -304,9 +322,8 @@ def test_principal_cores_are_the_largest_two_sided_ideals_inside():
 @pytest.mark.parametrize("key", RING_KEYS + ["z(12)", "z(7)", "ex51(2)"],
                          ids=_key_id)
 def test_principal_tables_match_the_per_orbit_oracle(key):
-    # masks, least generators and cores against the loop over unit orbits;
-    # the additive generators, which differ, must span each mask, and a
-    # two-sided entry is the ideal its least generator generates
+    # masks, least generators and cores against the loop over unit orbits,
+    # and a two-sided entry is the ideal its least generator generates
     ring = _ring(key)
     t = ring.tables()
     for side in SIDES:
@@ -315,9 +332,8 @@ def test_principal_tables_match_the_per_orbit_oracle(key):
         assert np.array_equal(table.masks, masks), side
         assert np.array_equal(table.least, least), side
         assert np.array_equal(table.cores, cores), side
-        for mask, i, gens in zip(table.masks, table.least, table.gens):
-            assert np.array_equal(_span(t, gens)[0], mask), side
-            if side == "two":
+        if side == "two":
+            for mask, i in zip(table.masks, table.least):
                 assert (ideal_closure(ring, [t.elems[i]]).elements
                         == _mask_elems(t, mask))
 
