@@ -891,16 +891,25 @@ def _span(t, gidx):
 
 
 def _coset_labels(t, idx):
-    """The least index of each coset x + I, for quotients and the joins of
-    the ideal sweep; I is the additive subgroup at the indices idx, and
-    index order is element order.  Addition commutes, so row i of add is
-    column i, and x + I's least member is the least x + i: a running
-    minimum over I's rows, read in chunks of about _CHUNK_BYTES."""
+    """The least index of each coset x + I, for quotients, joins and tests
+    modulo I; I is the additive subgroup at the indices idx, and index
+    order is element order.  Addition commutes, so row i of add is column
+    i, and x + I's least member is the least x + i: a running minimum
+    over I's rows, read in chunks of about _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // t.add[0].nbytes)
     lab = t.add[idx[:step]].min(axis=0)
     for lo in range(step, len(idx), step):
         np.minimum(lab, t.add[idx[lo:lo + step]].min(axis=0), out=lab)
     return lab
+
+
+def _central_mod(t, lab, xs):
+    """Whether each index in xs is central modulo the ideal I whose cosets
+    lab labels (_coset_labels; identity labels for I = 0): x*g and g*x in
+    one coset for every additive generator g, which suffices since
+    products are bilinear.  A boolean array."""
+    g = t.gen_idx
+    return (lab[t.prods(xs, g)] == lab[t.prods(g, xs).T]).all(axis=1)
 
 
 def _mask_elems(t, mask):
@@ -939,7 +948,7 @@ def center(ring, limits=DEFAULT_LIMITS):
     """The center Z(R) as a SubRing (commutative, contains 0 and 1): the
     elements that commute with every additive generator.  Where the
     kernel tables carry a prime p, the center is the span of its F_p
-    basis (_center_basis); every other ring scans its elements."""
+    basis (_center_basis); every other ring scans (_central_mod)."""
     ring._size_gate(limits)
     t = _kernel_tables(ring, limits)
     cached = getattr(ring, "_center", None)
@@ -947,8 +956,7 @@ def center(ring, limits=DEFAULT_LIMITS):
         return cached
     if t.p is None:
         every = np.arange(ring.size)
-        mask = (t.prods(every, t.gen_idx) == t.prods(t.gen_idx, every).T).all(axis=1)
-        idx = mask.nonzero()[0]
+        idx = np.flatnonzero(_central_mod(t, every, every))
     else:
         basis = _center_basis(ring, t.p)
         idx = np.sort(_span_mod_p(basis, t.p, ring._exact_tensor.dtype) @ ring._weights)

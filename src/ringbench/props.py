@@ -11,15 +11,16 @@ one batched rank test mod p per chunk of elements (core._ce_rank_mod_p;
 a scan fills the witness map where CE holds on at most WITNESS_MAP_LIMIT
 elements), the units are decided on the blocks of R/J and lifted to R,
 and the Ore check follows; most other deciders skip on max_table.  The
-Lie series and the central-series check gather their brackets from the
-dense tables, and no decider loops over elements in Python.
+Lie series gathers its brackets from the dense tables, and no decider
+loops over elements in Python.
 One-sided questions (invariant, strongly bounded, uniserial) are array
 reductions over the principal table of each side (ideals._principal_table):
 rows and columns of the multiplication table, one per ideal, with their
 two-sided cores.  Every other ideal, a Lie term included,
-is one additive span of products (ideals._ideal_gens).  Complete central
-essentiality sweeps the two-sided ideals by size, builds a quotient only
-for a noncommutative factor and stops at the first failing one.
+is one additive span of products (ideals._ideal_gens).  Factor rings
+R/I are read off R's own tables through I's coset labels, never built:
+one scan (_ce_tables) decides CE of R and of R/I, and the CCE sweep runs
+it on noncommutative factors only, up to the first failing one.
 """
 
 import functools
@@ -30,13 +31,13 @@ import numpy as np
 
 from ringbench.core import (
     _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _ce_rank_mod_p,
-    _close_additive_mask, _kernel_tables, _mask_elems, _span,
-    _tables_or_raise, center, units_and_regulars,
+    _central_mod, _close_additive_mask, _coset_labels, _kernel_tables,
+    _mask_elems, _span, _tables_or_raise, center, units_and_regulars,
 )
 from ringbench.ideals import (
     _as_ideal, _ideal_gens, _power_masks, _principal_table, all_ideals,
-    ideal_closure, ideals_by_size, jacobson_radical, nilpotency_index,
-    prime_radical, quotient,
+    ideals_by_size, jacobson_radical, nilpotency_index, prime_radical,
+    quotient,
 )
 
 WITNESS_MAP_LIMIT = 8192
@@ -105,40 +106,45 @@ def centrally_essential(ring, limits=DEFAULT_LIMITS):
     if bad is not None:
         rep = CEReport(False, z.size, counterexample=t.decode([bad])[0])
     elif t.p is None or ring.size <= WITNESS_MAP_LIMIT:
-        rep = _ce_tables(z, t, ring.size)   # after a rank test: the map
+        in_center = np.zeros(ring.size, dtype=bool)
+        in_center[t.encode(z.elements())] = True
+        rep = _ce_tables(t, np.arange(ring.size), in_center,
+                         ring.size <= WITNESS_MAP_LIMIT)
     else:
         rep = CEReport(True, z.size)
     ring._ce = rep
     return rep
 
 
-def _ce_tables(z, t, n):
-    """CE on the kernel tables t of a ring of n elements, a chunk of rows at
-    a time; the first chunk holding an element without a central partner
-    ends the walk.  Only the elements the report holds are decoded.  Up to
-    WITNESS_MAP_LIMIT elements the report maps each a != 0 to its least
-    central partner x and a*x."""
-    zall = np.sort(t.encode(z.elements()))
-    in_center = np.zeros(n, dtype=bool)
-    in_center[zall] = True
-    zidx = zall[zall != t.zero]
+def _ce_tables(t, lab, central, witness_map=False):
+    """CE of R/I on R's kernel tables t (R itself on identity labels):
+    lab labels I's cosets by their least members (core._coset_labels),
+    which are R/I's elements in order, and central masks the x central
+    modulo I (core._central_mod).  Each a needs a partner x, central and
+    outside I, with a*x central and outside I.  A chunk of rows at a
+    time; the first chunk holding an a without one ends the walk, and its
+    least such a is R/I's counterexample.  With witness_map, the report
+    maps each a outside I to its least partner x and a*x."""
+    reps = np.flatnonzero(lab == np.arange(len(lab)))
+    zero = lab[t.zero]
+    zidx = reps[central[reps] & (reps != zero)]
     wm = {}
     # on demand, a product costs about one coefficient row of 8 int64
     step = max(1, _CHUNK_BYTES // (64 * len(zidx)))
-    for s in range(0, n, step):
-        rows = np.arange(s, min(n, s + step))
-        prod = t.prods(rows, zidx)                  # a * x
-        good = in_center[prod] & (prod != t.zero)
-        ok = good.any(axis=1) | (rows == t.zero)
+    for s in range(0, len(reps), step):
+        rows = reps[s:s + step]
+        prod = lab[t.prods(rows, zidx)]             # a * x, by its coset
+        good = central[prod] & (prod != zero)
+        ok = good.any(axis=1) | (rows == zero)
         if not ok.all():
-            bad = s + int(np.argmin(ok))
-            return CEReport(False, z.size, counterexample=t.decode([bad])[0])
-        if n <= WITNESS_MAP_LIMIT:
-            a = np.nonzero(rows != t.zero)[0]
+            return CEReport(False, len(zidx) + 1,
+                            counterexample=t.decode([rows[np.argmin(ok)]])[0])
+        if witness_map:
+            a = np.nonzero(rows != zero)[0]
             first = np.argmax(good[a], axis=1)
             wm.update(zip(t.decode(rows[a]), zip(
                 t.decode(zidx[first]), t.decode(prod[a, first]))))
-    return CEReport(True, z.size, witness_map=wm)
+    return CEReport(True, len(zidx) + 1, witness_map=wm)
 
 
 def verify_ce_counterexample(ring, a, limits=DEFAULT_LIMITS):
@@ -202,9 +208,10 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
     that one's band needs.  Commutative rings pass outright (every factor
     ring is commutative).  R/I is commutative exactly when I holds every
     bracket g*h - h*g of additive generators, since the bracket is
-    bilinear and I additive; those brackets are found once, and a
-    quotient is built, and its CE decided, only for an ideal that misses
-    one.  checked_ideals counts every proper nonzero ideal swept.
+    bilinear and I additive; those brackets are found once, and CE of R/I
+    is decided by _ce_tables on R's tables, with no factor ring built,
+    only for an ideal that misses one.  checked_ideals counts every
+    proper nonzero ideal swept.
     """
     if is_commutative(ring, limits):
         return CCEReport(True, ring.size)
@@ -224,7 +231,8 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
         checked += 1
         if brackets <= ideal.member:   # R/I is commutative
             continue
-        rep = centrally_essential(quotient(ring, ideal, limits=limits), limits)
+        lab = _coset_labels(t, t.encode(ideal.elements))
+        rep = _ce_tables(t, lab, _central_mod(t, lab, np.arange(ring.size)))
         if not rep:
             return CCEReport(False, base.center_size, checked_ideals=checked,
                              failing_ideal=ideal,
@@ -434,66 +442,49 @@ def central_series_through_radical(ring, limits=DEFAULT_LIMITS):
 
     Stage i takes the factor ring R/acc (R/0 at the first stage),
     intersects the last nonzero power of its prime radical with its
-    center, and pulls the result back through the labels of R/acc.  Each
-    stage must produce a nonzero ideal whose factor is central.  The loop
-    runs until the factor ring is semiprime, i.e. until the chain has
-    absorbed the whole prime radical P; it then closes with R itself once
-    the factor by P is commutative.  Semiprime input yields the empty
-    chain.  Returns a failure report when a stage yields zero or a
-    non-ideal (which happens off the intended class of rings).
+    center, and pulls the result back to R.  Each stage must produce a
+    nonzero ideal.  The loop runs until the factor ring is semiprime,
+    i.e. until the chain has absorbed the whole prime radical P; it then
+    closes with R itself once the factor by P is commutative.  Semiprime
+    input yields the empty chain.  Returns a failure report when a stage
+    yields zero or a non-ideal (which happens off the intended class of
+    rings).  No factor ring is built: acc lies in P = J, so R/acc's
+    radical is J/acc, whose last nonzero power is (J^m + acc)/acc for the
+    largest m with J^m not inside acc.  That is J^m itself, pulled back:
+    each slice lies in its own power, and the powers above it in acc, so
+    m never grows and acc lies in J^m.  The center pulls back to the x
+    central modulo acc (core._central_mod on acc's coset labels), so the
+    slice, which holds acc, is an ideal once it holds every x*g.
 
     Two failures cannot occur.  The radical's powers reach 0: P = J, and
     J of a finite ring is nilpotent (Lam, A First Course in Noncommutative
     Rings, 4.12).  The chain never stalls: a nonzero ideal of R/acc pulls
-    back to an ideal of R strictly above acc.  The check that the factor
-    is central stays as a guard on center().
+    back to an ideal of R strictly above acc.
     """
-    if prime_radical(ring, limits).is_zero():
+    radical = prime_radical(ring, limits)
+    if radical.is_zero():
         return CentralSeriesReport(True, (), reason="semiprime: empty chain")
-    acc = [ring.zero]
-    sizes = [1]
+    t = ring.tables(limits)
+    powers = _power_masks(t, t.encode(radical.elements))
+    acc, sizes, every = powers[-1], [1], np.arange(ring.size)   # J^k = 0
+
+    def failed(reason):
+        return CentralSeriesReport(False, tuple(sizes), reason=reason)
+
     while True:   # acc strictly grows, so at most log2 |R| stages run
-        q = quotient(ring, acc, limits=limits)
-        p = prime_radical(q, limits)
-        if p.is_zero():
-            # the chain now ends at P; the last factor must be commutative
-            if is_commutative(q, limits):
-                sizes.append(ring.size)
-                return CentralSeriesReport(True, tuple(sizes))
-            return CentralSeriesReport(
-                False, tuple(sizes),
-                reason="factor by the prime radical is not commutative")
-        t = _tables_or_raise(q, limits)
-        sliced = t.mask()
-        sliced[t.encode(center(q, limits).elements())] = True
-        sliced &= _power_masks(t, t.encode(p.elements))[-2]
-        slice_elems = _mask_elems(t, sliced)
-        if len(slice_elems) == 1:
-            return CentralSeriesReport(
-                False, tuple(sizes),
-                reason="central slice of the radical power is zero")
-        if len(ideal_closure(q, slice_elems, limits=limits)) != len(slice_elems):
-            return CentralSeriesReport(
-                False, tuple(sizes),
-                reason="central slice is not a two-sided ideal")
-        nxt = _mask_elems(ring.tables(limits), sliced[q.labels])
-        if not _brackets_inside(ring, nxt, acc, limits):
-            return CentralSeriesReport(False, tuple(sizes),
-                                       reason="factor is not central")
-        acc = nxt
-        sizes.append(len(acc))
-
-
-def _brackets_inside(ring, elems, acc, limits=DEFAULT_LIMITS):
-    """[x, g] in acc for all x in the additive group elems, g in R.
-
-    Exhaustive on every x and on the additive generators of R, since the
-    bracket is additive in g and acc is an additive group.
-    """
-    t = _tables_or_raise(ring, limits)
-    inside = t.mask()
-    inside[t.encode(acc)] = True
-    return bool(inside[_brackets(t, t.encode(elems), t.gen_idx)].all())
+        lab = _coset_labels(t, np.flatnonzero(acc))
+        if sizes[-1] == radical.size:   # acc = P: R/P must be commutative
+            if _central_mod(t, lab, t.gen_idx).all():
+                return CentralSeriesReport(True, (*sizes, ring.size))
+            return failed("factor by the prime radical is not commutative")
+        power = next(m for m in reversed(powers) if (m & ~acc).any())
+        acc = power & _central_mod(t, lab, every)
+        idx = np.flatnonzero(acc)
+        if len(idx) == sizes[-1]:
+            return failed("central slice of the radical power is zero")
+        if not acc[t.prods(idx, t.gen_idx)].all():   # g*x = x*g mod acc
+            return failed("central slice is not a two-sided ideal")
+        sizes.append(len(idx))
 
 
 # -- Ore conditions and the classical ring of fractions -----------------------------------

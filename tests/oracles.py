@@ -37,7 +37,10 @@ principal one by one closure walk per pair, as the size-band sweep did
 before it read all joins off coset labels.  The principal table loops
 over the elements, one ideal per unit orbit and two-sided one span of
 products each, as the package did before it read its two-sided table
-off the right one and its one-sided tables off the orbit minima.
+off the right one and its one-sided tables off the orbit minima.  The
+central series builds each factor ring R/acc of its chain and reads its
+radical, center and ideal closure there, as the package did before it
+ran the chain on R's own masks and coset labels.
 Differential tests compare against them.
 """
 
@@ -51,14 +54,17 @@ from sympy.printing.str import StrPrinter
 
 from ringbench.core import (
     DEFAULT_LIMITS, AdditiveShape, ConstructionError, InputError,
-    StructureRing, ValidationReport, _outer_codes, _span, units_and_regulars,
+    StructureRing, ValidationReport, _outer_codes, _span, center,
+    units_and_regulars,
 )
 from ringbench.ideals import (
-    Ideal, _ideal_gens, _mask_elems, _mask_order, _principal_table,
-    nilpotency_index, quotient,
+    Ideal, _ideal_gens, _mask_elems, _mask_order, _power_masks,
+    _principal_table, ideal_closure, nilpotency_index, quotient,
 )
+from ringbench.ideals import prime_radical as package_prime_radical
 from ringbench.props import (
-    CCEReport, LieSeries, centrally_essential, is_commutative,
+    CCEReport, CentralSeriesReport, LieSeries, centrally_essential,
+    is_commutative,
 )
 
 
@@ -636,6 +642,52 @@ def lie_series(ring, flavor="bracket"):
             return LieSeries(flavor, tuple(sizes), None, tuple(terms))
         cur_gens = [t.elems[i]
                     for i in _additive_gens_idx(t, np.nonzero(mask)[0])]
+
+
+def central_series(ring):
+    """The central chain through the prime radical on factor rings: at
+    each stage the quotient R/acc is built, and the slice of the last
+    nonzero power of its radical inside its center, checked to be an
+    ideal by ideal_closure, is pulled back through the quotient's labels.
+    The radicals are the package's.  Each new term is checked to be
+    central modulo acc, one bracket per element and additive generator
+    of R."""
+    if package_prime_radical(ring).is_zero():
+        return CentralSeriesReport(True, (), reason="semiprime: empty chain")
+    rt = ring.tables()
+    acc = [ring.zero]
+    sizes = [1]
+    while True:
+        q = quotient(ring, acc)
+        p = package_prime_radical(q)
+        if p.is_zero():
+            if is_commutative(q):
+                sizes.append(ring.size)
+                return CentralSeriesReport(True, tuple(sizes))
+            return CentralSeriesReport(
+                False, tuple(sizes),
+                reason="factor by the prime radical is not commutative")
+        t = q.tables()
+        sliced = t.mask()
+        sliced[t.encode(center(q).elements())] = True
+        sliced &= _power_masks(t, t.encode(p.elements))[-2]
+        slice_elems = _mask_elems(t, sliced)
+        if len(slice_elems) == 1:
+            return CentralSeriesReport(
+                False, tuple(sizes),
+                reason="central slice of the radical power is zero")
+        if len(ideal_closure(q, slice_elems)) != len(slice_elems):
+            return CentralSeriesReport(
+                False, tuple(sizes),
+                reason="central slice is not a two-sided ideal")
+        nxt = _mask_elems(rt, sliced[q.labels])
+        inside = set(acc)
+        if any(ring.sub(ring.mul(x, g), ring.mul(g, x)) not in inside
+               for x in nxt for g in ring.gens()):
+            return CentralSeriesReport(False, tuple(sizes),
+                                       reason="factor is not central")
+        acc = nxt
+        sizes.append(len(acc))
 
 
 def frac_field(p, names):

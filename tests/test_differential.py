@@ -3,8 +3,10 @@ tables, the CCE sweep by size bands, the unit flags, invariance, J and
 the joins by coset labels, the
 quotient and subring views and their tables, the structure-ring export
 and the Lie series against the oracles in tests/oracles.py, plus
-regressions for limit-gated caches, the answers under small limits, the
-central-series check and the complete ideal check of quotients.
+regressions for limit-gated caches, the answers under small limits and
+the complete ideal check of quotients.  The central series and CE of
+every factor ring, both decided on R's own tables, are checked against
+built factor rings, and no factor ring is built to decide them.
 Whole-ring tables built by additive recurrence are checked against the
 tensor contraction, the on-demand tables above max_table against dense
 tables of the same rings, the center from its F_p basis against the
@@ -27,8 +29,8 @@ from sympy import Matrix
 from ringbench.cli import least_ideal, serialize_ring
 from ringbench.core import (
     DomainError, InputError, LimitError, Limits, QuotientRing, StructureRing,
-    SubRing, _OnDemandTables, _mask_elems, _one_prime, _outer_codes,
-    center, make_ring, units_and_regulars,
+    SubRing, _OnDemandTables, _central_mod, _coset_labels, _mask_elems,
+    _one_prime, _outer_codes, center, make_ring, units_and_regulars,
 )
 from ringbench.construct import (
     as_structure_ring, augmentation_ideal, catalog, full_matrix_ring,
@@ -43,7 +45,7 @@ from ringbench.ideals import (
 )
 from ringbench import core, ideals, props
 from ringbench.props import (
-    _brackets_inside, central_series_through_radical, centrally_essential,
+    central_series_through_radical, centrally_essential,
     completely_centrally_essential, full_report, is_commutative,
     is_invariant, is_strongly_bounded, is_uniserial, lie_series, sample_rings,
     zero_divisor_symmetry,
@@ -52,6 +54,7 @@ from tests import oracles
 from tests.test_core import (
     RADICAL_SOURCES, RANK_PATH_RINGS, _one_prime_rings, full_matrix_tensor,
 )
+from tests.test_props import m2_dual_numbers, m2_times_dual_numbers
 
 CATALOG = ("z2q8", "z2d4", "ex52", "ex51(3)", "ext2(3)", "ext2(4)", "m2z2",
            "t2z2")
@@ -597,17 +600,19 @@ def test_centrality_check_reaches_past_the_first_64_elements():
     e12 = (0, 1, 0, 0) + (0,) * 6
     elems = sorted(x for x in ring.elements() if x[0] == x[2] == x[3] == 0)
     assert len(elems) == 128 and e12 in elems[64:]
-    zero = frozenset({ring.zero})
-    assert _brackets_inside(ring, elems[:64], zero)
-    assert not _brackets_inside(ring, elems, zero)
-    matrices = frozenset(x for x in ring.elements() if x[4:] == (0,) * 6)
-    assert _brackets_inside(ring, elems, matrices)
+    t = ring.tables()
+    xs = t.encode(elems)
+    zero = _coset_labels(t, t.encode([ring.zero]))
+    assert _central_mod(t, zero, xs[:64]).all()
+    assert not _central_mod(t, zero, xs).all()
+    matrices = [x for x in ring.elements() if x[4:] == (0,) * 6]
+    assert _central_mod(t, _coset_labels(t, t.encode(matrices)), xs).all()
 
 
-def test_central_series_checks_past_the_first_64_elements(monkeypatch):
-    # T2(Z2) (basis e11, e12, e22) x (Z2 + V), V^2 = 0, dim V = 6.  The 64
-    # least elements of P = J(T2) x V lie in 0 x V, which is central; e12,
-    # the 65th, is not.
+def t2_times_square_zero():
+    """T2(Z2) (basis e11, e12, e22) x (Z2 + V), V^2 = 0, dim V = 6.  The 64
+    least elements of P = J(T2) x V lie in 0 x V, which is central; e12,
+    the 65th, is not."""
     k = 10
     c = np.zeros((k, k, k), dtype=np.int64)
     for i, j, r in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
@@ -615,18 +620,72 @@ def test_central_series_checks_past_the_first_64_elements(monkeypatch):
     c[3, 3, 3] = 1
     for v in range(4, k):
         c[3, v, v] = c[v, 3, v] = 1
-    ring = make_ring([2] * k, c, (1, 0, 1, 1) + (0,) * 6)
+    return make_ring([2] * k, c, (1, 0, 1, 1) + (0,) * 6)
+
+
+def test_central_series_checks_past_the_first_64_elements():
+    ring = t2_times_square_zero()
     top = prime_radical(ring).elements
     assert len(top) == 128 and top[64] == (0, 1, 0, 0) + (0,) * 6
     rep = central_series_through_radical(ring)
     assert rep.reason == "central slice of the radical power is zero"
-    # The slice is central in the factor ring by construction, so only a
-    # wrong center() can reach the check: one that calls P central makes
-    # P the first term, and the check must find e12.
-    monkeypatch.setattr(props, "center", lambda ring, limits=None: ring)
+
+
+CONSTRUCTED = {"m2-times-dual": m2_times_dual_numbers,
+               "m2-dual": m2_dual_numbers, "t2-times-v": t2_times_square_zero}
+
+
+@pytest.mark.parametrize("key", RING_KEYS + list(CONSTRUCTED), ids=_key_id)
+def test_central_series_matches_quotient_chain_oracle(key):
+    # the chain on R's masks against the chain of built factor rings
+    ring = CONSTRUCTED[key]() if key in CONSTRUCTED else _ring(key)
     rep = central_series_through_radical(ring)
+    expected = oracles.central_series(ring)
     assert (rep.ok, rep.sizes, rep.reason) == (
-        False, (1,), "factor is not central")
+        expected.ok, expected.sizes, expected.reason)
+
+
+@pytest.mark.parametrize("key", [k for k in RING_KEYS if k not in (
+    "one-sided", "one-sided-op")], ids=_key_id)
+def test_ce_modulo_every_ideal_matches_the_factor_ring(key):
+    # the scan of R/I on R's tables against CE of the built R/I, on every
+    # proper nonzero ideal, noncommutative factors where CE holds included
+    ring = _ring(key)
+    t = ring.tables()
+    every = np.arange(ring.size)
+    for ideal in all_ideals(ring)[1:-1]:
+        lab = _coset_labels(t, t.encode(ideal.elements))
+        central = _central_mod(t, lab, every)
+        rep = props._ce_tables(t, lab, central, witness_map=True)
+        q = quotient(ring, ideal)
+        expected = centrally_essential(q)
+        assert ((rep.holds, rep.center_size, rep.counterexample)
+                == (expected.holds, expected.center_size,
+                    expected.counterexample)), ideal.elements
+        if not central.all():   # a commutative R/I maps every a to (1, a)
+            assert rep.witness_map == expected.witness_map, ideal.elements
+
+
+def test_factor_rings_are_decided_without_building_one(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a factor ring was built")
+
+    monkeypatch.setattr(core.QuotientRing, "__init__", refuse)
+    for name, expected in (
+            ("ex52", (False, 32, 1, 2, "a22")),
+            ("z2q8", (False, 32, 1, 2, "a2+a3+a2b+a3b")),
+            ("ext2(4)", (True, 64, 45, None, None))):
+        ring = catalog(name)
+        rep = completely_centrally_essential(ring)
+        assert (rep.holds, rep.center_size, rep.checked_ideals,
+                rep.failing_ideal and rep.failing_ideal.size,
+                rep.quotient_counterexample
+                and ring.format_element(rep.quotient_counterexample)
+                ) == expected, name
+    for name, sizes in (("ex52", (1, 8, 64, 128)),
+                        ("z2q8", (1, 2, 8, 32, 128, 256))):
+        rep = central_series_through_radical(catalog(name))
+        assert (rep.ok, rep.sizes, rep.reason) == (True, sizes, ""), name
 
 
 # -- quotients and subrings as index views ------------------------------------

@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ringbench.core import (
-    LimitError, Limits, _OnDemandTables, center, units_and_regulars,
-    validate_ring,
+    LimitError, Limits, _OnDemandTables, _central_mod, center,
+    units_and_regulars, validate_ring,
 )
 from ringbench.construct import (
     Free, MatrixPattern, Tied, catalog, exterior_square_ring, group_algebra,
@@ -105,7 +106,9 @@ def test_ce_counterexample_above_max_table(build, witness):
     ring = build()
     rep = centrally_essential(ring)
     assert ring.tables() is None and not rep.holds
-    scan = props._ce_tables(center(ring), _OnDemandTables(ring), ring.size)
+    t = _OnDemandTables(ring)
+    every = np.arange(ring.size)
+    scan = props._ce_tables(t, every, _central_mod(t, every, every))
     assert rep.counterexample == scan.counterexample
     assert ring.format_element(rep.counterexample) == witness
     assert verify_ce_counterexample(ring, rep.counterexample)
@@ -383,26 +386,32 @@ def test_central_series_stalls_without_central_slice():
     assert "zero" in rep.reason
 
 
-def test_central_series_needs_a_commutative_factor_by_the_radical():
-    # M2(F2) x F2[x]/(x^2): P = 0 x (x), and R/P = M2(F2) x F2
+def m2_times_dual_numbers():
+    """M2(F2) x F2[x]/(x^2): P = 0 x (x), and R/P = M2(F2) x F2."""
     cells = {(i, j): Free(2) for i in range(2) for j in range(2)}
     cells.update({(2, 2): Free(2), (2, 3): Free(2), (3, 3): Tied((2, 2))})
-    rep = central_series_through_radical(
-        matrix_pattern_ring(MatrixPattern(4, cells)))
-    assert (rep.ok, rep.sizes, rep.reason) == (
-        False, (1, 2), "factor by the prime radical is not commutative")
+    return matrix_pattern_ring(MatrixPattern(4, cells))
 
 
-def test_central_series_needs_the_central_slice_to_be_an_ideal():
-    # {[[A, B], [0, A]] : A, B in M2(F2)}: P is the B block, P^2 = 0, and
-    # its central part, the scalar B, generates all of P
+def m2_dual_numbers():
+    """{[[A, B], [0, A]] : A, B in M2(F2)}: P is the B block, P^2 = 0, and
+    its central part, the scalar B, generates all of P."""
     cells = {}
     for i in range(2):
         for j in range(2):
             cells[(i, j)] = cells[(i, j + 2)] = Free(2)
             cells[(i + 2, j + 2)] = Tied((i, j))
-    rep = central_series_through_radical(
-        matrix_pattern_ring(MatrixPattern(4, cells)))
+    return matrix_pattern_ring(MatrixPattern(4, cells))
+
+
+def test_central_series_needs_a_commutative_factor_by_the_radical():
+    rep = central_series_through_radical(m2_times_dual_numbers())
+    assert (rep.ok, rep.sizes, rep.reason) == (
+        False, (1, 2), "factor by the prime radical is not commutative")
+
+
+def test_central_series_needs_the_central_slice_to_be_an_ideal():
+    rep = central_series_through_radical(m2_dual_numbers())
     assert (rep.ok, rep.sizes, rep.reason) == (
         False, (1,), "central slice is not a two-sided ideal")
 
