@@ -25,12 +25,13 @@ names the F_p path.  The set kernels, subring tables, the sampler and the
 units all read that one lookup.  Mod p, linear algebra gives the center
 as the span of its basis (kept on the ring), CE as a rank test per
 element, the Jacobson radical J by trace functionals, and the units on
-R/J: one system per element of each block e*(R/J), one block per
-primitive central idempotent e, with the inverses lifted to R by a
-geometric series in J.  Each elimination mod p is one batched
-_row_reduce_mod_p.  Each product is exact: float64 on BLAS while that
-is exact, else Python ints, by one rule per ring (_exact_tensor).  The
-unit report keeps element indices and decodes only what is read.
+R/J: one system per element of each block e*(R/J), in the block's own
+coordinates, one block per primitive central idempotent e, with the
+inverses lifted to R by a geometric series in J.  Each elimination mod p
+is one _row_reduce_mod_p, which steps by pivot on one matrix and by
+column on a stack.  Each product is exact: float64 on BLAS while that is
+exact, else Python ints, by one rule per ring (_exact_tensor).  The unit
+report keeps element indices and decodes only what is read.
 """
 
 import functools
@@ -824,13 +825,15 @@ def _recurrence_ops(ring, X):
 
         mul[a] = add[mul[a - b_i], mul[b_i]],
 
-    with the k rows mul[b_i] contracted from the tensor (_outer_codes).
-    The rows whose first nonzero coordinate is i, with digit d there, are
-    the block [d w_i, (d + 1) w_i) of place value w_i, and their a - b_i
-    are the block before it, so each block is one take on add.ravel().
-    Its flat index mul[a - b_i] * n + mul[b_i] is formed in intp, where
-    it stays below n**2 <= 2**62 for every ring with an index dtype, so
-    it cannot wrap as it would in the table's own dtype."""
+    The k seed rows mul[b_i] come by the same recurrence on the other
+    side, b_i * a = b_i * (a - b_l) + b_i * b_l, from the k x k codes of
+    b_i * b_l (tensor @ weights).  The rows (columns, for the seeds)
+    whose first nonzero coordinate is i, with digit d there, are the
+    block [d w_i, (d + 1) w_i) of place value w_i, and their a - b_i are
+    the block before it, so each block is one take on add.ravel().  Its
+    flat index is formed in intp, where it stays below n**2 <= 2**62 for
+    every ring with an index dtype, so it cannot wrap as it would in the
+    table's own dtype."""
     mods, w = ring._mods, ring._weights
     n, k = X.shape
     dtype = _index_dtype(n)
@@ -839,13 +842,17 @@ def _recurrence_ops(ring, X):
         d = np.arange(n_i)
         a_i = ((d[:, None] + d) % n_i * w_i).astype(dtype)
         add = (a_i[:, None, :, None] + add[None, :, None, :]).reshape(n_i * w_i, -1)
-    gen_mul = _outer_codes(ring, np.eye(k, dtype=np.int64) % mods, X, "mul")
-    mul, flat = np.zeros((n, n), dtype=dtype), add.ravel()   # mul[0] = 0
-    for i in range(k - 1, -1, -1):
-        wi = int(w[i])
-        for lo in range(wi, int(mods[i]) * wi, wi):
-            mul[lo:lo + wi] = flat.take(mul[lo - wi:lo].astype(np.intp) * n
-                                        + gen_mul[i])
+    blocks = [(i, lo, int(w[i])) for i in range(k - 1, -1, -1)
+              for lo in range(int(w[i]), int(mods[i] * w[i]), int(w[i]))]
+    flat, codes = add.ravel(), ring.tensor @ w   # codes[i, l]: b_i * b_l
+    gen_mul = np.zeros((k, n), dtype=np.intp)   # b_i * 0 = 0
+    for i, lo, wi in blocks:
+        gen_mul[:, lo:lo + wi] = flat.take(gen_mul[:, lo - wi:lo] * n
+                                           + codes[:, i, None])
+    mul = np.zeros((n, n), dtype=dtype)   # mul[0] = 0
+    for i, lo, wi in blocks:
+        mul[lo:lo + wi] = flat.take(mul[lo - wi:lo].astype(np.intp) * n
+                                    + gen_mul[i])
     return add, mul
 
 
@@ -905,11 +912,13 @@ def _coset_labels(t, idx):
 
 def _central_mod(t, lab, xs):
     """Whether each index in xs is central modulo the ideal I whose cosets
-    lab labels (_coset_labels; identity labels for I = 0): x*g and g*x in
-    one coset for every additive generator g, which suffices since
-    products are bilinear.  A boolean array."""
-    g = t.gen_idx
-    return (lab[t.prods(xs, g)] == lab[t.prods(g, xs).T]).all(axis=1)
+    lab labels (_coset_labels), or, with lab None, central: x*g and g*x in
+    one coset (equal, for I = 0) for every additive generator g, which
+    suffices since products are bilinear.  A boolean array."""
+    left, right = t.prods(xs, t.gen_idx), t.prods(t.gen_idx, xs).T
+    if lab is not None:
+        left, right = lab[left], lab[right]
+    return (left == right).all(axis=1)
 
 
 def _mask_elems(t, mask):
@@ -955,8 +964,7 @@ def center(ring, limits=DEFAULT_LIMITS):
     if cached is not None:
         return cached
     if t.p is None:
-        every = np.arange(ring.size)
-        idx = np.flatnonzero(_central_mod(t, every, every))
+        idx = np.flatnonzero(_central_mod(t, None, np.arange(ring.size)))
     else:
         basis = _center_basis(ring, t.p)
         idx = np.sort(_span_mod_p(basis, t.p, ring._exact_tensor.dtype) @ ring._weights)
@@ -1066,9 +1074,17 @@ def _row_reduce_mod_p(A, p, cols):
     matrix of a C-contiguous stack A, (..., r, c), entries in [0, p).
     Returns the ranks, shaped A.shape[:-2]: rows [0, rank) hold the
     pivots, each 1 with zeros above and below, and the later rows are zero
-    there.  Rows from the rank on are zero left of the current column."""
+    there.  Rows from the rank on are zero left of the current column.
+
+    One matrix steps by pivot (_pivot_reduce_mod_p).  A stack steps by
+    column: each step takes the next column with a nonzero entry in any
+    matrix, and pivots every matrix that has one there.  Both take the
+    first such row from the rank on as the pivot row and apply the same
+    row operations, so a matrix reduces alike alone or in a stack."""
     *lead, r, c = A.shape
     S = A.reshape(math.prod(lead), r, c)   # a view, also when r*c = 0
+    if len(S) == 1:
+        return np.full(lead, _pivot_reduce_mod_p(S[0], p, cols))
     inv = _inverses_mod_p(p)
     rank, col = np.zeros(len(S), dtype=np.int64), 0
     free = np.ones((len(S), r), dtype=bool)   # the rows from the rank on
@@ -1087,6 +1103,29 @@ def _row_reduce_mod_p(A, p, cols):
         S[:] = (S - S[:, :, col, None] * pivot[:, None]) % p   # whole rows
         S[s, row], free[s, row] = P, False
         rank += has
+
+
+def _pivot_reduce_mod_p(S, p, cols):
+    """_row_reduce_mod_p on one matrix S, (r, c), in place; returns its
+    rank.  The first nonzero of the unreduced block S[rank:, col:cols],
+    read in column order, is the next pivot: its column and its row in
+    one read.  The pivot's inverse is one Python pow, so no table of
+    inverses mod p is built."""
+    r, rank, col = len(S), 0, 0
+    while rank < r and col < cols:
+        live = (S[rank:, col:cols] != 0).T.ravel()
+        at = live.argmax()
+        if not live[at]:
+            break
+        step, row = divmod(int(at), r - rank)
+        col, row = col + step, rank + row
+        P = S[row] * pow(int(S[row, col]), p - 2, p) % p
+        S[row] = S[rank]
+        S -= S[:, col, None] * P
+        S %= p
+        S[rank] = P
+        rank, col = rank + 1, col + 1
+    return rank
 
 
 @functools.cache
@@ -1235,60 +1274,74 @@ def _units_through_radical(ring, p, limits):
     primitive central idempotent e (_central_blocks; Lam, A First Course
     in Noncommutative Rings, 22), and an image is a unit exactly when each
     of its block components is a unit of its block.  Each block gets a
-    reduced echelon basis; c*z = e and y*c = e are solved once for every
-    element c of every block, and L_c (R_c) is bijective on the block when
-    its rank is the block's dimension.  The stacked block bases are one
-    change of basis of R/J, so each element of R reads its flags at the
-    block codes of its image.  The inverse v of the image, the sum of the
-    projections z*e, lifts to R (_geometric_lift) and is checked there.
-    Returns the indices of the units and of their inverses, and whether
-    L_a and R_a are bijective, per element.
+    reduced echelon basis B_j; the stacked bases are one change of basis
+    of R/J, whose inverse restricted to block j is G_j, so each element
+    of R reads its flags at the block codes of its image.  c*z = e and
+    y*c = e are solved once for every element c of every block, in the
+    block's coordinates: z = zeta @ B_j with zeta @ (B_j @ L_c @ G_j) = e
+    @ G_j, and likewise on R_c.  Every block is padded to the largest
+    dimension D by the identity on its unused coordinates, so all systems
+    form one stack, and L_c (R_c) is bijective on the block when the rank
+    is D.  Each solution is checked in R/J; it lies in e*(R/J), so the
+    inverse v of the image is the sum of the block solutions.  v lifts
+    to R (_geometric_lift) and is checked there.  Returns the indices of
+    the units and of their inverses, and whether L_a and R_a are
+    bijective, per element.
     """
     X, num = ring.elements_array(limits), ring._exact_tensor.dtype
     Q, to_q, free = _radical_quotient(ring, p)
-    k = len(Q._mods)
+    k, num_q = len(Q._mods), Q._exact_tensor.dtype
     E = Q.code_rows(_central_blocks(Q))
     L = _reduced(Q.mul_matrices(E)[0], p)
     dims = _row_reduce_mod_p(L, p, k)
-    rows = np.arange(k) < dims[:, None]   # block j's basis: L[j, :dims[j]]
-    # block coordinates: y = c @ L[rows], so c = y @ its inverse, and
-    # block j's part of c has its index in _span_mod_p as its code
-    G = np.concatenate([L[rows], np.eye(k, dtype=np.int64)], axis=1)
-    _row_reduce_mod_p(G, p, k)
-    block = np.repeat(np.arange(len(dims)), dims)
+    D = dims.max()
+    B = L[:, :D]   # block j's basis, with zero rows from dims[j] to D
+    rows = np.arange(D) < dims[:, None]
+    # block coordinates: y = c @ B[rows], so c = y @ the inverse, whose
+    # columns of block j, padded with zero columns to D, are G[j]; block
+    # j's part of c has its index in _span_mod_p as its code
+    inv = np.concatenate([B[rows], np.eye(k, dtype=np.int64)], axis=1)
+    _row_reduce_mod_p(inv, p, k)
+    block, pos = np.nonzero(rows)
+    G = np.zeros((len(dims), k, D), dtype=num_q)
+    G[block, :, pos] = inv[:, k:].T
     place = np.zeros((k, len(dims)), dtype=np.int64)
-    place[np.arange(k), block] = p ** (np.cumsum(dims)[block] - 1 - np.arange(k))
+    place[np.arange(k), block] = p ** (dims[block] - 1 - pos)
     sizes = p ** dims
-    to_block = _reduced(to_q.astype(num) @ G[:, k:], p)
+    to_block = _reduced(to_q.astype(num) @ inv[:, k:], p)
     loc = _reduced(X.astype(num) @ to_block, p) @ place + np.cumsum(sizes) - sizes
-    C = np.concatenate([_span_mod_p(B[:d], p, num) for B, d in zip(L, dims)])
-    e_rows = np.repeat(E, sizes, axis=0)
+    C = np.concatenate([_span_mod_p(b[:d], p, num) for b, d in zip(B, dims)])
+    of = np.repeat(np.arange(len(dims)), sizes)   # the block of each row of C
+    B_q = B.astype(num_q)
+    eps = _reduced(np.matmul(E[:, None], G)[:, 0], p)   # e_j @ G_j
+    pad = np.eye(D, dtype=np.int64) * ~rows[:, None]   # 1 off the block
     m = len(C)
-    Z = np.zeros((m, k), dtype=np.int64)   # z with c*z = e
+    Z = np.zeros((m, k), dtype=np.int64)   # z in e*(R/J) with c*z = e
     # bits: L_c, R_c of full rank on the block; c*z = e, y*c = e solved
-    flags, need = np.zeros(m, dtype=np.uint8), np.repeat(dims, sizes)
+    flags = np.zeros(m, dtype=np.uint8)
     # the systems of a chunk and one temporary of the same size
     chunk = max(1, _CHUNK_BYTES // (32 * k * (k + 1)))
     for s in range(0, m, chunk):
-        LR = np.stack(Q.mul_matrices(C[s:s + chunk]))   # (2, h, k, k)
-        h, e = LR.shape[1], e_rows[s:s + chunk]
-        # c*z = z @ L_c and y*c = y @ R_c: the augmented systems
-        # [L_c^T | e] and [R_c^T | e], as (system, row, column)
-        M = np.empty((2 * h, k, k + 1), dtype=np.int64)
-        M[:, :, :k] = _reduced(LR.reshape(-1, k, k).transpose(0, 2, 1), p)
-        M[:, :, k] = np.tile(e, (2, 1))
-        full = _row_reduce_mod_p(M, p, k).reshape(2, h) == need[s:s + h]
-        x = _reduced_solutions(M).reshape(2, h, k)
+        LR = _reduced(np.stack(Q.mul_matrices(C[s:s + chunk])), p).astype(num_q)
+        h, j = LR.shape[1], of[s:s + chunk]   # LR: (2, h, k, k)
+        # c*z = z @ L_c is zeta @ (B_j @ L_c @ G_j) on the block, for
+        # z = zeta @ B_j, and y*c likewise: the augmented systems
+        # [(B_j L_c G_j)^T | e_j] and [(B_j R_c G_j)^T | e_j], padded
+        M = np.empty((2, h, D, D + 1), dtype=np.int64)
+        M[..., :D] = _reduced(B_q[j] @ LR @ G[j], p).swapaxes(2, 3) + pad[j]
+        M[..., D] = eps[j]
+        M = M.reshape(2 * h, D, D + 1)   # (system, row, column)
+        full = _row_reduce_mod_p(M, p, D).reshape(2, h) == D
+        x = np.matmul(_reduced_solutions(M).reshape(2, h, 1, D), B_q[j])
+        x = _reduced(x[:, :, 0], p)
         Z[s:s + h] = x[0]
         # a solution stands only if it checks out: z @ L_c = e, y @ R_c = e
         check = _reduced(np.matmul(x[:, :, None], LR)[:, :, 0], p)
-        ok = (check == e).all(axis=2)
+        ok = (check == E[j]).all(axis=2)
         flags[s:s + h] = full[0] | full[1] << 1 | ok[0] << 2 | ok[1] << 3
     f = np.bitwise_and.reduce(flags[loc], axis=1)   # over a's components
     l_full, r_full = f & 1 != 0, f & 2 != 0
     unit = np.nonzero(f & 12 == 12)[0]
-    if len(dims) > 1:   # z*e lies in e*(R/J) and still solves c*z = e
-        Z = _paired_products(Q, Z, e_rows)
     A, V = X[unit], np.zeros((len(unit), len(ring._mods)), dtype=np.int64)
     V[:, free] = Z[loc[unit]].sum(axis=1) % p
     V = _geometric_lift(ring, A, V, (len(ring._mods) - k).bit_length())

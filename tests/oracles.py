@@ -23,7 +23,9 @@ for every element, the path the package replaced above max_table with
 one solve per element of each block of R/J.  They run their own
 eliminator, _eliminate_mod_p, the batched Gauss-Jordan the package
 replaced with its kernel _row_reduce_mod_p, so the rank oracle shares no
-elimination code with the path it checks.  The
+elimination code with the path it checks.  Its table of inverses holds
+p entries, so at a prime too large for one the reduced echelon form is
+sympy's, over GF(p) (rref_mod_p).  The
 fraction field is sympy's FracField, which the symbolic verifiers used
 before they kept unreduced fraction pairs: it reduces every result by a
 multivariate gcd.  The random fraction and its printed form are the
@@ -49,6 +51,7 @@ import itertools
 import numpy as np
 from sympy import GF
 from sympy.polys.fields import field as _fraction_field
+from sympy.polys.matrices import DomainMatrix
 from sympy.printing.precedence import PRECEDENCE
 from sympy.printing.str import StrPrinter
 
@@ -434,6 +437,15 @@ def _eliminate_mod_p(M, p):
         pivot[col, has] = sel[has]
     x = np.where(pivot >= 0, M[pivot, k, systems], 0).T
     return x, used.sum(axis=0)
+
+
+def rref_mod_p(A, p):
+    """The reduced row echelon form of the matrix A mod p, entries in
+    [0, p), by sympy's DomainMatrix over GF(p)."""
+    F = GF(p)
+    M = DomainMatrix([[F(int(x)) for x in row] for row in A.tolist()], A.shape, F)
+    return np.array([[int(x) % p for x in row] for row in M.rref()[0].to_list()],
+                    dtype=np.int64).reshape(A.shape)
 
 
 def units_by_rank(ring, p):

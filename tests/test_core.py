@@ -863,27 +863,24 @@ def test_blocks_of_a_ring_of_idempotents(monkeypatch):
 
 
 def test_a_wrong_block_inverse_raises(monkeypatch):
-    # drop the projection z*e: the first product after the eliminations
-    # returns z itself, which solves c*z = e but is not inside e*R
-    solving, mutated = [], []
-    real_solve, real_products = core._row_reduce_mod_p, core._paired_products
+    # corrupt the first uniquely solved block system: its z no longer
+    # solves c*z = e, so the check in R/J drops c from the units while
+    # L_c stays bijective, and the units no longer equal the regulars
+    mutated, real = [], core._reduced_solutions
 
-    def solve(A, p, cols):
-        if _augmented(A, cols):
-            solving.append(True)
-        return real_solve(A, p, cols)
+    def solutions(M):
+        x = real(M)
+        if not mutated:
+            unique = M[:, :, :-1].any(axis=2).all(axis=1)   # full rank
+            i = int(np.argmax(unique))
+            x[i, 0] = (x[i, 0] + 1) % 3
+            mutated.append(i)
+        return x
 
-    def products(ring, A, B):
-        if solving and not mutated:
-            mutated.append(len(A))
-            return A
-        return real_products(ring, A, B)
-
-    monkeypatch.setattr(core, "_row_reduce_mod_p", solve)
-    monkeypatch.setattr(core, "_paired_products", products)
-    with pytest.raises(RingError, match="internal"):
+    monkeypatch.setattr(core, "_reduced_solutions", solutions)
+    with pytest.raises(RingError, match="internal: regulars differ"):
         units_and_regulars(catalog("z3q8"))
-    assert mutated == [93]
+    assert mutated == [1]
 
 
 # -- the radical and the lift ------------------------------------------------
@@ -1059,6 +1056,46 @@ def test_row_reduce_mod_p_matches_the_oracle_eliminator(p):
             counts = np.add(counts, [solves.sum(), (~solves).sum(),
                                      (rank < cols).sum()]).tolist()
     assert counts == SYSTEM_COUNTS[p]
+    for A in _single_matrices(rng, p):
+        for cols in sorted({A.shape[1], A.shape[1] // 2}):
+            alone = A.copy()
+            rank = core._row_reduce_mod_p(alone, p, cols)
+            assert rank.shape == () and rank == _oracle_ranks(A, p, cols)
+            _assert_reduced(alone, rank, cols)
+            # one matrix steps by pivot, a stack by column: the same result
+            stack = np.stack([rng.integers(0, p, size=A.shape), A,
+                              rng.integers(0, p, size=A.shape)])
+            ranks = core._row_reduce_mod_p(stack, p, cols)
+            assert ranks[1] == rank and (stack[1] == alone).all()
+
+
+# (rows, columns) of single matrices the F_p path reduces, k = 8 unless
+# named: an empty J (0, 8), the central idempotents of z3q8 (5, 13), J's
+# steps and the block coordinates (8, 16), and the center basis (8, 72)
+# and, at k = 16, (16, 272)
+SINGLE_SHAPES = [(0, 8), (5, 13), (8, 16), (8, 72), (16, 272)]
+
+
+def _single_matrices(rng, p):
+    """Random matrices of SINGLE_SHAPES mod p, one of rank at most 3 with
+    6 rows, and one with zero columns."""
+    out = [rng.integers(0, p, size=shape) for shape in SINGLE_SHAPES]
+    out.append(rng.integers(0, p, size=(6, 3)) @ rng.integers(0, p, size=(3, 10)) % p)
+    hollow = rng.integers(0, p, size=(7, 9))
+    hollow[:, [0, 4, 5]] = 0
+    return out + [hollow]
+
+
+def test_row_reduce_mod_p_at_a_31_bit_prime():
+    # one matrix needs no table of inverses mod p, which at p = 2**31 - 1
+    # would take 16 GiB; its entries' products stay below 2**63
+    p, rng, ranks = 2147483647, np.random.default_rng(31), []
+    for A in _single_matrices(rng, p):
+        alone = A.copy()
+        ranks.append(int(core._row_reduce_mod_p(alone, p, A.shape[1])))
+        _assert_reduced(alone, np.array(ranks[-1]), A.shape[1])
+        assert (alone == oracles.rref_mod_p(A, p)).all()
+    assert ranks == [0, 5, 8, 8, 16, 3, 6]
 
 
 def test_inverse_table_is_built_once_per_prime():
