@@ -10,7 +10,6 @@ properties only under --strict).
 import argparse
 import dataclasses
 import os
-import re
 import sys
 
 import numpy as np
@@ -107,24 +106,14 @@ def parse_ring_text(text, name=None):
 
 def _with_spec_lines(exc, muls, one_line):
     """The axiom error of a parsed tensor, each violation followed by the
-    spec lines it involves: for associativity on (i, j, l) the `mul i j`
-    and `mul j l` lines, for an order incompatibility in c[i][j] the `mul
-    i j` line (the last of each, as the tensor keeps), and for the
-    identity law or 1 = 0 the `one` line."""
+    spec lines of the generator pairs validate_ring records with it: the
+    last `mul i j` line of each, as the tensor keeps, or else the `one` line."""
     last = {(i, j): lineno for i, j, _, lineno in muls}
     notes = []
-    for violation in str(exc).removeprefix("ring axioms fail: ").split("; "):
-        nums = [int(x) for x in re.findall(r"\d+", violation)]
-        if violation.startswith("associativity"):
-            pairs = dict.fromkeys([tuple(nums[:2]), tuple(nums[1:])])
-        elif violation.startswith("order"):   # n_a * c[i][j][m] ... mod n_m
-            pairs = [tuple(nums[1:3])]
-        else:   # the identity law or one equals zero
-            notes.append("%s (line %d)" % (violation, one_line))
-            continue
-        notes.append("%s (%s)" % (violation, ", ".join(
-            "line %d" % last[p] if p in last else "no `mul %d %d` line" % p
-            for p in pairs)))
+    for violation, pairs in zip(exc.report.violations, exc.report.pairs):
+        lines = ", ".join("line %d" % last[p] if p in last
+                          else "no `mul %d %d` line" % p for p in pairs)
+        notes.append("%s (%s)" % (violation, lines or "line %d" % one_line))
     return InputError("ring axioms fail: " + "; ".join(notes))
 
 
@@ -208,22 +197,13 @@ def resolve_gens(ring, spec, limits=DEFAULT_LIMITS):
 
 def print_report(ring, args, limits):
     report = props.full_report(ring, limits=limits)
-    lines = report.lines()
     if args.pretty:
-        rows = []
-        for line in lines:
-            body, _, witness = line.partition(";witness=")
-            key, _, value = body.partition("=")
-            if value.startswith("skipped"):
-                value, witness = "skipped", body.partition(";limit=")[2]
-            rows.append((key, value, witness))
-        width_key = max(len(r[0]) for r in rows)
-        width_val = max(len(r[1]) for r in rows)
-        for key, value, witness in rows:
-            print("%-*s  %-*s  %s" % (width_key, key, width_val, value,
-                                      witness))
+        rows = report.rows()
+        width_key, width_val = (max(len(r[i]) for r in rows) for i in (0, 1))
+        for key, value, note in rows:
+            print("%-*s  %-*s  %s" % (width_key, key, width_val, value, note))
     else:
-        for line in lines:
+        for line in report.lines():
             print(line)
     if args.strict and report.skipped:
         return 3

@@ -47,7 +47,12 @@ class RingError(Exception):
 
 
 class InputError(RingError):
-    """Malformed data fed to a constructor or parser."""
+    """Malformed data fed to a constructor or parser; failed ring axioms
+    carry their ValidationReport."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class DomainError(RingError):
@@ -148,6 +153,7 @@ class AdditiveShape:
 class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
+    pairs: list = field(default_factory=list)   # per violation, its (i, j)
 
     def __bool__(self):
         return self.ok
@@ -159,23 +165,29 @@ def validate_ring(shape, tensor, one):
     Verifies order-compatibility of the structure constants on both sides,
     associativity on all generator triples (enough, by bilinearity), the
     identity law for `one`, and that the ring is not the zero ring.
-    Returns a ValidationReport listing every violation found.  Order
-    compatibility is a divisibility test, so it forms no product.  Both
-    sides of associativity are matrix products over a chunk of rows i,
-    exact at every modulus (float64 while that is exact, else Python
-    ints), their difference is reduced once, and the first failing triple
-    (i, j, l) in lexicographic order is reported.
+    Returns a ValidationReport listing every violation found, each with
+    the generator pairs whose products it involves.  Order compatibility
+    is a divisibility test, so it forms no product.  Both sides of
+    associativity are matrix products over a chunk of rows i, exact at
+    every modulus (float64 while that is exact, else Python ints), their
+    difference is reduced once, and the first failing triple (i, j, l) in
+    lexicographic order is reported.
     """
-    violations = []
+    violations, pairs = [], []
+
+    def flag(message, *involved):
+        violations.append(message)
+        pairs.append(tuple(dict.fromkeys(involved)))
+
     shape = shape if isinstance(shape, AdditiveShape) else AdditiveShape(tuple(shape))
     k = shape.width
     mods = np.array(shape.moduli, dtype=np.int64)
     c = np.asarray(tensor, dtype=np.int64)
     if c.shape != (k, k, k):
-        return ValidationReport(False, ["tensor shape %r, expected %r"
-                                        % (c.shape, (k, k, k))])
+        flag("tensor shape %r, expected %r" % (c.shape, (k, k, k)))
+        return ValidationReport(False, violations, pairs)
     if ((c < 0) | (c >= mods[None, None, :])).any():
-        violations.append("tensor entries not reduced mod the target modulus")
+        flag("tensor entries not reduced mod the target modulus")
         c = c % mods[None, None, :]
 
     # n_i * c[i][j][m] and n_j * c[i][j][m] must vanish mod n_m, otherwise
@@ -186,14 +198,12 @@ def validate_ring(shape, tensor, one):
     right = c % d[None, :, :]
     if left.any():
         i, j, m = [int(x[0]) for x in left.nonzero()]
-        violations.append(
-            "order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
-            % (i, i, j, m, m))
+        flag("order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
+             % (i, i, j, m, m), (i, j))
     if right.any():
         i, j, m = [int(x[0]) for x in right.nonzero()]
-        violations.append(
-            "order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
-            % (j, i, j, m, m))
+        flag("order incompatibility: n_%d * c[%d][%d][%d] != 0 mod n_%d"
+             % (j, i, j, m, m), (i, j))
 
     # Each product below sums k products of reduced entries, so it is
     # exact in float64 while k * (max n - 1)**2 < 2**53; past that the
@@ -212,15 +222,15 @@ def validate_ring(shape, tensor, one):
                % mods).any(axis=3)
         if bad.any():
             i, j, l = (int(x[0]) for x in bad.nonzero())
-            violations.append("associativity fails on generators (%d, %d, %d)"
-                              % (i + s, j, l))
+            flag("associativity fails on generators (%d, %d, %d)"
+                 % (i + s, j, l), (i + s, j), (j, l))
             break
 
     try:
         e = shape.reduce(one)
     except InputError as exc:
-        violations.append(str(exc))
-        return ValidationReport(False, violations)
+        flag(str(exc))
+        return ValidationReport(False, violations, pairs)
     ev = np.array(e, dtype=num)
     # e * b_j = sum_i e_i c[i][j][:]; b_i * e = sum_j e_j c[i][j][:]
     left_id = (ev @ c.reshape(k, k * k)).reshape(k, k) % mods
@@ -228,10 +238,10 @@ def validate_ring(shape, tensor, one):
     live = mods > 1
     basis = np.diag(live).astype(np.int64)
     if ((left_id != basis) | (right_id != basis))[live].any():
-        violations.append("identity law fails for one=%r" % (e,))
+        flag("identity law fails for one=%r" % (e,))
     if not any(e):
-        violations.append("one equals zero (zero rings are excluded)")
-    return ValidationReport(not violations, violations)
+        flag("one equals zero (zero rings are excluded)")
+    return ValidationReport(not violations, violations, pairs)
 
 
 class Ring:
@@ -313,7 +323,8 @@ class StructureRing(Ring):
         self.tensor.setflags(write=False)
         report = validate_ring(self.shape, self.tensor, one)
         if not report:
-            raise InputError("ring axioms fail: " + "; ".join(report.violations))
+            raise InputError("ring axioms fail: " + "; ".join(report.violations),
+                             report)
         self.one = self.shape.reduce(one)
         self.zero = (0,) * self.shape.width
         self.size = self.shape.cardinality

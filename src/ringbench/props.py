@@ -7,20 +7,20 @@ The center and CE read the ring through core._kernel_tables, as the
 closures do: dense tables up to max_table, above it a structure ring's
 sums and products on demand, whose prime p, if any, names the F_p path.
 There no verdict scans: the center is the span of its F_p basis, CE is
-one batched rank test mod p per chunk of elements (core._ce_rank_mod_p;
-a scan fills the witness map where CE holds on at most WITNESS_MAP_LIMIT
-elements), the units are decided on the blocks of R/J and lifted to R,
-and the Ore check follows; most other deciders skip on max_table.  The
-Lie series gathers its brackets from the dense tables, and no decider
-loops over elements in Python.
+one batched rank test mod p per chunk of elements (core._ce_rank_mod_p),
+the units are decided on the blocks of R/J and lifted to R, and the Ore
+check follows; most other deciders skip on max_table.  The Lie series
+gathers its brackets from the dense tables, and no decider loops over
+elements in Python.
 One-sided questions (invariant, strongly bounded, uniserial) are array
 reductions over the principal table of each side (ideals._principal_table):
 rows and columns of the multiplication table, one per ideal, with their
-two-sided cores.  Every other ideal, a Lie term included,
-is one additive span of products (ideals._ideal_gens).  Factor rings
-R/I are read off R's own tables through I's coset labels, never built:
-one scan (_ce_tables) decides CE of R and of R/I, and the CCE sweep runs
-it on noncommutative factors only, up to the first failing one.
+two-sided cores.  Every other ideal, a Lie term included, is one additive
+span of products (ideals._ideal_gens).  Factor rings R/I are read off R's
+own tables through I's coset labels, never built: one scan (_ce_tables)
+decides CE of R and of R/I, and the CCE sweep runs it on noncommutative
+factors only, up to the first failing one.  A CE witness map is built
+only when it is read (CEReport.witness_map).
 """
 
 import functools
@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ringbench.core import (
-    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, SubRing, _ce_rank_mod_p,
-    _central_mod, _close_additive_mask, _coset_labels, _kernel_tables,
-    _mask_elems, _span, _tables_or_raise, center, units_and_regulars,
+    _CHUNK_BYTES, DEFAULT_LIMITS, LimitError, RingError, SubRing,
+    _ce_rank_mod_p, _central_mod, _close_additive_mask, _coset_labels,
+    _kernel_tables, _mask_elems, _span, _tables_or_raise, center,
+    units_and_regulars,
 )
 from ringbench.ideals import (
     _as_ideal, _ideal_gens, _power_masks, _principal_table, all_ideals,
@@ -69,82 +70,90 @@ def is_commutative(ring, limits=DEFAULT_LIMITS):
 
 @dataclass
 class CEReport:
+    """CE's verdict, the center's size and the least a with no partner.
+    witness_map, a -> (x, a*x) with x and a*x central and nonzero for each
+    a != 0, is built on first read: x = 1 on a commutative ring, else a's
+    least partner (_ce_partners).  It is empty where CE fails or past
+    WITNESS_MAP_LIMIT elements.  A partnerless a there raises RingError."""
     holds: bool
     center_size: int
     counterexample: object = None        # a with no central multiplier
-    witness_map: dict = field(default_factory=dict)  # a -> (x, a*x), both central
+    ring: object = field(repr=False, default=None)
+    limits: object = field(repr=False, default=DEFAULT_LIMITS)
 
     def __bool__(self):
         return self.holds
+
+    @functools.cached_property
+    def witness_map(self):
+        ring, wm = self.ring, {}
+        if not self.holds or ring.size > WITNESS_MAP_LIMIT:
+            return wm
+        if self.center_size == ring.size:
+            return {a: (ring.one, a) for a in ring.elements(self.limits)[1:]}
+        t, every = _kernel_tables(ring, self.limits), np.arange(ring.size)
+        for rows, zidx, prod, good in _ce_partners(
+                t, every, _central_mod(t, None, every)):
+            if not good.any(axis=1).all():
+                raise RingError("internal: an element has no partner, yet CE holds")
+            x = np.argmax(good, axis=1)   # the least partner of each a
+            wm.update(zip(t.decode(rows), zip(t.decode(zidx[x]), t.decode(
+                prod[np.arange(len(rows)), x]))))
+        return wm
 
 
 def centrally_essential(ring, limits=DEFAULT_LIMITS):
     """For every a != 0 there must be central x != 0 with a*x central != 0.
 
-    Commutative rings hold outright (x = 1).  Where the kernel tables
-    carry a prime p (a structure ring over one prime, above max_table),
-    the rank test core._ce_rank_mod_p decides the verdict and the
-    counterexample; when CE holds there and the ring has at most
-    WITNESS_MAP_LIMIT elements, the scan of _ce_tables fills the witness
-    map.  Every other ring is decided by that scan.  The report is cached
-    on the ring; center's gates run on every call first, so a cached
-    report is never returned past a limit."""
+    Commutative rings hold (x = 1).  Where the kernel tables carry a prime
+    p (a structure ring over one prime, above max_table), the rank test
+    core._ce_rank_mod_p alone decides, else the scan _ce_tables alone;
+    each returns the least failing index.  No witness map is built here.
+    The report is cached on the ring; center's gates run on every call
+    first, so a cached report is never returned past a limit."""
     z = center(ring, limits)
     cached = getattr(ring, "_ce", None)
     if cached is not None:
         return cached
-    if z.size == ring.size:
-        # commutative: x = 1 works for every a
-        wm = {}
-        if ring.size <= WITNESS_MAP_LIMIT:
-            wm = {a: (ring.one, a) for a in ring.elements(limits)
-                  if a != ring.zero}
-        ring._ce = CEReport(True, z.size, witness_map=wm)
-        return ring._ce
-    t = _kernel_tables(ring, limits)
-    bad = None if t.p is None else _ce_rank_mod_p(ring, t.p)
-    if bad is not None:
-        rep = CEReport(False, z.size, counterexample=t.decode([bad])[0])
-    elif t.p is None or ring.size <= WITNESS_MAP_LIMIT:
-        in_center = np.zeros(ring.size, dtype=bool)
-        in_center[t.encode(z.elements())] = True
-        rep = _ce_tables(t, np.arange(ring.size), in_center,
-                         ring.size <= WITNESS_MAP_LIMIT)
-    else:
-        rep = CEReport(True, z.size)
-    ring._ce = rep
-    return rep
+    bad = None
+    if z.size < ring.size:
+        t = _kernel_tables(ring, limits)
+        if t.p is not None:
+            bad = _ce_rank_mod_p(ring, t.p)
+        else:   # the mask of the center's indices
+            bad = _ce_tables(t, np.arange(ring.size), np.bincount(
+                t.encode(z.elements()), minlength=ring.size).astype(bool))
+    ring._ce = CEReport(bad is None, z.size, None if bad is None
+                        else t.decode([bad])[0], ring, limits)
+    return ring._ce
 
 
-def _ce_tables(t, lab, central, witness_map=False):
-    """CE of R/I on R's kernel tables t (R itself on identity labels):
-    lab labels I's cosets by their least members (core._coset_labels),
-    which are R/I's elements in order, and central masks the x central
-    modulo I (core._central_mod).  Each a needs a partner x, central and
-    outside I, with a*x central and outside I.  A chunk of rows at a
-    time; the first chunk holding an a without one ends the walk, and its
-    least such a is R/I's counterexample.  With witness_map, the report
-    maps each a outside I to its least partner x and a*x."""
-    reps = np.flatnonzero(lab == np.arange(len(lab)))
+def _ce_partners(t, lab, central):
+    """CE's scan of R/I on R's kernel tables t (R itself on identity labels):
+    lab labels I's cosets by their least members (core._coset_labels), R/I's
+    elements in order, and central masks the x central modulo I
+    (core._central_mod).  A partner of a != 0 is a central x != 0 with a*x
+    central and nonzero.  Yields chunks of rows a with the central x != 0,
+    the products a*x by their cosets and the mask of the partners."""
     zero = lab[t.zero]
-    zidx = reps[central[reps] & (reps != zero)]
-    wm = {}
+    reps = np.flatnonzero((lab == np.arange(len(lab))) & (lab != zero))
+    zidx = reps[central[reps]]
     # on demand, a product costs about one coefficient row of 8 int64
     step = max(1, _CHUNK_BYTES // (64 * len(zidx)))
     for s in range(0, len(reps), step):
         rows = reps[s:s + step]
         prod = lab[t.prods(rows, zidx)]             # a * x, by its coset
-        good = central[prod] & (prod != zero)
-        ok = good.any(axis=1) | (rows == zero)
+        yield rows, zidx, prod, central[prod] & (prod != zero)
+
+
+def _ce_tables(t, lab, central):
+    """The least index of R/I with no partner (_ce_partners), or None when
+    R/I is centrally essential; the first chunk holding one ends the walk."""
+    for rows, _, _, good in _ce_partners(t, lab, central):
+        ok = good.any(axis=1)
         if not ok.all():
-            return CEReport(False, len(zidx) + 1,
-                            counterexample=t.decode([rows[np.argmin(ok)]])[0])
-        if witness_map:
-            a = np.nonzero(rows != zero)[0]
-            first = np.argmax(good[a], axis=1)
-            wm.update(zip(t.decode(rows[a]), zip(
-                t.decode(zidx[first]), t.decode(prod[a, first]))))
-    return CEReport(True, len(zidx) + 1, witness_map=wm)
+            return int(rows[np.argmin(ok)])
+    return None
 
 
 def verify_ce_counterexample(ring, a, limits=DEFAULT_LIMITS):
@@ -218,7 +227,6 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
     base = centrally_essential(ring, limits)
     if not base:
         return CCEReport(False, base.center_size,
-                         failing_ideal=None,
                          quotient_counterexample=base.counterexample)
     checked = 0
     sweep = ideals_by_size(ring, limits=limits)
@@ -232,11 +240,11 @@ def completely_centrally_essential(ring, limits=DEFAULT_LIMITS):
         if brackets <= ideal.member:   # R/I is commutative
             continue
         lab = _coset_labels(t, t.encode(ideal.elements))
-        rep = _ce_tables(t, lab, _central_mod(t, lab, np.arange(ring.size)))
-        if not rep:
+        bad = _ce_tables(t, lab, _central_mod(t, lab, np.arange(ring.size)))
+        if bad is not None:
             return CCEReport(False, base.center_size, checked_ideals=checked,
                              failing_ideal=ideal,
-                             quotient_counterexample=rep.counterexample)
+                             quotient_counterexample=t.decode([bad])[0])
     return CCEReport(True, base.center_size, checked_ideals=checked)
 
 
@@ -563,18 +571,19 @@ class PropertyReport:
     values: dict
     skipped: dict   # key -> limit name that stopped it
 
+    def rows(self):
+        """(key, value, note) for each key answered or skipped, in
+        REPORT_KEYS order: the rendered value and its witness, or
+        "skipped" and the limit that stopped it."""
+        return [(key, _render_value(self.values[key][0]), self.values[key][1])
+                if key in self.values else (key, "skipped", self.skipped[key])
+                for key in REPORT_KEYS if key in self.values or key in self.skipped]
+
     def lines(self):
-        out = []
-        for key in REPORT_KEYS:
-            if key in self.values:
-                val, note = self.values[key]
-                line = "%s=%s" % (key, _render_value(val))
-                if note:
-                    line += ";witness=%s" % note
-                out.append(line)
-            elif key in self.skipped:
-                out.append("%s=skipped;limit=%s" % (key, self.skipped[key]))
-        return out
+        """key=value, with ;witness=note or ;limit=name when there is one."""
+        return ["%s=%s%s" % (key, value, note and (
+            ";limit=" if key in self.skipped else ";witness=") + note)
+                for key, value, note in self.rows()]
 
 
 def _fmt(ring, elem):

@@ -649,21 +649,30 @@ def test_central_series_matches_quotient_chain_oracle(key):
     "one-sided", "one-sided-op")], ids=_key_id)
 def test_ce_modulo_every_ideal_matches_the_factor_ring(key):
     # the scan of R/I on R's tables against CE of the built R/I, on every
-    # proper nonzero ideal, noncommutative factors where CE holds included
+    # proper nonzero ideal, noncommutative factors where CE holds included:
+    # the least failing index, the center (the coset representatives
+    # central modulo I) and the least partners the scan yields
     ring = _ring(key)
     t = ring.tables()
     every = np.arange(ring.size)
     for ideal in all_ideals(ring)[1:-1]:
         lab = _coset_labels(t, t.encode(ideal.elements))
         central = _central_mod(t, lab, every)
-        rep = props._ce_tables(t, lab, central, witness_map=True)
+        bad = props._ce_tables(t, lab, central)
         q = quotient(ring, ideal)
         expected = centrally_essential(q)
-        assert ((rep.holds, rep.center_size, rep.counterexample)
+        assert ((bad is None, int(central[lab == every].sum()),
+                 None if bad is None else t.decode([bad])[0])
                 == (expected.holds, expected.center_size,
                     expected.counterexample)), ideal.elements
         if not central.all():   # a commutative R/I maps every a to (1, a)
-            assert rep.witness_map == expected.witness_map, ideal.elements
+            wm = {}
+            for rows, zidx, prod, good in props._ce_partners(t, lab, central):
+                x = good.argmax(axis=1)   # the least partner of each a
+                wm.update(zip(t.decode(rows), zip(t.decode(zidx[x]), t.decode(
+                    prod[np.arange(len(rows)), x]))))
+            assert (wm if bad is None else {}) == expected.witness_map, \
+                ideal.elements
 
 
 def test_factor_rings_are_decided_without_building_one(monkeypatch):
@@ -1071,7 +1080,7 @@ def test_center_above_max_elements_is_skipped():
 def test_ce_rank_path_matches_table_path(monkeypatch):
     # the noncommutative one-prime catalog rings up to max_table and the
     # one-prime rings of three seeded sample streams: the rank test under
-    # max_table=1, with the scan filling the map where CE holds, against
+    # max_table=1, with the map filled by the scan when it is read, against
     # the dense tables.  Commutative rings answer before either path.
     ranked, real = [], props._ce_rank_mod_p
 
@@ -1093,7 +1102,7 @@ def test_ce_rank_path_matches_table_path(monkeypatch):
                         want.witness_map)), (key, tried)
             tried, holds = tried + 1, holds + got.holds
     # 104 of them are noncommutative and take the rank test; it says
-    # "holds" on 3, whose maps the scan then fills
+    # "holds" on 3, whose maps the scan fills when the assert reads them
     assert (tried, holds) == (179, 78)
     assert (len(ranked), ranked.count(None)) == (104, 3)
 
@@ -1354,3 +1363,50 @@ def test_theorem_invariants_hold_wherever_answered():
     assert cases == {"P=J": 108, "units": 110, "CCE": 43, "CE": 47,
                      "Abelian": 47, "local": 26, "not local": 82,
                      "semiprime": 54}
+
+
+def product_ring(r, s):
+    """R x S on the block-diagonal tensor: R's basis, then S's, with no
+    product across the blocks, and 1 = (1_R, 1_S)."""
+    k, l = r.shape.width, s.shape.width
+    c = np.zeros((k + l,) * 3, dtype=np.int64)
+    c[:k, :k, :k], c[k:, k:, k:] = r.tensor, s.tensor
+    return make_ring(r.shape.moduli + s.shape.moduli, c, r.one + s.one)
+
+
+def _larger_index(a, b):   # a nilpotency index or Lie class; none wins
+    return None if None in (a, b) else max(a, b)
+
+
+PRODUCT_RULES = {   # key -> R x S's value from R's and S's
+    **dict.fromkeys(("size", "center_size", "jacobson_size",
+                     "prime_radical_size", "units"), lambda a, b: a * b),
+    **dict.fromkeys(("jacobson_index", "prime_radical_index", "lie_class",
+                     "strong_lie_class"), _larger_index),
+    # (1, 0) and (0, 1) are non-units adding to 1, and R x 0 and 0 x S are
+    # incomparable ideals
+    **dict.fromkeys(("local", "uniserial"), lambda a, b: False),
+}
+
+
+@pytest.mark.parametrize("left, right, limits, answered", [
+    ("ext2(4)", "z(2)", Limits(), 23),   # noncommutative CCE, 512 elements
+    ("ex52", "z(2)", Limits(), 23),
+    ("z2q8", "z(2)", Limits(), 23),
+    ("m2z2", "t2z2", Limits(), 23),
+    ("ext2(2)", "z(3)", Limits(), 23),   # moduli 2 and 3
+    ("z2q8", "z(2)", Limits(max_table=1), 7),
+    ("ext2(3)", "z(3)", Limits(max_table=1), 8),
+], ids=("ext2(4)xz(2)", "ex52xz(2)", "z2q8xz(2)", "m2z2xt2z2", "ext2(2)xz(3)",
+        "z2q8xz(2)-fp", "ext2(3)xz(3)-fp"))
+def test_product_values_follow_the_product_rules(left, right, limits,
+                                                 answered):
+    # every other key, CE and CCE among them, holds on R x S exactly when
+    # it holds on both: ideals and one-sided ideals of R x S are products,
+    # and so are its center, radical and factor rings
+    r, s = catalog(left), catalog(right)
+    vr, vs, vp = ({key: val for key, (val, _) in full_report(x, limits)
+                   .values.items()} for x in (r, s, product_ring(r, s)))
+    assert vp.keys() <= vr.keys() & vs.keys() and len(vp) == answered
+    assert vp == {key: PRODUCT_RULES.get(key, lambda a, b: a and b)(
+        vr[key], vs[key]) for key in vp}

@@ -1,12 +1,13 @@
 """Decision procedures on the example rings: frozen verdicts and cross-checks."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from ringbench.core import (
-    LimitError, Limits, _OnDemandTables, _central_mod, center,
+    LimitError, Limits, RingError, _OnDemandTables, _central_mod, center,
     units_and_regulars, validate_ring,
 )
 from ringbench.construct import (
@@ -101,15 +102,15 @@ def test_ce_commutative_fast_path():
     (lambda: catalog("ext2(7)"), "v"),
 ], ids=("z3q8", "z3d4", "ext2(7)"))
 def test_ce_counterexample_above_max_table(build, witness):
-    # the rank test's counterexample is the on-demand scan's, and a scalar
-    # re-check confirms it
+    # the rank test's counterexample is the least failing index of the
+    # on-demand scan, and a scalar re-check confirms it
     ring = build()
     rep = centrally_essential(ring)
     assert ring.tables() is None and not rep.holds
     t = _OnDemandTables(ring)
     every = np.arange(ring.size)
-    scan = props._ce_tables(t, every, _central_mod(t, every, every))
-    assert rep.counterexample == scan.counterexample
+    bad = props._ce_tables(t, every, _central_mod(t, every, every))
+    assert rep.counterexample == t.decode([bad])[0]
     assert ring.format_element(rep.counterexample) == witness
     assert verify_ce_counterexample(ring, rep.counterexample)
 
@@ -127,6 +128,71 @@ def test_ce_holds_above_max_table_by_rank_alone(monkeypatch):
     rep = centrally_essential(ring)
     assert ring.size > props.WITNESS_MAP_LIMIT
     assert (rep.holds, rep.center_size, rep.witness_map) == (True, 1024, {})
+
+
+def _scan_calls(monkeypatch):
+    """Count the calls of the CE scan's verdict (_ce_tables) and of every
+    scan started (_ce_partners), the witness map's included."""
+    calls = {"tables": 0, "partners": 0}
+    tables, partners = props._ce_tables, props._ce_partners
+
+    def count_tables(*args):
+        calls["tables"] += 1
+        return tables(*args)
+
+    def count_partners(*args):
+        calls["partners"] += 1
+        return partners(*args)
+
+    monkeypatch.setattr(props, "_ce_tables", count_tables)
+    monkeypatch.setattr(props, "_ce_partners", count_partners)
+    return calls
+
+
+# the sorted items of z2q8's witness map, as the eager scan built it
+Z2Q8_WITNESS_MAP_SHA1 = "9753fa587c4a5037f501a60b67052965ef8e262e"
+
+
+@pytest.mark.parametrize("limits", [Limits(), NO_TABLES], ids=("dense", "fp"))
+def test_full_report_builds_no_witness_map(monkeypatch, limits):
+    # one kernel per ring: the rank test alone on the F_p path, and no
+    # scan for a map until it is read; then the map is the dense scan's
+    calls = _scan_calls(monkeypatch)
+    ring = catalog("z2q8")
+    full_report(ring, limits)
+    rep = centrally_essential(ring, limits)
+    assert rep.holds and "witness_map" not in vars(rep)
+    if limits is NO_TABLES:
+        assert ring.tables(limits) is None and calls == {"tables": 0,
+                                                          "partners": 0}
+    else:   # CE of z2q8 and the CCE sweep's factors, up to the failing one
+        assert calls["tables"] == calls["partners"] > 1
+    before = calls["partners"]
+    wm = rep.witness_map
+    assert calls["partners"] == before + 1 and len(wm) == ring.size - 1
+    assert hashlib.sha1(repr(sorted(wm.items())).encode()).hexdigest() \
+        == Z2Q8_WITNESS_MAP_SHA1
+    assert wm == centrally_essential(catalog("z2q8")).witness_map
+
+
+@pytest.mark.parametrize("limits", [Limits(), NO_TABLES], ids=("dense", "fp"))
+def test_witness_map_raises_when_the_scan_contradicts_the_verdict(
+        monkeypatch, limits):
+    # a scan that finds an a with no partner, where CE holds, is a fault
+    # in the program: no map, and no changed verdict
+    partners = props._ce_partners
+
+    def lose_a_partner(*args):   # the last a of each chunk has none
+        for rows, zidx, prod, good in partners(*args):
+            yield rows, zidx, prod, good & (rows != rows[-1])[:, None]
+
+    ring = catalog("z2q8")
+    rep = centrally_essential(ring, limits)
+    assert rep.holds
+    monkeypatch.setattr(props, "_ce_partners", lose_a_partner)
+    with pytest.raises(RingError, match="^internal: "):
+        rep.witness_map
+    assert rep.holds and "witness_map" not in vars(rep)
 
 
 # -- completely centrally essential -------------------------------------------
